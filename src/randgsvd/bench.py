@@ -10,7 +10,7 @@ Method tags:
   exact       stacked direct solve at a fixed lambda (no selection rule)
 
 Failures for a single (problem, method, seed) combination are captured as
-rows with NaN lambda/rel_error; the run continues.
+rows with NaN lambda/rel_error that carry the error; the run continues.
 """
 
 from __future__ import annotations
@@ -44,7 +44,10 @@ CSV_HEADER = "problem,method,selector,lambda,rel_error,wall_time_s,l1,l2,seed"
 @dataclass(frozen=True)
 class BenchRecord:
     """One benchmark row. l1/l2 are the sketch sample counts (0 for the
-    dense methods). Failed runs carry NaN lambda and rel_error."""
+    dense methods). rel_error is NaN when the problem has no x_true. A
+    failed run carries NaN lambda and rel_error and, in ``error``, the
+    exception as "<Type>: <message>"; the error is not a report column,
+    so rows read back from a report have none."""
 
     problem: str
     method: str
@@ -55,10 +58,11 @@ class BenchRecord:
     l1: int
     l2: int
     seed: int
+    error: str | None = None
 
     @property
     def failed(self) -> bool:
-        return math.isnan(self.rel_error)
+        return self.error is not None
 
 
 @dataclass(frozen=True)
@@ -251,7 +255,7 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRecord]:
                     )
                     if cfg.dump_dir is not None:
                         _dump_solution(cfg.dump_dir, prob, rec, sol)
-                except Exception:
+                except Exception as exc:
                     rec = BenchRecord(
                         problem=name,
                         method=method,
@@ -262,6 +266,7 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRecord]:
                         l1=0,
                         l2=0,
                         seed=seed,
+                        error=f"{type(exc).__name__}: {exc}",
                     )
                 records.append(rec)
     records.sort(key=lambda r: (r.problem, r.method, r.seed))
@@ -344,7 +349,8 @@ def strip_timings(records) -> list[BenchRecord]:
 
 
 def records_equal(a, b) -> bool:
-    """Field-wise equality treating NaN == NaN (for round-trip checks)."""
+    """Equality of the report columns, treating NaN == NaN (for round-trip
+    checks)."""
     if len(a) != len(b):
         return False
     for ra, rb in zip(a, b):

@@ -154,11 +154,12 @@ def main(argv=None) -> int:
     for rec in records:
         status = "FAIL" if rec.failed else "ok"
         failures += rec.failed
-        print(
+        line = (
             f"{status:4s} {rec.problem:10s} {rec.method:11s} seed={rec.seed:<4d} "
             f"lambda={rec.lam:.6g} rel_error={rec.rel_error:.6g} "
             f"time={rec.wall_time_s:.4f}s l1={rec.l1} l2={rec.l2}"
         )
+        print(f"{line} error={rec.error}" if rec.failed else line)
     return 1 if failures else 0
 
 

@@ -56,7 +56,10 @@ def uniform_test_matrix(n: int, l: int, seed: int) -> np.ndarray:
 class SamplerConfig:
     """Knobs for adaptive sketching.
 
-    epsilon        -- deflated-column-norm stopping tolerance (> 0)
+    epsilon        -- deflated-column-norm stopping tolerance (> 0); it is
+                      absolute, in the units of the target's entries, not
+                      relative to |A|, so rescaling A by c calls for
+                      epsilon * c to stop at the same column
     blocksize      -- columns sketched per adaptive step
     seed           -- 64-bit base seed; block i uses seed XOR i
     max_columns    -- optional hard cap on collected columns
@@ -142,7 +145,9 @@ def adaptive_range_finder(a, cfg: SamplerConfig) -> RangeBasis:
 
     for idx, width in enumerate(_block_widths(n, cfg.blocksize)):
         omega = uniform_test_matrix(n, width, cfg.seed ^ (idx + 1))
-        y = a @ omega
+        # for a transposed view (the row-space sketch passes a.T),
+        # (omega.T @ a.T).T gives the bits of a @ omega about twice as fast
+        y = a @ omega if a.flags.c_contiguous else (omega.T @ a.T).T
         if q.shape[1]:
             # two deflation passes keep the new block orthogonal to q at
             # working precision even when it is nearly contained in range(q)

@@ -75,13 +75,30 @@ def _rows(ctx: _FilterContext, rows: str) -> int:
     raise ValueError(f"rows must be 'projected' or 'ambient', got {rows!r}")
 
 
+def _residual_sq(ctx: _FilterContext, f: np.ndarray):
+    """Squared residual norm for a filter vector, or one per row of a
+    filter matrix."""
+    return np.sum(((1.0 - f) * ctx.eta) ** 2, axis=-1) + ctx.perp_sq
+
+
 def _gcv_value(ctx: _FilterContext, lam: float, m_hat: int) -> float:
+    # the golden-section refine's one-lambda form; its scalar dof**2 can
+    # differ from the grid's in the last bit, and the refined lambda
+    # follows those bits, so it stays scalar
     f = tikhonov_filters(ctx.factors, lam)
-    res_sq = float(np.sum(((1.0 - f) * ctx.eta) ** 2)) + ctx.perp_sq
+    res_sq = float(_residual_sq(ctx, f))
     dof = m_hat - float(np.sum(f))
     if dof <= 0.0:
         return np.inf
     return res_sq / dof**2
+
+
+def _gcv_grid(ctx: _FilterContext, grid: np.ndarray, m_hat: int) -> np.ndarray:
+    """_gcv_value at every grid point, from one (grid, k) filter matrix."""
+    f = tikhonov_filters(ctx.factors, grid)
+    dof = m_hat - np.sum(f, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(dof > 0.0, _residual_sq(ctx, f) / dof**2, np.inf)
 
 
 def _log_grid(lam_range, size) -> np.ndarray:
@@ -133,7 +150,7 @@ def gcv_lambda(
         raise SelectionError("all filters are unity (regularizer sees nothing); GCV is flat")
     m_hat = _rows(ctx, rows)
     grid = _log_grid(lam_range, grid_size)
-    vals = np.array([_gcv_value(ctx, lam, m_hat) for lam in grid])
+    vals = _gcv_grid(ctx, grid, m_hat)
     if not np.isfinite(vals).any():
         raise SelectionError("GCV denominator vanished on the whole grid")
     i = int(np.nanargmin(vals))
@@ -146,18 +163,26 @@ def gcv_lambda(
 def gcv_truncation(source, b, *, rows: str = "projected") -> tuple[int, float]:
     """Discrete GCV over truncation depth for TGSVD: the filter vector is
     binary, so G(k) = (residual energy of dropped directions + floor) over
-    (m_hat - kept)^2. Returns (best k, G(k))."""
+    (m_hat - kept)^2. Returns (best k, G(k)).
+
+    Directions with alpha = 0 have finite generalized value 0 but carry no
+    solution component (solve_tgsvd's y is 0 there), so they always count
+    as dropped: k ranges over the finite generalized values with alpha > 0,
+    which is exactly the depth range solve_tgsvd accepts."""
     ctx = _make_context(source, b)
     factors = ctx.factors
     gamma = factors.gamma()
     finite_idx = np.flatnonzero(np.isfinite(gamma))
-    if finite_idx.size == 0:
-        raise SelectionError("no finite generalized values to truncate over")
+    n_fit = int(np.count_nonzero(factors.alpha[finite_idx] > 0.0))
+    if n_fit == 0:
+        raise SelectionError("no finite generalized values with alpha > 0 to truncate over")
     n_always = factors.alpha.shape[0] - finite_idx.size
     m_hat = _rows(ctx, rows)
     best_k, best_g = None, np.inf
-    for k in range(1, finite_idx.size + 1):
-        dropped = finite_idx[:-k] if k < finite_idx.size else np.empty(0, dtype=int)
+    for k in range(1, n_fit + 1):
+        # gamma ascends, so the alpha = 0 directions sit at the head of
+        # finite_idx and are dropped for every k <= n_fit
+        dropped = finite_idx[:-k]
         res_sq = float(np.sum(ctx.eta[dropped] ** 2)) + ctx.perp_sq
         dof = m_hat - (k + n_always)
         if dof <= 0:
@@ -171,15 +196,16 @@ def gcv_truncation(source, b, *, rows: str = "projected") -> tuple[int, float]:
 
 
 def _lcurve_points(ctx: _FilterContext, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    rho = np.empty(grid.size)
-    eta_norm = np.empty(grid.size)
-    nb = ctx.factors.beta.shape[0]
-    for j, lam in enumerate(grid):
-        f = tikhonov_filters(ctx.factors, lam)
-        rho[j] = np.sqrt(float(np.sum(((1.0 - f) * ctx.eta) ** 2)) + ctx.perp_sq)
-        y = filtered_coordinates(ctx.factors, f, ctx.eta)
-        eta_norm[j] = np.linalg.norm(ctx.factors.beta * y[:nb]) if nb else 0.0
-    return rho, eta_norm
+    """(residual norm, seminorm) at every grid point, from one (grid, k)
+    filter matrix."""
+    f = tikhonov_filters(ctx.factors, grid)
+    y = filtered_coordinates(ctx.factors, f, ctx.eta)
+    z = ctx.factors.beta * y[:, : ctx.factors.beta.shape[0]]
+    # each (1 x k) @ (k x 1) product is the dot product np.linalg.norm takes
+    # of one vector, so the seminorms keep its bits; a flat curve's corner
+    # can move with the last bit of them
+    sem_sq = (z[:, None, :] @ z[:, :, None])[:, 0, 0]
+    return np.sqrt(_residual_sq(ctx, f)), np.sqrt(sem_sq)
 
 
 def lcurve_lambda(

@@ -136,12 +136,15 @@ def solve_exact(prob: TikhonovProblem, lam: float) -> RegularizedSolution:
     return _with_rel_error(sol, prob.x_true)
 
 
-def tikhonov_filters(factors: GsvdFactors, lam: float) -> np.ndarray:
+def tikhonov_filters(factors: GsvdFactors, lam) -> np.ndarray:
     """Filter factors f_i = alpha_i^2 / (alpha_i^2 + lam^2 beta_i^2) aligned
-    with factors.alpha; components with beta = 0 pass unfiltered (f = 1)."""
+    with factors.alpha; components with beta = 0 pass unfiltered (f = 1).
+
+    A scalar lam gives a vector; an array of lambdas gives one row of
+    filters per lambda, shape lam.shape + alpha.shape."""
     alpha = factors.alpha
     beta = factors.beta_aligned()
-    denom = alpha**2 + (lam * beta) ** 2
+    denom = alpha**2 + (np.asarray(lam)[..., None] * beta) ** 2
     with np.errstate(invalid="ignore", divide="ignore"):
         f = np.where(denom > 0.0, alpha**2 / np.where(denom > 0.0, denom, 1.0), 1.0)
     return np.where(beta > 0.0, f, 1.0)
@@ -150,12 +153,13 @@ def tikhonov_filters(factors: GsvdFactors, lam: float) -> np.ndarray:
 def filtered_coordinates(factors: GsvdFactors, filters: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """Expansion coordinates y with x = (x columns) @ y for a given filter
     vector: y_i = f_i * eta_i / alpha_i on the branch window, zero on the
-    leading wide-branch directions."""
+    leading wide-branch directions. Rows of a filter matrix (one per
+    lambda, as from tikhonov_filters) give rows of y."""
     alpha = factors.alpha
     with np.errstate(invalid="ignore", divide="ignore"):
         active = np.where(alpha > 0.0, filters * eta / np.where(alpha > 0.0, alpha, 1.0), 0.0)
-    y = np.zeros(factors.n)
-    y[factors.offset :] = active
+    y = np.zeros(active.shape[:-1] + (factors.n,))
+    y[..., factors.offset :] = active
     return y
 
 

@@ -59,8 +59,26 @@ def test_wrong_orientation_becomes_failure_row():
     records = run_benchmark(cfg)
     by_method = {r.method: r for r in records}
     assert by_method["rgsvd_alg4"].failed
+    assert by_method["rgsvd_alg4"].error == "ValueError: rgsvd_alg4 needs m < n; use rgsvd_alg3"
     assert math.isnan(by_method["rgsvd_alg4"].lam)
     assert not by_method["gsvd"].failed
+    assert by_method["gsvd"].error is None
+
+
+def test_problem_without_x_true_is_not_a_failure(monkeypatch):
+    # real data has no x_true: rel_error is NaN, but the row succeeded
+    import dataclasses
+
+    from randgsvd import bench
+
+    real_generate = bench.generate
+    monkeypatch.setattr(
+        bench, "generate", lambda spec: dataclasses.replace(real_generate(spec), x_true=None)
+    )
+    cfg = BenchConfig(problems=("shaw",), methods=("gsvd", "rgsvd_alg3"), seeds=(0,), **FAST)
+    for rec in run_benchmark(cfg):
+        assert not rec.failed and rec.error is None
+        assert math.isnan(rec.rel_error) and rec.lam > 0
 
 
 def test_underdetermined_route():
@@ -211,5 +229,6 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "ok" in capsys.readouterr().out
     bad = main(["--problems", "shaw", "--method", "rgsvd_alg4", "--n", "32", "--seeds", "0"])
     assert bad == 1
-    assert "FAIL" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "FAIL" in out and "error=ValueError: rgsvd_alg4 needs m < n" in out
     assert main(["--selector", "huh", "--n", "32"]) == 2

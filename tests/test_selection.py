@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from randgsvd.gsvd import GmpPair, gsvd_full_rank
+from randgsvd.gsvd import GmpPair, GsvdFactors, gsvd_full_rank
 from randgsvd.problems import TestProblemSpec, generate
 from randgsvd.rgsvd import rgsvd
 from randgsvd.sampling import SamplerConfig
@@ -11,7 +11,7 @@ from randgsvd.selection import (
     gcv_truncation,
     lcurve_lambda,
 )
-from randgsvd.tikhonov import solve_gsvd, solve_rgsvd
+from randgsvd.tikhonov import solve_gsvd, solve_rgsvd, solve_tgsvd
 
 
 @pytest.fixture(scope="module")
@@ -92,12 +92,43 @@ def test_truncation_gcv_reasonable(shaw_instance):
     assert g > 0
 
 
+def _tall_factors(rng, alpha, beta, m=40):
+    n = alpha.size
+    return GsvdFactors(
+        u=np.linalg.qr(rng.standard_normal((m, n)))[0],
+        v1=np.linalg.qr(rng.standard_normal((n + 1, n)))[0],
+        alpha=alpha,
+        beta=beta,
+        x=np.eye(n),
+        r=0,
+        branch="tall",
+    )
+
+
+def test_truncation_depth_never_keeps_alpha_zero_directions(rng):
+    # alpha = 0 directions have the finite generalized value 0, but their
+    # solution coordinates are 0 at every depth: the data energy there is
+    # residual whatever k is, and solve_tgsvd accepts only k <= #(alpha > 0)
+    factors = _tall_factors(rng, np.array([0.0, 0.0, 0.6, 0.8]), np.array([1.0, 1.0, 0.8, 0.6]))
+    b = factors.u @ np.array([10.0, 10.0, 5.0, 5.0])
+    k, g = gcv_truncation(factors, b)
+    assert k == 2
+    assert g == pytest.approx(200.0 / (40 - 2) ** 2, rel=1e-12)
+    assert np.isfinite(solve_tgsvd(factors, b, k).x).all()
+    only_zero = _tall_factors(rng, np.zeros(2), np.ones(2))
+    with pytest.raises(SelectionError):
+        gcv_truncation(only_zero, only_zero.u @ np.ones(2))
+
+
 def test_selection_needs_regularizable_directions(rng):
     # L = 0 gives an empty beta set: no lambda dependence to select on
     a = np.linalg.qr(rng.standard_normal((12, 8)))[0]
     factors = gsvd_full_rank(GmpPair(a, np.zeros((3, 8))))
+    assert factors.beta.size == 0
     with pytest.raises(SelectionError):
         gcv_lambda(factors, np.ones(12))
+    with pytest.raises(SelectionError):
+        lcurve_lambda(factors, np.ones(12))
 
 
 def test_selection_rejects_degenerate_sketch(rng):
