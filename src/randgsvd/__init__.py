@@ -15,7 +15,6 @@ from .sampling import (
     SamplingError,
     adaptive_range_finder,
     uniform_test_matrix,
-    verify_expectation_identity,
 )
 from .gsvd import (
     GmpPair,
@@ -24,7 +23,7 @@ from .gsvd import (
     gsvd_full_rank,
     reconstruct,
 )
-from .rgsvd import ApproxGsvd, rgsvd, rgsvd_overdetermined, rgsvd_underdetermined, sketched_identities
+from .rgsvd import ApproxGsvd, rgsvd
 from .tikhonov import (
     RegularizedSolution,
     TikhonovProblem,
@@ -84,15 +83,11 @@ __all__ = [
     "read_report",
     "reconstruct",
     "rgsvd",
-    "rgsvd_overdetermined",
-    "rgsvd_underdetermined",
     "run_benchmark",
-    "sketched_identities",
     "solve_exact",
     "solve_gsvd",
     "solve_rgsvd",
     "solve_tgsvd",
     "tikhonov_filters",
     "uniform_test_matrix",
-    "verify_expectation_identity",
 ]

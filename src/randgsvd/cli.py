@@ -58,95 +58,68 @@ def read_config_file(path: str) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The flags with BenchConfig's defaults; a string default (the
+    config file's values arrive as such) goes through the flag's type."""
     parser = argparse.ArgumentParser(
         prog="randgsvd-bench",
         description="Benchmark regularized solvers on classic ill-posed test problems.",
+        exit_on_error=False,
     )
-    parser.add_argument("--config", default=None, help="key = value file mirroring the flags")
-    parser.add_argument("--problems", default=None, help="comma-separated problem names")
-    parser.add_argument("--method", default=None, help="comma-separated method tags")
-    parser.add_argument("--n", type=int, default=None, help="column dimension (grid side for tomo)")
-    parser.add_argument("--m", type=int, default=None, help="row count; < n truncates rows")
-    parser.add_argument("--delta", type=float, default=None, help="relative noise level")
-    parser.add_argument("--epsilon", type=float, default=None, help="sketching tolerance")
-    parser.add_argument("--blocksize", type=int, default=None, help="range-finder block width")
-    parser.add_argument("--seeds", default=None, help="comma-separated integer seeds")
-    parser.add_argument("--selector", default=None, help="gcv | lcurve | fixed:<value>")
-    parser.add_argument(
-        "--gcv-rows",
-        default=None,
-        choices=("projected", "ambient"),
-        help="row count used in the GCV denominator for sketched solves",
-    )
-    parser.add_argument("--out", default=None, help="CSV report path")
-    parser.add_argument("--dump-solutions", default=None, help="directory for solution vectors")
+    add = parser.add_argument
+    add("--config", default=None, help="key = value file mirroring the flags")
+    add("--problems", type=_split_list, default=_DEFAULTS.problems,
+        help="comma-separated problem names")
+    add("--method", type=_split_list, default=_DEFAULTS.methods, help="comma-separated method tags")
+    add("--n", type=int, default=_DEFAULTS.n, help="column dimension (grid side for tomo)")
+    add("--m", type=int, default=None, help="row count; < n truncates rows")
+    add("--delta", type=float, default=_DEFAULTS.delta, help="relative noise level")
+    add("--epsilon", type=float, default=_DEFAULTS.epsilon, help="sketching tolerance")
+    add("--blocksize", type=int, default=_DEFAULTS.blocksize, help="range-finder block width")
+    add("--seeds", type=_split_list, default=_DEFAULTS.seeds, help="comma-separated integer seeds")
+    add("--selector", type=parse_selector, default=_DEFAULTS.selector,
+        help="gcv | lcurve | fixed:<value>")
+    add("--gcv-rows", default=_DEFAULTS.gcv_rows, choices=("projected", "ambient"),
+        help="row count used in the GCV denominator for sketched solves")
+    add("--out", default=None, help="CSV report path")
+    add("--dump-solutions", default=None, help="directory for solution vectors")
     return parser
-
-
-def _merged(args, file_cfg: dict, key: str, cli_value):
-    if cli_value is not None:
-        return cli_value
-    return file_cfg.get(key)
 
 
 def config_from_args(argv=None) -> BenchConfig:
     parser = build_parser()
     args = parser.parse_args(argv)
-    file_cfg = read_config_file(args.config) if args.config else {}
-    for key in file_cfg:
-        if key not in (
-            "problems",
-            "method",
-            "n",
-            "m",
-            "delta",
-            "epsilon",
-            "blocksize",
-            "seeds",
-            "selector",
-            "gcv-rows",
-            "out",
-            "dump-solutions",
-        ):
-            raise ValueError(f"unknown config key {key!r}")
+    if args.config:
+        file_cfg = read_config_file(args.config)
+        flags = {dest.replace("_", "-") for dest in vars(args)} - {"config"}
+        for key in file_cfg:
+            if key not in flags:
+                raise ValueError(f"unknown config key {key!r}")
+        # file values become defaults, so flags on the command line win
+        parser.set_defaults(**{key.replace("-", "_"): v for key, v in file_cfg.items()})
+        args = parser.parse_args(argv)
 
-    problems = _merged(args, file_cfg, "problems", args.problems)
-    methods = _merged(args, file_cfg, "method", args.method)
-    n = _merged(args, file_cfg, "n", args.n)
-    m = _merged(args, file_cfg, "m", args.m)
-    delta = _merged(args, file_cfg, "delta", args.delta)
-    epsilon = _merged(args, file_cfg, "epsilon", args.epsilon)
-    blocksize = _merged(args, file_cfg, "blocksize", args.blocksize)
-    seeds = _merged(args, file_cfg, "seeds", args.seeds)
-    selector_raw = _merged(args, file_cfg, "selector", args.selector)
-    gcv_rows = _merged(args, file_cfg, "gcv-rows", args.gcv_rows)
-    out = _merged(args, file_cfg, "out", args.out)
-    dump = _merged(args, file_cfg, "dump-solutions", args.dump_solutions)
-
-    selector, fixed_value = (
-        parse_selector(str(selector_raw)) if selector_raw is not None else (_DEFAULTS.selector, None)
-    )
+    selector, fixed_value = args.selector
     return BenchConfig(
-        problems=tuple(_split_list(problems)) if problems is not None else _DEFAULTS.problems,
-        methods=tuple(_split_list(methods)) if methods is not None else _DEFAULTS.methods,
-        n=int(n) if n is not None else _DEFAULTS.n,
-        m=int(m) if m is not None else None,
-        delta=float(delta) if delta is not None else _DEFAULTS.delta,
-        epsilon=float(epsilon) if epsilon is not None else _DEFAULTS.epsilon,
-        blocksize=int(blocksize) if blocksize is not None else _DEFAULTS.blocksize,
-        seeds=tuple(int(s) for s in _split_list(seeds)) if seeds is not None else _DEFAULTS.seeds,
+        problems=args.problems,
+        methods=args.method,
+        n=args.n,
+        m=args.m,
+        delta=args.delta,
+        epsilon=args.epsilon,
+        blocksize=args.blocksize,
+        seeds=args.seeds,
         selector=selector,
         fixed_value=fixed_value,
-        gcv_rows=str(gcv_rows) if gcv_rows is not None else _DEFAULTS.gcv_rows,
-        output_path=str(out) if out is not None else None,
-        dump_dir=str(dump) if dump is not None else None,
+        gcv_rows=args.gcv_rows,
+        output_path=args.out,
+        dump_dir=args.dump_solutions,
     )
 
 
 def main(argv=None) -> int:
     try:
         cfg = config_from_args(argv)
-    except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
+    except (ValueError, OSError, argparse.ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     records = run_benchmark(cfg)

@@ -19,21 +19,17 @@ on the branch's index window, and beta = sqrt(1 - psi) wherever psi < 1.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import matio
 from .linalg import (
     DimensionError,
     RankDeficiencyError,
     as_matrix,
     qr_reduced,
-    smallest_singular_value,
     solve_upper_triangular,
     symmetric_eig,
-    thin_svd,
 )
 
 # stack-rank check is O(n^3); trust larger inputs (callers pay for a full
@@ -238,33 +234,3 @@ def reconstruct(factors: GsvdFactors, pair: GmpPair) -> tuple[float, float]:
         factors.v1.T @ l @ factors.x[:, :nb] - np.diag(factors.beta)
     )
     return float(err_a), float(err_l)
-
-
-def save_gsvd_factors(directory, factors: GsvdFactors) -> None:
-    """Persist factors as Matrix Market files plus a JSON sidecar."""
-    import os
-
-    os.makedirs(directory, exist_ok=True)
-    matio.write_matrix_mm(os.path.join(directory, "u.mtx"), factors.u)
-    matio.write_matrix_mm(os.path.join(directory, "v1.mtx"), factors.v1)
-    matio.write_matrix_mm(os.path.join(directory, "x.mtx"), factors.x)
-    matio.write_vector_csv(os.path.join(directory, "alpha.csv"), factors.alpha)
-    matio.write_vector_csv(os.path.join(directory, "beta.csv"), factors.beta)
-    with open(os.path.join(directory, "meta.json"), "w") as fh:
-        json.dump({"r": factors.r, "branch": factors.branch}, fh)
-
-
-def load_gsvd_factors(directory) -> GsvdFactors:
-    import os
-
-    with open(os.path.join(directory, "meta.json")) as fh:
-        meta = json.load(fh)
-    return GsvdFactors(
-        u=matio.read_matrix_mm(os.path.join(directory, "u.mtx")),
-        v1=matio.read_matrix_mm(os.path.join(directory, "v1.mtx")),
-        alpha=matio.read_vector_csv(os.path.join(directory, "alpha.csv")),
-        beta=matio.read_vector_csv(os.path.join(directory, "beta.csv")),
-        x=matio.read_matrix_mm(os.path.join(directory, "x.mtx")),
-        r=int(meta["r"]),
-        branch=str(meta["branch"]),
-    )

@@ -5,7 +5,7 @@ vectors 1-D, all entries finite. The factorizations are thin wrappers
 around LAPACK (through numpy/scipy) that pin down the conventions the
 rest of the package relies on: nonnegative R diagonal in QR, ascending
 eigenvalues, descending singular values, and an explicit relative rank
-cutoff for minimum-norm least squares.
+cutoff for pseudo-inverse applications.
 """
 
 from __future__ import annotations
@@ -116,24 +116,11 @@ def rank_cutoff(sigma: np.ndarray, m: int, n: int) -> float:
     return 1e-12 * max(m, n) * float(sigma[0])
 
 
-def min_norm_lstsq(a, rhs) -> np.ndarray:
-    """Minimum-norm least-squares solution of a @ x = rhs via the thin SVD.
-
-    Singular values at or below the relative cutoff from ``rank_cutoff``
-    are treated as zero, so rank-deficient systems return the minimum-norm
-    minimizer instead of amplifying noise.
-    """
-    a = as_matrix(a, "lstsq matrix")
-    rhs = as_vector(rhs, "lstsq rhs")
-    m, n = a.shape
-    if rhs.shape[0] != m:
-        raise DimensionError(f"rhs length {rhs.shape[0]} != row count {m}")
-    u, sigma, v = thin_svd(a)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return np.zeros(n)
-    keep = sigma > rank_cutoff(sigma, m, n)
-    coeff = (u.T @ rhs)[keep] / sigma[keep]
-    return v[:, keep] @ coeff
+def matmul(x, y) -> np.ndarray:
+    """x @ y, formed as (y.T @ x.T).T when x is not C-ordered (e.g. the
+    transposed view of a C-ordered matrix): the same bits, about twice as
+    fast with OpenBLAS for a skinny y."""
+    return x @ y if x.flags.c_contiguous else (y.T @ x.T).T
 
 
 def solve_upper_triangular(r, b) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Matrix Market and CSV serialization helpers.
 
-Dense matrices round-trip through Matrix Market array files or plain CSV;
-sparse operators use Matrix Market coordinate files. Floats written to CSV
-use repr(), i.e. the shortest digit string that round-trips exactly, so a
-write/read cycle reproduces arrays bit for bit.
+Dense matrices round-trip through Matrix Market array files, vectors
+through one-value-per-line CSV. Floats written to CSV use repr(), i.e. the
+shortest digit string that round-trips exactly, so a write/read cycle
+reproduces vectors bit for bit.
 """
 
 from __future__ import annotations
@@ -28,52 +28,12 @@ def read_matrix_mm(path) -> np.ndarray:
     return as_matrix(np.asarray(a, dtype=float), "matrix market payload")
 
 
-def write_coo_mm(path, rows: int, cols: int, row_idx, col_idx, values) -> None:
-    """Write triplets as a Matrix Market coordinate file."""
-    coo = scipy.sparse.coo_matrix(
-        (np.asarray(values, dtype=float), (np.asarray(row_idx), np.asarray(col_idx))),
-        shape=(rows, cols),
-    )
-    scipy.io.mmwrite(str(path), coo, field="real")
-
-
-def read_coo_mm(path):
-    """Read a Matrix Market coordinate file; returns (rows, cols, row, col, val)."""
-    a = scipy.io.mmread(str(path))
-    coo = scipy.sparse.coo_matrix(a)
-    return coo.shape[0], coo.shape[1], coo.row.copy(), coo.col.copy(), coo.data.astype(float)
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def write_matrix_csv(path, a) -> None:
-    """Write a dense matrix as CSV, one row per line, '.' decimal separator."""
-    a = as_matrix(a)
-    with open(path, "w") as fh:
-        for row in a:
-            fh.write(",".join(_fmt(x) for x in row))
-            fh.write("\n")
-
-
-def read_matrix_csv(path) -> np.ndarray:
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(tok) for tok in line.split(",")])
-    return as_matrix(np.asarray(rows, dtype=float), "csv payload")
-
-
 def write_vector_csv(path, v) -> None:
     """Write a vector as CSV, one value per line."""
     v = as_vector(v)
     with open(path, "w") as fh:
         for x in v:
-            fh.write(_fmt(x))
-            fh.write("\n")
+            fh.write(f"{float(x)!r}\n")
 
 
 def read_vector_csv(path) -> np.ndarray:

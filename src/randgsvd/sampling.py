@@ -12,13 +12,11 @@ which is exactly the quantity the tolerance speaks about.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import matio
-from .linalg import DimensionError, as_matrix
+from .linalg import DimensionError, as_matrix, matmul
 
 _SQRT3 = float(np.sqrt(3.0))
 _MASK64 = (1 << 64) - 1
@@ -64,7 +62,7 @@ class SamplerConfig:
     seed           -- 64-bit base seed; block i uses seed XOR i
     max_columns    -- optional hard cap on collected columns
     stage2_epsilon -- optional override for the second stage of the
-                      two-sided factorizations (defaults to the stage-one
+                      two-sided factorization (defaults to the stage-one
                       tolerance)
     """
 
@@ -145,9 +143,8 @@ def adaptive_range_finder(a, cfg: SamplerConfig) -> RangeBasis:
 
     for idx, width in enumerate(_block_widths(n, cfg.blocksize)):
         omega = uniform_test_matrix(n, width, cfg.seed ^ (idx + 1))
-        # for a transposed view (the row-space sketch passes a.T),
-        # (omega.T @ a.T).T gives the bits of a @ omega about twice as fast
-        y = a @ omega if a.flags.c_contiguous else (omega.T @ a.T).T
+        # the row-space sketch passes the transposed view a.T
+        y = matmul(a, omega)
         if q.shape[1]:
             # two deflation passes keep the new block orthogonal to q at
             # working precision even when it is nearly contained in range(q)
@@ -178,68 +175,6 @@ def adaptive_range_finder(a, cfg: SamplerConfig) -> RangeBasis:
         blocks_consumed=blocks_consumed,
         triggered_diag=triggered,
         seed=cfg.seed,
-    )
-
-
-def verify_expectation_identity(f, c, g, trials: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo check of the sketching norm identity.
-
-    For fixed factors F, C (orthonormal columns), G and a fresh uniform test
-    matrix Omega per trial, the squared Frobenius norm of F @ (C.T @ Omega) @ G
-    has expectation ||F||_F^2 * ||G||_F^2. Returns (sample_mean, target).
-    """
-    f = as_matrix(f, "left factor")
-    c = as_matrix(c, "orthonormal factor")
-    g = as_matrix(g, "right factor")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    n, k = c.shape
-    if f.shape[1] != k:
-        raise DimensionError(f"left factor columns {f.shape[1]} != {k}")
-    l, _ = g.shape
-    if k:
-        gram_err = np.linalg.norm(c.T @ c - np.eye(k))
-        if gram_err > 1e-10 * max(1, k):
-            raise ValueError(f"factor C must have orthonormal columns (|C'C - I| = {gram_err:.2e})")
-
-    target = float(np.linalg.norm(f) ** 2 * np.linalg.norm(g) ** 2)
-    total = 0.0
-    chunk = max(1, min(trials, 4096))
-    done = 0
-    while done < trials:
-        b = min(chunk, trials - done)
-        gen = _philox((seed ^ _STREAM_SALT) + done)
-        omega = _SQRT3 * (2.0 * gen.random((b, n, l)) - 1.0)
-        h = np.einsum("nk,bnl->bkl", c, omega)
-        val = np.einsum("mk,bkl,lq->bmq", f, h, g, optimize=True)
-        total += float(np.sum(val**2))
-        done += b
-    return total / trials, target
-
-
-def save_range_basis(prefix, basis: RangeBasis) -> None:
-    """Persist a RangeBasis as '<prefix>.mtx' plus a '<prefix>.json' sidecar."""
-    matio.write_matrix_mm(f"{prefix}.mtx", basis.q)
-    meta = {
-        "epsilon": basis.epsilon,
-        "blocks_consumed": basis.blocks_consumed,
-        "triggered_diag": basis.triggered_diag,
-        "seed": basis.seed,
-    }
-    with open(f"{prefix}.json", "w") as fh:
-        json.dump(meta, fh, indent=1)
-
-
-def load_range_basis(prefix) -> RangeBasis:
-    q = matio.read_matrix_mm(f"{prefix}.mtx")
-    with open(f"{prefix}.json") as fh:
-        meta = json.load(fh)
-    return RangeBasis(
-        q=q,
-        epsilon=float(meta["epsilon"]),
-        blocks_consumed=int(meta["blocks_consumed"]),
-        triggered_diag=None if meta["triggered_diag"] is None else float(meta["triggered_diag"]),
-        seed=int(meta["seed"]),
     )
 
 

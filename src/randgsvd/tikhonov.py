@@ -238,19 +238,9 @@ def solve_tgsvd(
     return _with_rel_error(sol, x_true)
 
 
-def _projected_data(approx: ApproxGsvd, b: np.ndarray) -> np.ndarray:
-    return approx.p.T @ b
-
-
-def solve_rgsvd(
-    approx: ApproxGsvd, b, lam: float, x_true=None, path: str = "filter"
-) -> RegularizedSolution:
-    """Tikhonov solve through a two-sided randomized factorization.
-
-    path="filter" expands inside the compressed pair's GSVD coordinates
-    (cheap, the default); path="pinv" solves the stacked compressed system
-    [P.T A Q; lam L Q] by minimum-norm least squares. Both give the same x
-    up to working precision and exist to cross-check each other.
+def solve_rgsvd(approx: ApproxGsvd, b, lam: float, x_true=None) -> RegularizedSolution:
+    """Tikhonov solve through a two-sided randomized factorization,
+    expanded inside the compressed pair's GSVD coordinates.
 
     residual_norm is measured against the sketched operator (the only one
     the factorization retains); seminorm |L x| is exact because x lies in
@@ -275,32 +265,14 @@ def solve_rgsvd(
         )
         return _with_rel_error(sol, x_true)
 
-    c = _projected_data(approx, b)
+    c = approx.p.T @ b
     perp_sq = float(b @ b - c @ c)
-
-    if path == "filter":
-        inner = approx.inner
-        eta = inner.u.T @ c
-        filters = tikhonov_filters(inner, lam)
-        y = filtered_coordinates(inner, filters, eta)
-        w = inner.x @ y
-        x = approx.q @ w
-        res_proj, sem = _factored_norms(inner, filters, eta, 0.0, y)
-        res = float(np.sqrt(res_proj**2 + max(perp_sq, 0.0)))
-    elif path == "pinv":
-        from .linalg import min_norm_lstsq
-
-        p_rows = approx.l_comp.shape[0]
-        stacked = np.vstack([approx.a_comp, lam * approx.l_comp])
-        rhs = np.concatenate([c, np.zeros(p_rows)])
-        w = min_norm_lstsq(stacked, rhs)
-        x = approx.q @ w
-        res = float(
-            np.sqrt(np.linalg.norm(approx.a_comp @ w - c) ** 2 + max(perp_sq, 0.0))
-        )
-        sem = float(np.linalg.norm(approx.l_comp @ w))
-    else:
-        raise ValueError(f"unknown solve path {path!r}")
-
+    inner = approx.inner
+    eta = inner.u.T @ c
+    filters = tikhonov_filters(inner, lam)
+    y = filtered_coordinates(inner, filters, eta)
+    x = approx.q @ (inner.x @ y)
+    res_proj, sem = _factored_norms(inner, filters, eta, 0.0, y)
+    res = float(np.sqrt(res_proj**2 + max(perp_sq, 0.0)))
     sol = RegularizedSolution(x=x, lam=lam, method="rgsvd", residual_norm=res, seminorm=sem)
     return _with_rel_error(sol, x_true)

@@ -1,0 +1,59 @@
+"""Reference routes for checking two-sided randomized factorizations.
+
+Dense, small-scale cross-checks that the library itself never calls:
+the lifted reconstruction identities of an ApproxGsvd, and a Tikhonov
+solve of the stacked compressed system by minimum-norm least squares,
+which test_rgsvd.py holds against the filtered solve of solve_rgsvd.
+"""
+
+import numpy as np
+
+from randgsvd.linalg import rank_cutoff, thin_svd
+from randgsvd.tikhonov import RegularizedSolution
+
+
+def sketched_identities(approx, a, l):
+    """Frobenius deviations of the lifted reconstruction identities
+
+        |P P.T A Q Q.T - U2 diag(alpha) Z_rows|_F
+        |L Q Q.T       - V1 diag(beta)  Z_head|_F
+
+    against the supplied ambient pair.
+    """
+    p, q = approx.p, approx.q
+    z = approx.z
+    inner = approx.inner
+    sketched_a = p @ (p.T @ a @ q) @ q.T
+    z_rows = z[inner.offset :]
+    err_a = float(np.linalg.norm(sketched_a - approx.u2 @ (inner.alpha[:, None] * z_rows)))
+    nb = inner.beta.shape[0]
+    err_l = float(np.linalg.norm(l @ q @ q.T - approx.v1 @ (inner.beta[:, None] * z[:nb])))
+    return err_a, err_l
+
+
+def min_norm_lstsq(a, rhs):
+    """Minimum-norm least-squares solution of a @ x = rhs via the thin SVD,
+    treating singular values at or below ``rank_cutoff`` as zero."""
+    m, n = a.shape
+    u, sigma, v = thin_svd(a)
+    if sigma.size == 0 or sigma[0] == 0.0:
+        return np.zeros(n)
+    keep = sigma > rank_cutoff(sigma, m, n)
+    coeff = (u.T @ rhs)[keep] / sigma[keep]
+    return v[:, keep] @ coeff
+
+
+def solve_rgsvd_pinv(approx, b, lam):
+    """Tikhonov solve of the stacked compressed system [P.T A Q; lam L Q]
+    by minimum-norm least squares; residual_norm and seminorm are measured
+    as solve_rgsvd measures them (against the sketched operator)."""
+    c = approx.p.T @ b
+    perp_sq = float(b @ b - c @ c)
+    stacked = np.vstack([approx.a_comp, lam * approx.l_comp])
+    rhs = np.concatenate([c, np.zeros(approx.l_comp.shape[0])])
+    w = min_norm_lstsq(stacked, rhs)
+    res = float(np.sqrt(np.linalg.norm(approx.a_comp @ w - c) ** 2 + max(perp_sq, 0.0)))
+    sem = float(np.linalg.norm(approx.l_comp @ w))
+    return RegularizedSolution(
+        x=approx.q @ w, lam=lam, method="rgsvd", residual_norm=res, seminorm=sem
+    )

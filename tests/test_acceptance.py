@@ -12,13 +12,14 @@ import time
 import numpy as np
 import pytest
 
+from oracle_sampling import verify_expectation_identity
 from randgsvd import matio
 from randgsvd.bench import BenchConfig, read_report, records_equal, run_benchmark, strip_timings
 from randgsvd.bounds import error_bound_diagnostics
 from randgsvd.gsvd import GmpPair, gsvd_full_rank, reconstruct
 from randgsvd.problems import TestProblemSpec, add_noise, first_difference, generate
 from randgsvd.rgsvd import rgsvd
-from randgsvd.sampling import SamplerConfig, adaptive_range_finder, verify_expectation_identity
+from randgsvd.sampling import SamplerConfig, adaptive_range_finder
 from randgsvd.selection import gcv_lambda
 from randgsvd.tikhonov import TikhonovProblem, solve_exact, solve_gsvd, solve_rgsvd
 

