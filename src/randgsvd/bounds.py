@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gsvd import GmpPair, gsvd_full_rank
-from .linalg import smallest_singular_value, spectral_norm
+from .linalg import dense, smallest_singular_value, spectral_norm
 from .rgsvd import ApproxGsvd
 from .tikhonov import TikhonovProblem, solve_exact, solve_rgsvd
 
@@ -81,7 +81,7 @@ def error_bound_diagnostics(
     if approx.is_degenerate:
         raise ValueError("degenerate factorization: no bound to certify")
 
-    a, l, b = prob.a, prob.l, prob.b
+    a, l, b = prob.a, dense(prob.l), prob.b
     exact = solve_exact(prob, lam)
     x_exact = exact.x
     x_norm = float(np.linalg.norm(x_exact))

@@ -57,13 +57,21 @@ def read_config_file(path: str) -> dict:
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises every parse error instead of exiting, so main can report it
+    and return 2: argparse's exit_on_error=False still exits on
+    unrecognized arguments."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The flags with BenchConfig's defaults; a string default (the
     config file's values arrive as such) goes through the flag's type."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="randgsvd-bench",
         description="Benchmark regularized solvers on classic ill-posed test problems.",
-        exit_on_error=False,
     )
     add = parser.add_argument
     add("--config", default=None, help="key = value file mirroring the flags")

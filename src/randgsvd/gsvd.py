@@ -27,6 +27,7 @@ from .linalg import (
     DimensionError,
     RankDeficiencyError,
     as_matrix,
+    dense,
     qr_reduced,
     solve_upper_triangular,
     symmetric_eig,
@@ -41,15 +42,16 @@ class GmpViolationError(RankDeficiencyError):
     """The stacked pair [A; L] is (numerically) column rank deficient."""
 
 
-def check_stack_rank(a: np.ndarray, l: np.ndarray, context: str = "matrix pair") -> None:
+def check_stack_rank(a: np.ndarray, l, context: str = "matrix pair") -> None:
     """Raise GmpViolationError when [A; L] is numerically rank deficient.
 
-    Only runs the O(n^3) check for n <= GMP_CHECK_MAX_N.
+    Only runs the O(n^3) check for n <= GMP_CHECK_MAX_N; a sparse L is
+    densified only then.
     """
     n = a.shape[1]
     if n > GMP_CHECK_MAX_N:
         return
-    sigma = np.linalg.svd(np.vstack([a, l]), compute_uv=False)
+    sigma = np.linalg.svd(np.vstack([a, dense(l)]), compute_uv=False)
     if sigma.size < n or sigma[0] == 0.0 or sigma[n - 1] <= 1e-10 * sigma[0]:
         raise GmpViolationError(
             f"{context}: stacked matrix is numerically column rank deficient "
@@ -60,14 +62,15 @@ def check_stack_rank(a: np.ndarray, l: np.ndarray, context: str = "matrix pair")
 @dataclass(frozen=True)
 class GmpPair:
     """A matrix pair {a, l} acting on the same solution space, with the
-    vertical stack [a; l] required to have full column rank."""
+    vertical stack [a; l] required to have full column rank. Both members
+    are stored dense; a scipy.sparse l is densified."""
 
     a: np.ndarray
     l: np.ndarray
 
     def __post_init__(self):
         a = as_matrix(self.a, "pair member a")
-        l = as_matrix(self.l, "pair member l")
+        l = as_matrix(dense(self.l), "pair member l")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "l", l)
         if a.shape[1] != l.shape[1]:
@@ -127,13 +130,10 @@ class GsvdFactors:
     def gamma(self) -> np.ndarray:
         """Generalized values alpha_i / beta_i aligned with alpha
         (np.inf where beta = 0)."""
-        k0 = self.offset
-        nb = self.beta.shape[0]
+        beta = self.beta_aligned()
         out = np.full(self.alpha.shape[0], np.inf)
-        for i in range(self.alpha.shape[0]):
-            g = k0 + i
-            if g < nb and self.beta[g] > 0.0:
-                out[i] = self.alpha[i] / self.beta[g]
+        finite = beta > 0.0
+        out[finite] = self.alpha[finite] / beta[finite]
         return out
 
     def beta_aligned(self) -> np.ndarray:

@@ -1,7 +1,10 @@
 """Dense linear-algebra kernels shared by the rest of the package.
 
 Everything operates on plain float64 numpy arrays: matrices are 2-D,
-vectors 1-D, all entries finite. The factorizations are thin wrappers
+vectors 1-D, all entries finite. The one exception is an operator that
+only ever multiplies (the regularizer L): it may stay a scipy.sparse
+matrix, validated by as_operator and densified by dense only where dense
+factorizations need it. The factorizations are thin wrappers
 around LAPACK (through numpy/scipy) that pin down the conventions the
 rest of the package relies on: nonnegative R diagonal in QR, ascending
 eigenvalues, descending singular values, and an explicit relative rank
@@ -15,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 
 class DimensionError(ValueError):
@@ -33,6 +37,34 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if arr.size and not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+class CsrMatrix(scipy.sparse.csr_array):
+    """CSR matrix that, like an ndarray, reports its stored bytes as nbytes."""
+
+    @property
+    def nbytes(self) -> int:
+        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
+
+
+def as_operator(a, name: str = "matrix"):
+    """as_matrix for dense input; a scipy.sparse matrix comes back as a
+    float64 CsrMatrix with its stored values checked, never densified."""
+    if not scipy.sparse.issparse(a):
+        return as_matrix(a, name)
+    if a.ndim != 2:
+        raise DimensionError(f"{name} must be 2-D, got ndim={a.ndim}")
+    if not (isinstance(a, CsrMatrix) and a.dtype == np.float64):
+        a = CsrMatrix(a, dtype=float)
+    if a.nnz and not np.isfinite(a.data).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return a
+
+
+def dense(a) -> np.ndarray:
+    """a as a dense array: a scipy.sparse matrix is expanded, anything
+    else is returned as it is."""
+    return a.toarray() if scipy.sparse.issparse(a) else a
 
 
 def as_vector(v, name: str = "vector") -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from . import matio
-from .linalg import DimensionError, as_vector
+from .linalg import CsrMatrix, DimensionError, as_vector, dense
 from .tikhonov import TikhonovProblem
 
 _MASK64 = (1 << 64) - 1
@@ -219,15 +219,16 @@ _GENERATORS = {
 }
 
 
-def first_difference(n: int) -> np.ndarray:
-    """(n-1) x n forward-difference operator; null space = constants."""
+def first_difference(n: int) -> CsrMatrix:
+    """(n-1) x n forward-difference operator (row i is e_i - e_(i+1));
+    null space = constants. Returned sparse, as a CsrMatrix holding its
+    2(n-1) nonzeros; .toarray() gives the dense matrix."""
     if n < 2:
         raise ValueError(f"first_difference needs n >= 2, got {n}")
-    l = np.zeros((n - 1, n))
     idx = np.arange(n - 1)
-    l[idx, idx] = 1.0
-    l[idx, idx + 1] = -1.0
-    return l
+    values = np.tile([1.0, -1.0], n - 1)
+    cols = np.column_stack([idx, idx + 1]).ravel()
+    return CsrMatrix((values, cols, 2 * np.arange(n)), shape=(n - 1, n))
 
 
 def add_noise(b, delta: float, seed: int) -> np.ndarray:
@@ -477,12 +478,12 @@ def _generate_tomo(spec: TestProblemSpec) -> TikhonovProblem:
 
 def export_problem(directory, prob: TikhonovProblem) -> None:
     """Write a problem as a Matrix Market + CSV bundle (a.mtx, l.mtx,
-    b.csv, x_true.csv)."""
+    b.csv, x_true.csv); a sparse regularizer is written as a dense array."""
     import os
 
     os.makedirs(directory, exist_ok=True)
     matio.write_matrix_mm(os.path.join(directory, "a.mtx"), prob.a)
-    matio.write_matrix_mm(os.path.join(directory, "l.mtx"), prob.l)
+    matio.write_matrix_mm(os.path.join(directory, "l.mtx"), dense(prob.l))
     matio.write_vector_csv(os.path.join(directory, "b.csv"), prob.b)
     if prob.x_true is not None:
         matio.write_vector_csv(os.path.join(directory, "x_true.csv"), prob.x_true)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gsvd import GsvdFactors, _gsvd_core
-from .linalg import DimensionError, as_matrix, matmul
+from .linalg import DimensionError, as_operator, matmul
 from .sampling import (
     SamplerConfig,
     adaptive_range_finder,
@@ -120,13 +120,15 @@ def rgsvd(a, l, epsilon: float, cfg: SamplerConfig) -> ApproxGsvd:
     exact GSVD, and U2 = P @ inner_U lifts the left factor back to the
     ambient rows.
 
-    Only a's shape is checked here; stage one's range finder rejects
-    non-finite entries while it reads a.
+    l may be a scipy.sparse matrix: it is validated on its stored values
+    and L Q is formed as a sparse product, never densified; a dense l is
+    the fast path for dense regularizers. Only a's shape is checked here;
+    stage one's range finder rejects non-finite entries while it reads a.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise DimensionError(f"pair member a must be 2-D, got ndim={a.ndim}")
-    l = as_matrix(l, "pair member l")
+    l = as_operator(l, "pair member l")
     m, n = a.shape
     if l.shape[1] != n:
         raise DimensionError(f"regularizer columns {l.shape[1]} != {n}")

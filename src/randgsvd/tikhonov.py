@@ -21,9 +21,12 @@ import numpy as np
 
 from .gsvd import GmpViolationError, GsvdFactors
 from .linalg import (
+    CsrMatrix,
     DimensionError,
     as_matrix,
+    as_operator,
     as_vector,
+    dense,
     rank_cutoff,
     thin_svd,
 )
@@ -34,13 +37,17 @@ from .rgsvd import ApproxGsvd
 class TikhonovProblem:
     """A discrete ill-posed instance: operator, regularizer, data.
 
-    x_true may be None for real data; delta records the relative noise
-    level used to synthesize b (0.0 means b is clean). meta carries
-    free-form provenance notes (problem name, truncation, ...).
+    l may be a scipy.sparse matrix; it is kept sparse (as a CsrMatrix,
+    with its stored values checked) and only the dense routes densify it:
+    the stack-rank check (n <= GMP_CHECK_MAX_N), GmpPair, solve_exact,
+    the error bounds and export_problem. x_true may be None for real data;
+    delta records the relative noise level used to synthesize b (0.0
+    means b is clean). meta carries free-form provenance notes (problem
+    name, truncation, ...).
     """
 
     a: np.ndarray
-    l: np.ndarray
+    l: np.ndarray | CsrMatrix
     b: np.ndarray
     x_true: np.ndarray | None = None
     delta: float = 0.0
@@ -48,7 +55,7 @@ class TikhonovProblem:
 
     def __post_init__(self):
         a = as_matrix(self.a, "operator")
-        l = as_matrix(self.l, "regularizer")
+        l = as_operator(self.l, "regularizer")
         b = as_vector(self.b, "data")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "l", l)
@@ -116,7 +123,7 @@ def solve_exact(prob: TikhonovProblem, lam: float) -> RegularizedSolution:
     [a; lam * l] @ x = [b; 0]."""
     if not (lam > 0.0):
         raise ValueError(f"lam must be positive, got {lam}")
-    a, l, b = prob.a, prob.l, prob.b
+    a, l, b = prob.a, dense(prob.l), prob.b
     m, p, n = prob.shape
     stacked = np.vstack([a, lam * l])
     rhs = np.concatenate([b, np.zeros(p)])

@@ -235,3 +235,6 @@ def test_main_exit_codes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL" in out and "error=ValueError: rgsvd_alg4 needs m < n" in out
     assert main(["--selector", "huh", "--n", "32"]) == 2
+    capsys.readouterr()
+    assert main(["--bogus"]) == 2
+    assert "error: unrecognized arguments: --bogus" in capsys.readouterr().err

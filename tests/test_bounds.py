@@ -42,6 +42,9 @@ def test_bound_on_ill_posed_instance():
     # a realized sketch this coarse cannot beat the requested tolerance by luck
     assert diag.rhs > diag.lhs * 0  # rhs finite and nonnegative
     assert np.isfinite(diag.rhs)
+    # the generated regularizer is sparse; the bound densifies it
+    as_dense = TikhonovProblem(a=prob.a, l=prob.l.toarray(), b=prob.b, x_true=prob.x_true)
+    assert error_bound_diagnostics(as_dense, approx, 1e-1, 1e-2) == diag
 
 
 def test_bound_input_validation(make_gmp, rng):

@@ -148,7 +148,7 @@ def test_make_underdetermined(rng):
     assert down.a.shape == (20, 32)
     assert_array_equal(down.a, prob.a[:20])
     assert_array_equal(down.b, prob.b[:20])
-    assert_array_equal(down.l, prob.l)
+    assert_array_equal(down.l.toarray(), prob.l.toarray())
     assert down.meta["m"] == 20
     with pytest.raises(ValueError):
         make_underdetermined(prob, 32)
@@ -157,6 +157,8 @@ def test_make_underdetermined(rng):
 def test_first_difference_operator():
     l = first_difference(6)
     assert l.shape == (5, 6)
+    assert l.nnz == 10 and l.nbytes < l.toarray().nbytes
+    assert_array_equal(l.toarray(), np.eye(5, 6) - np.eye(5, 6, k=1))
     assert_allclose(l @ np.ones(6), 0.0, atol=0.0)
     assert_array_equal(l @ np.arange(6.0), -np.ones(5))
     with pytest.raises(ValueError):
@@ -259,4 +261,4 @@ def test_export_import_round_trip(tmp_path):
     assert_array_equal(back.b, prob.b)
     assert_array_equal(back.x_true, prob.x_true)
     assert_allclose(back.a, prob.a, atol=1e-15)
-    assert_allclose(back.l, prob.l, atol=1e-15)
+    assert_allclose(back.l, prob.l.toarray(), atol=1e-15)

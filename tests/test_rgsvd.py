@@ -4,6 +4,8 @@ from numpy.testing import assert_array_equal
 
 from oracle_rgsvd import sketched_identities, solve_rgsvd_pinv
 from randgsvd.gsvd import GmpPair, gsvd_full_rank
+from randgsvd.linalg import DimensionError
+from randgsvd.problems import first_difference, shaw_matrix
 from randgsvd.rgsvd import rgsvd
 from randgsvd.sampling import SamplerConfig
 from randgsvd.tikhonov import solve_exact, solve_rgsvd, TikhonovProblem
@@ -41,6 +43,36 @@ def test_rejects_non_finite_input(rng, shape, poisoned):
     cfg = SamplerConfig(epsilon=1e-6, blocksize=4, seed=0)
     with pytest.raises(ValueError, match="non-finite"):
         rgsvd(pair["a"], pair["l"], 1e-6, cfg)
+
+
+def test_sparse_regularizer_validated_at_entry(rng):
+    a = _decaying(rng, 40, 30)
+    b = rng.standard_normal(40)
+    cfg = SamplerConfig(epsilon=1e-6, blocksize=4, seed=0)
+    poisoned = first_difference(30)
+    poisoned.data[5] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        TikhonovProblem(a=a, l=poisoned, b=b)
+    with pytest.raises(ValueError, match="non-finite"):
+        rgsvd(a, poisoned, 1e-6, cfg)
+    with pytest.raises(DimensionError):
+        TikhonovProblem(a=a, l=first_difference(31), b=b)
+    with pytest.raises(DimensionError):
+        rgsvd(a, first_difference(31), 1e-6, cfg)
+
+
+@pytest.mark.parametrize("rows", [64, 32], ids=["over", "under"])
+def test_sparse_regularizer_matches_dense_bitwise(rows):
+    # each row of the sparse L @ Q sums q_i + (-q_(i+1)), the one rounding
+    # the dense product makes, so every factor is identical
+    a = shaw_matrix(64)[0][:rows]
+    l = first_difference(64)
+    cfg = SamplerConfig(epsilon=1e-6, blocksize=4, seed=3, stage2_epsilon=1e-12)
+    sparse, dense = (rgsvd(a, reg, 1e-6, cfg) for reg in (l, l.toarray()))
+    assert sparse.branch == ("over" if rows == 64 else "under")
+    assert sparse.l2 > 0
+    for field in ("p", "q", "a_comp", "l_comp", "w", "alpha", "beta"):
+        assert_array_equal(getattr(sparse, field), getattr(dense, field))
 
 
 def test_sketched_identities_hold(rng):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from randgsvd.gsvd import GmpPair, GmpViolationError, gsvd_full_rank
 from randgsvd.problems import TestProblemSpec, first_difference, generate
@@ -128,3 +128,15 @@ def test_residuals_recomputable_from_solution(rng):
     sol = solve_gsvd(factors, prob.b, 3e-2)
     assert sol.residual_norm == pytest.approx(np.linalg.norm(prob.a @ sol.x - prob.b), rel=1e-8)
     assert sol.seminorm == pytest.approx(np.linalg.norm(prob.l @ sol.x), rel=1e-8)
+
+
+def test_dense_routes_accept_sparse_regularizer():
+    prob = generate(TestProblemSpec(name="shaw", n=32, delta=1e-3, seed=1))
+    dense_l = prob.l.toarray()
+    as_dense = TikhonovProblem(a=prob.a, l=dense_l, b=prob.b, x_true=prob.x_true)
+    assert_array_equal(GmpPair(prob.a, prob.l).l, dense_l)
+    for lam in (1e-2, 1.0):
+        s_sparse, s_dense = solve_exact(prob, lam), solve_exact(as_dense, lam)
+        assert_array_equal(s_sparse.x, s_dense.x)
+        assert s_sparse.seminorm == s_dense.seminorm
+        assert s_sparse.rel_error == s_dense.rel_error
