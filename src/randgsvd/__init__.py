@@ -36,7 +36,6 @@ from .tikhonov import (
 from .selection import SelectionError, gcv_lambda, gcv_truncation, lcurve_lambda
 from .bounds import ErrorBoundDiagnostics, error_bound_diagnostics
 from .problems import (
-    SparseOperator,
     TestProblemSpec,
     add_noise,
     first_difference,
@@ -64,7 +63,6 @@ __all__ = [
     "SamplerConfig",
     "SamplingError",
     "SelectionError",
-    "SparseOperator",
     "TestProblemSpec",
     "TikhonovProblem",
     "add_noise",

@@ -16,10 +16,9 @@ rows with NaN lambda/rel_error that carry the error; the run continues.
 from __future__ import annotations
 
 import csv
-import math
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .gsvd import GmpPair, GsvdFactors, gsvd_full_rank
 from .problems import QUADRATURE_PROBLEMS, TestProblemSpec, add_noise, generate
@@ -340,32 +339,3 @@ def read_report(path) -> list[BenchRecord]:
                 )
             )
     return out
-
-
-def strip_timings(records) -> list[BenchRecord]:
-    """Copy of the records with wall_time_s zeroed — the determinism
-    comparisons exclude timing."""
-    return [replace(r, wall_time_s=0.0) for r in records]
-
-
-def records_equal(a, b) -> bool:
-    """Equality of the report columns, treating NaN == NaN (for round-trip
-    checks)."""
-    if len(a) != len(b):
-        return False
-    for ra, rb in zip(a, b):
-        for fa, fb in (
-            (ra.problem, rb.problem),
-            (ra.method, rb.method),
-            (ra.selector, rb.selector),
-            (ra.l1, rb.l1),
-            (ra.l2, rb.l2),
-            (ra.seed, rb.seed),
-        ):
-            if fa != fb:
-                return False
-        for fa, fb in ((ra.lam, rb.lam), (ra.rel_error, rb.rel_error), (ra.wall_time_s, rb.wall_time_s)):
-            same = (math.isnan(fa) and math.isnan(fb)) or fa == fb
-            if not same:
-                return False
-    return True

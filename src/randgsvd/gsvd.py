@@ -147,9 +147,8 @@ class GsvdFactors:
         return out
 
 
-def _gsvd_core(a: np.ndarray, l: np.ndarray, check_rank: bool):
-    """Shared GSVD workhorse; returns (factors, eigvecs, rtri) so callers
-    that need X^-1 can form it exactly as S.T @ R."""
+def _gsvd_core(a: np.ndarray, l: np.ndarray, check_rank: bool) -> GsvdFactors:
+    """Shared GSVD workhorse of gsvd_full_rank and rgsvd's compressed pair."""
     m, n = a.shape
     p = l.shape[0]
 
@@ -197,7 +196,7 @@ def _gsvd_core(a: np.ndarray, l: np.ndarray, check_rank: bool):
 
     x = solve_upper_triangular(stack.r, svecs)
 
-    factors = GsvdFactors(
+    return GsvdFactors(
         u=u,
         v1=v1,
         alpha=alpha,
@@ -206,7 +205,6 @@ def _gsvd_core(a: np.ndarray, l: np.ndarray, check_rank: bool):
         r=r,
         branch="tall" if tall else "wide",
     )
-    return factors, svecs, stack.r
 
 
 def gsvd_full_rank(pair: GmpPair, check_rank: bool = True) -> GsvdFactors:
@@ -220,8 +218,7 @@ def gsvd_full_rank(pair: GmpPair, check_rank: bool = True) -> GsvdFactors:
     generalized values so small that any sensible regularizer filters them
     out, so the tolerant mode is what large-scale callers want.
     """
-    factors, _, _ = _gsvd_core(pair.a, pair.l, check_rank)
-    return factors
+    return _gsvd_core(pair.a, pair.l, check_rank)
 
 
 def reconstruct(factors: GsvdFactors, pair: GmpPair) -> tuple[float, float]:

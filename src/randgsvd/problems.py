@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from . import matio
-from .linalg import CsrMatrix, DimensionError, as_vector, dense
+from .linalg import CsrMatrix, as_vector, dense
 from .tikhonov import TikhonovProblem
 
 _MASK64 = (1 << 64) - 1
@@ -173,6 +173,9 @@ def phillips_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(4)
+# bytes of one chunk of baart's (rows, 4, n, 4) node-pair block; each row
+# sums over its own (4, n, 4) slab, so the chunk size leaves A unchanged
+_BAART_CHUNK_BYTES = 16 << 20
 
 
 def _cell_rule(lo: float, width: float, cells: int):
@@ -197,7 +200,7 @@ def baart_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
     cos_t = np.cos(t_nodes)
     scale = 1.0 / np.sqrt(hs * ht)
     a = np.empty((n, n))
-    chunk = max(1, 4096 // 4)
+    chunk = max(1, _BAART_CHUNK_BYTES // (16 * n * 8))
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
         block = np.exp(s_nodes[start:stop, :, None, None] * cos_t[None, None, :, :])
@@ -288,49 +291,6 @@ def generate(spec: TestProblemSpec) -> TikhonovProblem:
     return TikhonovProblem(a=a, l=l, b=b, x_true=x_true, delta=spec.delta, meta=meta)
 
 
-@dataclass(frozen=True)
-class SparseOperator:
-    """Triplet (COO) sparse matrix with unique, in-range coordinates."""
-
-    rows: int
-    cols: int
-    row_idx: np.ndarray
-    col_idx: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        row_idx = np.asarray(self.row_idx, dtype=np.int64)
-        col_idx = np.asarray(self.col_idx, dtype=np.int64)
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "row_idx", row_idx)
-        object.__setattr__(self, "col_idx", col_idx)
-        object.__setattr__(self, "values", values)
-        if not (row_idx.shape == col_idx.shape == values.shape):
-            raise DimensionError("triplet arrays must share one shape")
-        if values.size:
-            if not np.isfinite(values).all():
-                raise ValueError("sparse values must be finite")
-            if row_idx.min() < 0 or row_idx.max() >= self.rows:
-                raise ValueError("row index out of range")
-            if col_idx.min() < 0 or col_idx.max() >= self.cols:
-                raise ValueError("column index out of range")
-            flat = row_idx * self.cols + col_idx
-            if np.unique(flat).size != flat.size:
-                raise ValueError("duplicate (row, col) coordinate")
-
-    @property
-    def nnz(self) -> int:
-        return self.values.size
-
-    def triplets(self) -> list[tuple[int, int, float]]:
-        return list(zip(self.row_idx.tolist(), self.col_idx.tolist(), self.values.tolist()))
-
-    def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.rows, self.cols))
-        a[self.row_idx, self.col_idx] = self.values
-        return a
-
-
 def _cell_of(coord: float, n_grid: int) -> int:
     """Cell index of a coordinate in [0,1]; exact gridline hits go to the
     lower cell (corner ties resolve downward)."""
@@ -387,8 +347,8 @@ def _trace_ray(p0: np.ndarray, direction: np.ndarray, n_grid: int):
 
 def parallel_tomo(
     n_grid: int, angles_deg, rays: int, phantom_seed: int = 0
-) -> tuple[SparseOperator, np.ndarray]:
-    """Parallel-beam line-integral operator on the unit square.
+) -> tuple[CsrMatrix, np.ndarray]:
+    """Parallel-beam line-integral operator on the unit square, sparse.
 
     For each angle, `rays` parallel lines cross the square with offsets
     centered across the sqrt(2) diagonal span. Row (angle_index * rays + k)
@@ -415,18 +375,15 @@ def parallel_tomo(
         normal = np.array([-np.sin(rad), np.cos(rad)])
         for k in range(rays):
             p0 = center + offsets[k] * normal
+            # a ray that misses the square adds empty arrays, so every list
+            # holds angles.size * rays >= 1 entries for the concatenation
             pix, lengths = _trace_ray(p0, direction, n_grid)
-            if pix.size:
-                r = ia * rays + k
-                rows_i.append(np.full(pix.size, r, dtype=np.int64))
-                cols_i.append(pix)
-                vals.append(lengths)
-    op = SparseOperator(
-        rows=angles.size * rays,
-        cols=n_grid * n_grid,
-        row_idx=np.concatenate(rows_i) if rows_i else np.empty(0, dtype=np.int64),
-        col_idx=np.concatenate(cols_i) if cols_i else np.empty(0, dtype=np.int64),
-        values=np.concatenate(vals) if vals else np.empty(0),
+            rows_i.append(np.full(pix.size, ia * rays + k, dtype=np.int64))
+            cols_i.append(pix)
+            vals.append(lengths)
+    op = CsrMatrix(
+        (np.concatenate(vals), (np.concatenate(rows_i), np.concatenate(cols_i))),
+        shape=(angles.size * rays, n_grid * n_grid),
     )
     return op, phantom(n_grid, phantom_seed)
 
@@ -457,7 +414,7 @@ def _generate_tomo(spec: TestProblemSpec) -> TikhonovProblem:
     angles = np.arange(0.0, 180.0, 12.0)
     rays = 4 * n_grid
     op, x_true = parallel_tomo(n_grid, angles, rays, phantom_seed=spec.seed)
-    a = op.to_dense()
+    a = op.toarray()
     b = add_noise(a @ x_true, spec.delta, spec.seed)
     meta = {
         "name": "tomo",

@@ -4,19 +4,19 @@ One routine serves both orientations. Stage one runs the adaptive
 randomized range finder on the longer side of A: its column space when
 rows >= cols (branch "over", basis P), its row space when rows < cols
 (branch "under", basis Q). Stage two sketches the other side through the
-first basis (A.T P, respectively A Q). The exact GSVD of the small
-compressed pair {P.T A Q, L Q} is then lifted back through the bases,
-yielding orthonormal-column U2 and V1, diagonals alpha and beta, and a
-full-row-rank Z with
+first basis (A.T P, respectively A Q). The result keeps P, Q and the exact
+GSVD of the small compressed pair {P.T A Q, L Q}; every solve, selection
+and bound works from those alone. The lifted factors follow on demand:
+U2 = P @ inner.u and V1 = inner.v1 have orthonormal columns, and the full-
+row-rank Z = inner.x^-1 @ Q.T satisfies
 
     [P P.T A Q Q.T; L Q Q.T] = [U2 diag(alpha) Z_rows; V1 diag(beta) Z_head]
 
-where Z = inner_X^-1 @ Q.T, Z_rows is Z aligned with alpha (all rows when
-the compressed pair is tall, the trailing l2 rows when the "under" branch
-leaves it wide) and Z_head is the leading rows aligned with beta. The
-sketched operator P P.T A Q Q.T deviates from A by at most the adaptive
-tolerance per stage, which is what makes solves and error bounds through
-this object honest.
+where Z_rows is Z aligned with alpha (all rows when the compressed pair is
+tall, the trailing l2 rows when the "under" branch leaves it wide) and
+Z_head is the leading rows aligned with beta. The sketched operator
+P P.T A Q Q.T deviates from A by at most the adaptive tolerance per stage,
+which is what makes solves and error bounds through this object honest.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ class ApproxGsvd:
     l_comp      -- L Q, the compressed regularizer
     inner       -- exact GSVD factors of {a_comp, l_comp} (None when a
                    stage collapsed to zero columns)
-    u2, v1      -- lifted orthonormal-column factors
     l1, l2      -- stage-one / stage-two sample counts
     epsilon     -- stage-one tolerance the run was asked to honor
     branch      -- "over" (rows >= cols) or "under" (rows < cols)
@@ -60,9 +59,6 @@ class ApproxGsvd:
     a_comp: np.ndarray
     l_comp: np.ndarray
     inner: GsvdFactors | None
-    u2: np.ndarray
-    v1: np.ndarray
-    w: np.ndarray
     l1: int
     l2: int
     epsilon: float
@@ -74,13 +70,6 @@ class ApproxGsvd:
         return self.inner is None
 
     @property
-    def z(self) -> np.ndarray:
-        """Z = inner_X^-1 @ Q.T (full row rank), formed on each access: it
-        is the one lifted factor whose size grows with the ambient
-        dimension, so it is not kept."""
-        return self.w @ self.q.T
-
-    @property
     def alpha(self) -> np.ndarray:
         return self.inner.alpha if self.inner is not None else np.empty(0)
 
@@ -89,16 +78,13 @@ class ApproxGsvd:
         return self.inner.beta if self.inner is not None else np.empty(0)
 
 
-def _degenerate(m, p_rows, basis_p, basis_q, epsilon, branch, seed) -> ApproxGsvd:
+def _degenerate(p_rows, basis_p, basis_q, epsilon, branch, seed) -> ApproxGsvd:
     return ApproxGsvd(
         p=basis_p,
         q=basis_q,
         a_comp=np.empty((basis_p.shape[1], basis_q.shape[1])),
         l_comp=np.empty((p_rows, basis_q.shape[1])),
         inner=None,
-        u2=np.empty((m, 0)),
-        v1=np.empty((p_rows, 0)),
-        w=np.empty((0, 0)),
         l1=0,
         l2=0,
         epsilon=epsilon,
@@ -117,8 +103,7 @@ def rgsvd(a, l, epsilon: float, cfg: SamplerConfig) -> ApproxGsvd:
     {P.T A Q, L Q} -- l1 x l2 and full column rank w.p. 1 on branch
     "over", l2 x l1 and full row rank w.p. 1 on branch "under", where it
     lands on the wide GSVD branch whenever l2 < l1 -- goes through the
-    exact GSVD, and U2 = P @ inner_U lifts the left factor back to the
-    ambient rows.
+    exact GSVD; no factor is lifted back to the ambient dimensions.
 
     l may be a scipy.sparse matrix: it is validated on its stored values
     and L Q is formed as a sparse product, never densified; a dense l is
@@ -155,24 +140,19 @@ def rgsvd(a, l, epsilon: float, cfg: SamplerConfig) -> ApproxGsvd:
     l2 = basis2.shape[1]
     p, q = (basis1, basis2) if over else (basis2, basis1)
     if l2 == 0:
-        return _degenerate(m, l.shape[0], p, q, epsilon, branch, cfg.seed)
+        return _degenerate(l.shape[0], p, q, epsilon, branch, cfg.seed)
 
     a_comp = s.T @ basis2 if over else basis2.T @ s
     l_comp = l @ q
     # tolerant core: a tight epsilon can legitimately capture directions the
     # regularizer dominates (tiny alpha); the sketched stack stays full rank,
     # so the solve is well-posed and the filters damp those directions
-    inner, svecs, rtri = _gsvd_core(a_comp, l_comp, check_rank=False)
-
     return ApproxGsvd(
         p=p,
         q=q,
         a_comp=a_comp,
         l_comp=l_comp,
-        inner=inner,
-        u2=p @ inner.u,
-        v1=inner.v1,
-        w=svecs.T @ rtri,
+        inner=_gsvd_core(a_comp, l_comp, check_rank=False),
         l1=l1,
         l2=l2,
         epsilon=epsilon,

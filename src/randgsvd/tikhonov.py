@@ -170,18 +170,22 @@ def filtered_coordinates(factors: GsvdFactors, filters: np.ndarray, eta: np.ndar
     return y
 
 
-def _factored_norms(
-    factors: GsvdFactors, filters: np.ndarray, eta: np.ndarray, perp_sq: float, y: np.ndarray
-) -> tuple[float, float]:
-    """(residual_norm, seminorm) from factor-space quantities.
+def _expand(
+    factors: GsvdFactors, eta: np.ndarray, b_sq: float, filters: np.ndarray
+) -> tuple[np.ndarray, float, float]:
+    """The filtered GSVD expansion shared by every factored solve.
 
-    residual^2 = sum(((1 - f) eta)^2) + |data - U U.T data|^2 and
-    seminorm = |diag(beta) y_head| via the L-side diagonalization.
+    From the data coordinates eta = U.T data, the data energy b_sq = |data|^2
+    and one filter per alpha, returns (X @ y, residual_norm, seminorm): the
+    solution in the factors' own coordinates, residual^2 =
+    sum(((1 - f) eta)^2) + |data|^2 - |eta|^2 and seminorm =
+    |diag(beta) y_head| via the L-side diagonalization.
     """
-    res_sq = float(np.sum(((1.0 - filters) * eta) ** 2)) + max(perp_sq, 0.0)
+    y = filtered_coordinates(factors, filters, eta)
+    res_sq = float(np.sum(((1.0 - filters) * eta) ** 2)) + max(b_sq - float(eta @ eta), 0.0)
     nb = factors.beta.shape[0]
     sem = float(np.linalg.norm(factors.beta * y[:nb])) if nb else 0.0
-    return float(np.sqrt(max(res_sq, 0.0))), sem
+    return factors.x @ y, float(np.sqrt(res_sq)), sem
 
 
 def solve_gsvd(
@@ -199,12 +203,7 @@ def solve_gsvd(
     b = as_vector(b, "data")
     if b.shape[0] != factors.u.shape[0]:
         raise DimensionError(f"data length {b.shape[0]} != factor rows {factors.u.shape[0]}")
-    eta = factors.u.T @ b
-    filters = tikhonov_filters(factors, lam)
-    y = filtered_coordinates(factors, filters, eta)
-    x = factors.x @ y
-    perp_sq = float(b @ b - eta @ eta)
-    res, sem = _factored_norms(factors, filters, eta, perp_sq, y)
+    x, res, sem = _expand(factors, factors.u.T @ b, float(b @ b), tikhonov_filters(factors, lam))
     sol = RegularizedSolution(x=x, lam=lam, method="gsvd", residual_norm=res, seminorm=sem)
     return _with_rel_error(sol, x_true)
 
@@ -234,11 +233,7 @@ def solve_tgsvd(
         # gamma is ascending along the spectrum, so the largest finite
         # generalized values sit at the tail of the finite window
         filters[finite_idx[-keep:]] = 1.0
-    eta = factors.u.T @ b
-    y = filtered_coordinates(factors, filters, eta)
-    x = factors.x @ y
-    perp_sq = float(b @ b - eta @ eta)
-    res, sem = _factored_norms(factors, filters, eta, perp_sq, y)
+    x, res, sem = _expand(factors, factors.u.T @ b, float(b @ b), filters)
     sol = RegularizedSolution(
         x=x, lam=float(k), method="tgsvd", residual_norm=res, seminorm=sem
     )
@@ -272,14 +267,13 @@ def solve_rgsvd(approx: ApproxGsvd, b, lam: float, x_true=None) -> RegularizedSo
         )
         return _with_rel_error(sol, x_true)
 
-    c = approx.p.T @ b
-    perp_sq = float(b @ b - c @ c)
+    # the sketched operator's left factor is P @ inner.u, so its data
+    # coordinates are inner.u.T (P.T b) and |b|^2 - |eta|^2 is the energy
+    # of b it cannot reach
     inner = approx.inner
-    eta = inner.u.T @ c
-    filters = tikhonov_filters(inner, lam)
-    y = filtered_coordinates(inner, filters, eta)
-    x = approx.q @ (inner.x @ y)
-    res_proj, sem = _factored_norms(inner, filters, eta, 0.0, y)
-    res = float(np.sqrt(res_proj**2 + max(perp_sq, 0.0)))
-    sol = RegularizedSolution(x=x, lam=lam, method="rgsvd", residual_norm=res, seminorm=sem)
+    eta = inner.u.T @ (approx.p.T @ b)
+    w, res, sem = _expand(inner, eta, float(b @ b), tikhonov_filters(inner, lam))
+    sol = RegularizedSolution(
+        x=approx.q @ w, lam=lam, method="rgsvd", residual_norm=res, seminorm=sem
+    )
     return _with_rel_error(sol, x_true)

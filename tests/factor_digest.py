@@ -1,0 +1,124 @@
+"""Print sha256 digests of randomized GSVD factors and the solves built on
+them, one line per case and kind, so two source trees can be compared
+bit for bit with diff:
+
+    PYTHONPATH=src python tests/factor_digest.py kernels > kernels.txt
+    PYTHONPATH=src python tests/factor_digest.py tomo > tomo.txt
+
+"kernels" runs the seven quadrature kernels at n in {512, 2048}, square and
+row-truncated to m = n/2, sketch and noise seeds 0-2, stage2_epsilon in
+{1e-8, None} and blocksize in {1, 3, 4}, at 1 BLAS thread (504 cases).
+"tomo" runs the n = 50 tomography problem with blocksize 64 at 2 threads.
+Each case prints five lines, keyed by its name and a kind:
+
+    factors    digests of p, q, a_comp, l_comp, inner.u, inner.x, alpha, beta
+    sketch     l1, l2, branch
+    lambdas    GCV lambda, L-curve lambda and GCV truncation depth (None
+               where the selector raises SelectionError)
+    solves     digest of x, lam and seminorm from solve_rgsvd and
+               solve_gsvd at the GCV lambda and solve_tgsvd at the GCV
+               depth, the last two on the inner factors with the
+               projected data P.T b (each only where its parameter exists)
+    residuals  the same solves' residual norms, as repr floats
+
+Only names present in the package since the factorization kept its inner
+GSVD are read, so an older tree can be digested with this file as well.
+"""
+
+import hashlib
+import os
+import sys
+
+THREADS = {"kernels": "1", "tomo": "2"}
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2 or sys.argv[1] not in THREADS:
+        sys.exit(f"usage: {sys.argv[0]} {{{','.join(THREADS)}}}")
+    os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = THREADS[sys.argv[1]]
+
+import numpy as np  # noqa: E402  (after the thread pinning above)
+
+from randgsvd.problems import (  # noqa: E402
+    QUADRATURE_PROBLEMS,
+    TestProblemSpec,
+    add_noise,
+    generate,
+    make_underdetermined,
+)
+from randgsvd.rgsvd import rgsvd  # noqa: E402
+from randgsvd.sampling import SamplerConfig  # noqa: E402
+from randgsvd.selection import (  # noqa: E402
+    SelectionError,
+    gcv_lambda,
+    gcv_truncation,
+    lcurve_lambda,
+)
+from randgsvd.tikhonov import solve_gsvd, solve_rgsvd, solve_tgsvd  # noqa: E402
+
+EPSILON = 1e-2
+DELTA = 1e-3
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for arr in arrays:
+        arr = np.ascontiguousarray(arr, dtype=float)
+        h.update(repr(arr.shape).encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()[:16]
+
+
+def _select(selector, approx, b):
+    """The selector's parameter, or None where it finds none."""
+    try:
+        return selector(approx, b)[0]
+    except SelectionError:
+        return None
+
+
+def _report(key: str, prob, b, cfg: SamplerConfig) -> None:
+    approx = rgsvd(prob.a, prob.l, EPSILON, cfg)
+    print(key, "sketch", approx.l1, approx.l2, approx.branch)
+    if approx.is_degenerate:
+        print(key, "factors", _digest(approx.p, approx.q))
+        return
+    inner = approx.inner
+    fields = (approx.p, approx.q, approx.a_comp, approx.l_comp, inner.u, inner.x, inner.alpha, inner.beta)
+    print(key, "factors", *(_digest(f) for f in fields))
+    lam, lam_lc, k = (_select(f, approx, b) for f in (gcv_lambda, lcurve_lambda, gcv_truncation))
+    print(key, "lambdas", *(v.hex() if isinstance(v, float) else v for v in (lam, lam_lc, k)))
+    c = approx.p.T @ b
+    sols = []
+    if lam is not None:
+        sols += [solve_rgsvd(approx, b, lam), solve_gsvd(inner, c, lam)]
+    if k is not None:
+        sols.append(solve_tgsvd(inner, c, k))
+    print(key, "solves", _digest(*(np.r_[s.x, s.lam, s.seminorm] for s in sols)))
+    print(key, "residuals", *(repr(s.residual_norm) for s in sols))
+
+
+def kernels() -> None:
+    for name in QUADRATURE_PROBLEMS:
+        for n in (512, 2048):
+            square = generate(TestProblemSpec(name=name, n=n, delta=0.0))
+            for prob in (square, make_underdetermined(square, n // 2)):
+                m = prob.a.shape[0]
+                for seed in range(3):
+                    b = add_noise(prob.b, DELTA, seed)
+                    for stage2 in (1e-8, None):
+                        for blocksize in (1, 3, 4):
+                            cfg = SamplerConfig(
+                                epsilon=EPSILON, blocksize=blocksize, seed=seed, stage2_epsilon=stage2
+                            )
+                            key = f"{name}/n{n}/m{m}/s{seed}/e2={stage2}/bs{blocksize}"
+                            _report(key, prob, b, cfg)
+
+
+def tomo() -> None:
+    prob = generate(TestProblemSpec(name="tomo", n=50, delta=DELTA, seed=0))
+    cfg = SamplerConfig(epsilon=EPSILON, blocksize=64, seed=0, stage2_epsilon=EPSILON * 1e-6)
+    _report("tomo/n50/s0/bs64", prob, prob.b, cfg)
+
+
+if __name__ == "__main__":
+    {"kernels": kernels, "tomo": tomo}[sys.argv[1]]()

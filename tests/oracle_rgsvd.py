@@ -18,16 +18,18 @@ def sketched_identities(approx, a, l):
         |P P.T A Q Q.T - U2 diag(alpha) Z_rows|_F
         |L Q Q.T       - V1 diag(beta)  Z_head|_F
 
-    against the supplied ambient pair.
+    against the supplied ambient pair, with the lifted factors U2 = P @ inner.u,
+    V1 = inner.v1 and Z = inner.x^-1 @ Q.T formed here.
     """
     p, q = approx.p, approx.q
-    z = approx.z
     inner = approx.inner
+    u2 = p @ inner.u
+    z = np.linalg.solve(inner.x, q.T)
     sketched_a = p @ (p.T @ a @ q) @ q.T
     z_rows = z[inner.offset :]
-    err_a = float(np.linalg.norm(sketched_a - approx.u2 @ (inner.alpha[:, None] * z_rows)))
+    err_a = float(np.linalg.norm(sketched_a - u2 @ (inner.alpha[:, None] * z_rows)))
     nb = inner.beta.shape[0]
-    err_l = float(np.linalg.norm(l @ q @ q.T - approx.v1 @ (inner.beta[:, None] * z[:nb])))
+    err_l = float(np.linalg.norm(l @ q @ q.T - inner.v1 @ (inner.beta[:, None] * z[:nb])))
     return err_a, err_l
 
 

@@ -12,9 +12,10 @@ import time
 import numpy as np
 import pytest
 
+from bench_records import records_equal, strip_timings
 from oracle_sampling import verify_expectation_identity
 from randgsvd import matio
-from randgsvd.bench import BenchConfig, read_report, records_equal, run_benchmark, strip_timings
+from randgsvd.bench import BenchConfig, read_report, run_benchmark
 from randgsvd.bounds import error_bound_diagnostics
 from randgsvd.gsvd import GmpPair, gsvd_full_rank, reconstruct
 from randgsvd.problems import TestProblemSpec, add_noise, first_difference, generate

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bench_records import records_equal, strip_timings
 from randgsvd import matio
 from randgsvd.bench import (
     CSV_HEADER,
@@ -10,9 +11,7 @@ from randgsvd.bench import (
     BenchRecord,
     emit_report,
     read_report,
-    records_equal,
     run_benchmark,
-    strip_timings,
 )
 from randgsvd.cli import config_from_args, main, parse_selector, read_config_file
 

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from randgsvd import problems
 from randgsvd.gsvd import check_stack_rank
 from randgsvd.problems import (
     QUADRATURE_PROBLEMS,
-    SparseOperator,
     TestProblemSpec,
     add_noise,
     baart_matrix,
@@ -66,6 +66,14 @@ def test_symmetry_structure(name):
         assert_allclose(a, a.T, atol=1e-14)
     else:
         assert not np.allclose(a, a.T)
+
+
+def test_baart_chunks_build_the_same_matrix(monkeypatch):
+    whole, _ = baart_matrix(96)  # one chunk under the default budget
+    # 7-row chunks: several full ones and a ragged last one
+    monkeypatch.setattr(problems, "_BAART_CHUNK_BYTES", 7 * 16 * 96 * 8)
+    chunked, _ = baart_matrix(96)
+    assert_array_equal(chunked, whole)
 
 
 def test_heat_is_lower_triangular():
@@ -171,7 +179,7 @@ def test_first_difference_operator():
 def test_single_horizontal_ray_crosses_lower_row():
     # 2 x 2 grid, two horizontal rays: each crosses one full row of pixels
     op, _ = parallel_tomo(2, [0.0], rays=2)
-    dense = op.to_dense()
+    dense = op.toarray()
     assert dense.shape == (2, 4)
     # ray 0 sits below center (offset -sqrt(2)/4), ray 1 above
     assert_allclose(dense[0], [0.5, 0.5, 0.0, 0.0], atol=1e-12)
@@ -180,7 +188,7 @@ def test_single_horizontal_ray_crosses_lower_row():
 
 def test_vertical_rays():
     op, _ = parallel_tomo(2, [90.0], rays=2)
-    dense = op.to_dense()
+    dense = op.toarray()
     # theta=90: direction (0,1), offsets shift along -x; lower offset = right column
     cols = {tuple(np.nonzero(row)[0]) for row in dense}
     assert cols == {(0, 2), (1, 3)}
@@ -191,24 +199,24 @@ def test_gridline_ray_assigns_lower_pixel():
     # a ray running exactly along the interior gridline y = 0.5 belongs to
     # the lower row by the tie rule
     op, _ = parallel_tomo(2, [0.0], rays=1)  # single ray: offset 0 -> y = 0.5
-    dense = op.to_dense()
+    dense = op.toarray()
     assert_allclose(dense[0], [0.5, 0.5, 0.0, 0.0], atol=1e-12)
 
 
 def test_diagonal_ray_length():
     # 45-degree center ray crosses the unit square diagonal: total length sqrt(2)
     op, _ = parallel_tomo(4, [45.0], rays=1)
-    dense = op.to_dense()
+    dense = op.toarray()
     assert dense.sum() == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
 
 def test_tomo_geometry_invariants():
     op, img = parallel_tomo(8, np.arange(0.0, 180.0, 12.0), rays=32, phantom_seed=2)
-    dense = op.to_dense()
+    dense = op.toarray()
     assert dense.shape == (15 * 32, 64)
-    assert np.all(op.values > 0)
+    assert np.all(op.data > 0)
     # no chord of a 1/8-pixel exceeds its diagonal
-    assert op.values.max() <= np.sqrt(2.0) / 8 + 1e-12
+    assert op.data.max() <= np.sqrt(2.0) / 8 + 1e-12
     # row sums: chord length through the unit square is at most sqrt(2)
     assert dense.sum(axis=1).max() <= np.sqrt(2.0) + 1e-12
     assert img.shape == (64,)
@@ -218,10 +226,10 @@ def test_tomo_geometry_invariants():
 def test_example_scale_shape():
     # grid 50, 15 angles, 200 rays -> 3000 x 2500
     op, img = parallel_tomo(50, np.arange(0.0, 180.0, 12.0), rays=200)
-    assert (op.rows, op.cols) == (3000, 2500)
+    assert op.shape == (3000, 2500)
     assert img.shape == (2500,)
-    flat = op.row_idx * op.cols + op.col_idx
-    assert np.unique(flat).size == flat.size
+    # one stored entry per (ray, pixel) crossing
+    assert op.nnz == 134_972
 
 
 def test_phantom_seeded():
@@ -232,18 +240,6 @@ def test_phantom_seeded():
     assert not np.array_equal(p1, p3)
     assert p1.max() <= 1.0 and p1.min() >= 0.0
     assert p1.max() > 0.0  # shapes actually landed on the grid
-
-
-def test_sparse_operator_validation():
-    with pytest.raises(ValueError):
-        SparseOperator(2, 2, np.array([0, 0]), np.array([1, 1]), np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        SparseOperator(2, 2, np.array([2]), np.array([0]), np.array([1.0]))
-    op = SparseOperator(2, 3, np.array([0, 1]), np.array([2, 0]), np.array([1.5, -2.0]))
-    assert op.nnz == 2
-    assert op.triplets() == [(0, 2, 1.5), (1, 0, -2.0)]
-    dense = op.to_dense()
-    assert dense[0, 2] == 1.5 and dense[1, 0] == -2.0
 
 
 def test_generate_tomo_instance():

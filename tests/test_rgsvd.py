@@ -71,8 +71,9 @@ def test_sparse_regularizer_matches_dense_bitwise(rows):
     sparse, dense = (rgsvd(a, reg, 1e-6, cfg) for reg in (l, l.toarray()))
     assert sparse.branch == ("over" if rows == 64 else "under")
     assert sparse.l2 > 0
-    for field in ("p", "q", "a_comp", "l_comp", "w", "alpha", "beta"):
+    for field in ("p", "q", "a_comp", "l_comp", "alpha", "beta"):
         assert_array_equal(getattr(sparse, field), getattr(dense, field))
+    assert_array_equal(sparse.inner.x, dense.inner.x)
 
 
 def test_sketched_identities_hold(rng):
@@ -120,11 +121,15 @@ def test_under_branch_matches_range_restricted_oracle(rng, make_gmp):
             assert rel <= 1e-8
 
 
-def test_filter_and_pinv_paths_agree(rng):
+@pytest.mark.parametrize("stage2_epsilon", [None, 1e-2], ids=["stage2-default", "stage2-loose"])
+def test_filter_and_pinv_paths_agree(rng, stage2_epsilon):
+    # a loose stage 2 leaves l2 < l1 on branch "over": inner.u is then not
+    # square, and the residual must count the part of P.T b it misses
     a = _decaying(rng, 45, 30, rate=0.4)
     l = rng.standard_normal((29, 30))
     b = rng.standard_normal(45)
-    approx = rgsvd(a, l, 1e-6, SamplerConfig(epsilon=1e-6, blocksize=4, seed=2))
+    cfg = SamplerConfig(epsilon=1e-6, blocksize=4, seed=2, stage2_epsilon=stage2_epsilon)
+    approx = rgsvd(a, l, 1e-6, cfg)
     for lam in (1e-3, 1e-2, 1.0):
         s1 = solve_rgsvd(approx, b, lam)
         s2 = solve_rgsvd_pinv(approx, b, lam)
@@ -166,8 +171,7 @@ def test_under_branch_alignment(rng):
     assert approx.inner is not None
     # the inner pair is l2 x l1: wide exactly when stage 2 dropped columns
     assert approx.inner.branch == ("wide" if approx.l2 < approx.l1 else "tall")
-    z = approx.z
-    assert z.shape == (approx.inner.n, 60)
+    assert approx.q.shape == (60, approx.inner.n)
     err_a, err_l = sketched_identities(approx, a, l)
     scale = max(np.linalg.norm(a), np.linalg.norm(l))
     assert max(err_a, err_l) <= 1e-9 * scale
@@ -198,6 +202,6 @@ def test_determinism_per_seed(rng):
     c2 = rgsvd(a, l, 1e-6, SamplerConfig(epsilon=1e-6, blocksize=4, seed=9))
     assert_array_equal(c1.p, c2.p)
     assert_array_equal(c1.q, c2.q)
-    assert_array_equal(c1.w, c2.w)
+    assert_array_equal(c1.inner.x, c2.inner.x)
     c3 = rgsvd(a, l, 1e-6, SamplerConfig(epsilon=1e-6, blocksize=4, seed=10))
     assert c1.l1 != c3.l1 or not np.array_equal(c1.p, c3.p)
