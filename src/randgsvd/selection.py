@@ -1,6 +1,9 @@
 """Regularization-parameter selection: generalized cross validation and
 the L-curve corner, both driven entirely by factor-space quantities.
 
+The data enter factor space through ``tikhonov._project``, which also
+forms the residual floor; the residual, the seminorm and the truncation
+rule are tikhonov's as well, so a selector and the solve it feeds agree.
 For exact GSVD factors the data coefficients are eta = U.T b and the
 residual floor is the energy of b outside range(U). For a randomized
 factorization the same formulas run on the projected data P.T b, i.e. the
@@ -11,15 +14,19 @@ retains. The GCV denominator counts projected rows by default; the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .gsvd import GsvdFactors
-from .linalg import as_vector
-from .rgsvd import ApproxGsvd
-from .tikhonov import filtered_coordinates, tikhonov_filters
+from .tikhonov import (
+    _project,
+    _Projection,
+    _residual_sq,
+    _seminorm,
+    _truncation_depths,
+    filtered_coordinates,
+    tikhonov_filters,
+)
 
 LAMBDA_RANGE = (1e-10, 1e2)
 GRID_SIZE = 200
@@ -30,44 +37,14 @@ class SelectionError(RuntimeError):
     """The selection criterion is degenerate on this instance."""
 
 
-@dataclass(frozen=True)
-class _FilterContext:
-    factors: GsvdFactors
-    eta: np.ndarray
-    perp_sq: float
-    rows_projected: int
-    rows_ambient: int
+def _make_context(source, b) -> _Projection:
+    ctx = _project(source, b)
+    if ctx.factors is None:
+        raise SelectionError("degenerate factorization: no directions to select over")
+    return ctx
 
 
-def _make_context(source, b) -> _FilterContext:
-    b = as_vector(b, "data")
-    if isinstance(source, ApproxGsvd):
-        if source.is_degenerate:
-            raise SelectionError("degenerate factorization: no directions to select over")
-        c = source.p.T @ b
-        eta = source.inner.u.T @ c
-        perp_sq = max(float(c @ c - eta @ eta), 0.0)
-        return _FilterContext(
-            factors=source.inner,
-            eta=eta,
-            perp_sq=perp_sq,
-            rows_projected=c.shape[0],
-            rows_ambient=b.shape[0],
-        )
-    if isinstance(source, GsvdFactors):
-        eta = source.u.T @ b
-        perp_sq = max(float(b @ b - eta @ eta), 0.0)
-        return _FilterContext(
-            factors=source,
-            eta=eta,
-            perp_sq=perp_sq,
-            rows_projected=b.shape[0],
-            rows_ambient=b.shape[0],
-        )
-    raise TypeError(f"cannot select over {type(source).__name__}")
-
-
-def _rows(ctx: _FilterContext, rows: str) -> int:
+def _rows(ctx: _Projection, rows: str) -> int:
     if rows == "projected":
         return ctx.rows_projected
     if rows == "ambient":
@@ -75,30 +52,24 @@ def _rows(ctx: _FilterContext, rows: str) -> int:
     raise ValueError(f"rows must be 'projected' or 'ambient', got {rows!r}")
 
 
-def _residual_sq(ctx: _FilterContext, f: np.ndarray):
-    """Squared residual norm for a filter vector, or one per row of a
-    filter matrix."""
-    return np.sum(((1.0 - f) * ctx.eta) ** 2, axis=-1) + ctx.perp_sq
-
-
-def _gcv_value(ctx: _FilterContext, lam: float, m_hat: int) -> float:
+def _gcv_value(ctx: _Projection, lam: float, m_hat: int) -> float:
     # the golden-section refine's one-lambda form; its scalar dof**2 can
     # differ from the grid's in the last bit, and the refined lambda
     # follows those bits, so it stays scalar
     f = tikhonov_filters(ctx.factors, lam)
-    res_sq = float(_residual_sq(ctx, f))
+    res_sq = float(_residual_sq(ctx.eta, f, ctx.perp_sq))
     dof = m_hat - float(np.sum(f))
     if dof <= 0.0:
         return np.inf
     return res_sq / dof**2
 
 
-def _gcv_grid(ctx: _FilterContext, grid: np.ndarray, m_hat: int) -> np.ndarray:
+def _gcv_grid(ctx: _Projection, grid: np.ndarray, m_hat: int) -> np.ndarray:
     """_gcv_value at every grid point, from one (grid, k) filter matrix."""
     f = tikhonov_filters(ctx.factors, grid)
     dof = m_hat - np.sum(f, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(dof > 0.0, _residual_sq(ctx, f) / dof**2, np.inf)
+        return np.where(dof > 0.0, _residual_sq(ctx.eta, f, ctx.perp_sq) / dof**2, np.inf)
 
 
 def _log_grid(lam_range, size) -> np.ndarray:
@@ -165,29 +136,23 @@ def gcv_truncation(source, b, *, rows: str = "projected") -> tuple[int, float]:
     binary, so G(k) = (residual energy of dropped directions + floor) over
     (m_hat - kept)^2. Returns (best k, G(k)).
 
-    Directions with alpha = 0 have finite generalized value 0 but carry no
-    solution component (solve_tgsvd's y is 0 there), so they always count
-    as dropped: k ranges over the finite generalized values with alpha > 0,
-    which is exactly the depth range solve_tgsvd accepts."""
+    Depth k keeps what solve_tgsvd keeps at k. k ranges over the finite
+    generalized values with alpha > 0, a subset of the depths solve_tgsvd
+    accepts: those may run up to the number of alpha > 0 directions, and
+    every depth past the finite values keeps the same directions."""
     ctx = _make_context(source, b)
-    factors = ctx.factors
-    gamma = factors.gamma()
-    finite_idx = np.flatnonzero(np.isfinite(gamma))
-    n_fit = int(np.count_nonzero(factors.alpha[finite_idx] > 0.0))
+    depths = _truncation_depths(ctx.factors)
+    n_fit = int(np.max(depths, initial=0.0, where=np.isfinite(depths)))
     if n_fit == 0:
         raise SelectionError("no finite generalized values with alpha > 0 to truncate over")
-    n_always = factors.alpha.shape[0] - finite_idx.size
     m_hat = _rows(ctx, rows)
     best_k, best_g = None, np.inf
     for k in range(1, n_fit + 1):
-        # gamma ascends, so the alpha = 0 directions sit at the head of
-        # finite_idx and are dropped for every k <= n_fit
-        dropped = finite_idx[:-k]
-        res_sq = float(np.sum(ctx.eta[dropped] ** 2)) + ctx.perp_sq
-        dof = m_hat - (k + n_always)
+        f = (depths <= k).astype(float)
+        dof = m_hat - int(np.count_nonzero(f))
         if dof <= 0:
             continue
-        g = res_sq / dof**2
+        g = float(_residual_sq(ctx.eta, f, ctx.perp_sq)) / dof**2
         if g < best_g:
             best_k, best_g = k, g
     if best_k is None:
@@ -195,17 +160,12 @@ def gcv_truncation(source, b, *, rows: str = "projected") -> tuple[int, float]:
     return best_k, best_g
 
 
-def _lcurve_points(ctx: _FilterContext, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lcurve_points(ctx: _Projection, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(residual norm, seminorm) at every grid point, from one (grid, k)
     filter matrix."""
     f = tikhonov_filters(ctx.factors, grid)
     y = filtered_coordinates(ctx.factors, f, ctx.eta)
-    z = ctx.factors.beta * y[:, : ctx.factors.beta.shape[0]]
-    # each (1 x k) @ (k x 1) product is the dot product np.linalg.norm takes
-    # of one vector, so the seminorms keep its bits; a flat curve's corner
-    # can move with the last bit of them
-    sem_sq = (z[:, None, :] @ z[:, :, None])[:, 0, 0]
-    return np.sqrt(_residual_sq(ctx, f)), np.sqrt(sem_sq)
+    return np.sqrt(_residual_sq(ctx.eta, f, ctx.perp_sq)), _seminorm(ctx.factors, y)
 
 
 def lcurve_lambda(

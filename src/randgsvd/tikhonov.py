@@ -10,16 +10,18 @@ and is the reference the factored paths are tested against. ``solve_gsvd``
 and ``solve_tgsvd`` expand the solution in exact GSVD coordinates with
 Tikhonov respectively truncation filters, and ``solve_rgsvd`` does the same
 inside the sketched subspace pair produced by the two-sided randomized
-factorization.
+factorization. How data enter factor coordinates (``_project``), the
+residual and seminorm of a filter, and the truncation rule are each coded
+once here, and ``selection`` reads the same helpers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gsvd import GmpViolationError, GsvdFactors
+from .gsvd import GmpViolationError, GsvdFactors, check_stack_rank
 from .linalg import (
     CsrMatrix,
     DimensionError,
@@ -73,8 +75,6 @@ class TikhonovProblem:
                 raise DimensionError("x_true length does not match operator columns")
         if self.delta < 0.0:
             raise ValueError("delta must be nonnegative")
-        from .gsvd import check_stack_rank
-
         check_stack_rank(a, l, "TikhonovProblem")
 
     @property
@@ -107,15 +107,7 @@ def _with_rel_error(sol: RegularizedSolution, x_true) -> RegularizedSolution:
     denom = float(np.linalg.norm(x_true))
     if denom == 0.0:
         return sol
-    err = float(np.linalg.norm(sol.x - x_true) / denom)
-    return RegularizedSolution(
-        x=sol.x,
-        lam=sol.lam,
-        method=sol.method,
-        residual_norm=sol.residual_norm,
-        seminorm=sol.seminorm,
-        rel_error=err,
-    )
+    return replace(sol, rel_error=float(np.linalg.norm(sol.x - x_true) / denom))
 
 
 def solve_exact(prob: TikhonovProblem, lam: float) -> RegularizedSolution:
@@ -170,22 +162,97 @@ def filtered_coordinates(factors: GsvdFactors, filters: np.ndarray, eta: np.ndar
     return y
 
 
-def _expand(
-    factors: GsvdFactors, eta: np.ndarray, b_sq: float, filters: np.ndarray
-) -> tuple[np.ndarray, float, float]:
-    """The filtered GSVD expansion shared by every factored solve.
+@dataclass(frozen=True)
+class _Projection:
+    """Data b in a source's GSVD coordinates: the one place where data enter
+    factor space, for every factored solve and every selector.
 
-    From the data coordinates eta = U.T data, the data energy b_sq = |data|^2
-    and one filter per alpha, returns (X @ y, residual_norm, seminorm): the
-    solution in the factors' own coordinates, residual^2 =
-    sum(((1 - f) eta)^2) + |data|^2 - |eta|^2 and seminorm =
-    |diag(beta) y_head| via the L-side diagonalization.
+    factors          -- exact factors, or a sketch's inner ones (None if degenerate)
+    eta              -- U.T c for the projected data c (b, or P.T b for a sketch)
+    perp_sq          -- |c|^2 - |eta|^2, the residual floor the selectors read
+    perp_sq_ambient  -- |b|^2 - |eta|^2, the residual floor the solves read
+    rows_projected   -- length of c
+    rows_ambient     -- length of b
+    lift             -- Q for a sketch, None for exact factors
     """
-    y = filtered_coordinates(factors, filters, eta)
-    res_sq = float(np.sum(((1.0 - filters) * eta) ** 2)) + max(b_sq - float(eta @ eta), 0.0)
-    nb = factors.beta.shape[0]
-    sem = float(np.linalg.norm(factors.beta * y[:nb])) if nb else 0.0
-    return factors.x @ y, float(np.sqrt(res_sq)), sem
+
+    factors: GsvdFactors | None
+    eta: np.ndarray
+    perp_sq: float
+    perp_sq_ambient: float
+    rows_projected: int
+    rows_ambient: int
+    lift: np.ndarray | None
+
+
+def _project(source, b) -> _Projection:
+    """Validate b against source (GsvdFactors or ApproxGsvd) and take it
+    into the source's GSVD coordinates."""
+    b = as_vector(b, "data")
+    if isinstance(source, ApproxGsvd):
+        factors, basis, lift = source.inner, source.p, source.q
+    elif isinstance(source, GsvdFactors):
+        factors, basis, lift = source, source.u, None
+    else:
+        raise TypeError(f"cannot project data onto {type(source).__name__}")
+    if b.shape[0] != basis.shape[0]:
+        raise DimensionError(f"data length {b.shape[0]} != operator rows {basis.shape[0]}")
+    c = b if lift is None else basis.T @ b
+    eta = factors.u.T @ c if factors is not None else np.empty(0)
+    eta_sq, c_sq = float(eta @ eta), float(c @ c)
+    b_sq = c_sq if lift is None else float(b @ b)
+    return _Projection(
+        factors, eta, max(c_sq - eta_sq, 0.0), max(b_sq - eta_sq, 0.0), c.shape[0], b.shape[0], lift
+    )
+
+
+def _residual_sq(eta: np.ndarray, filters: np.ndarray, floor: float):
+    """Squared residual norm sum(((1 - f) eta)^2) + floor for a filter
+    vector, or one per row of a (grid, k) filter matrix."""
+    return np.sum(((1.0 - filters) * eta) ** 2, axis=-1) + floor
+
+
+def _seminorm(factors: GsvdFactors, y: np.ndarray):
+    """|l x| = |diag(beta) y_head| via the L-side diagonalization, for the
+    coordinates y of a filter vector or one per row of a matrix of them."""
+    z = factors.beta * y[..., : factors.beta.shape[0]]
+    # each (1 x k) @ (k x 1) product is the dot product np.linalg.norm takes
+    # of one vector, so a single seminorm keeps its bits, and so does each
+    # row of a grid; a flat L-curve's corner can move with the last bit
+    return np.sqrt((z[..., None, :] @ z[..., :, None])[..., 0, 0])
+
+
+def _truncation_depths(factors: GsvdFactors) -> np.ndarray:
+    """The truncation rule, as the depth at which each direction enters:
+    TGSVD of depth k keeps exactly the directions whose entry depth is <= k.
+
+    beta = 0 directions enter at 0 (always kept). The finite generalized
+    values with alpha > 0 enter from the largest down at 1, 2, .... Directions
+    with alpha = 0 never enter (inf): their solution coordinate is 0 at any
+    depth, so their data energy is residual whatever k is."""
+    gamma = factors.gamma()
+    fit = np.flatnonzero(np.isfinite(gamma) & (factors.alpha > 0.0))
+    depths = np.where(np.isinf(gamma), 0.0, np.inf)
+    # gamma ascends along the spectrum, so the largest finite generalized
+    # values sit at the tail of fit
+    depths[fit] = np.arange(fit.size, 0, -1)
+    return depths
+
+
+def _filtered_solution(
+    proj: _Projection, filters: np.ndarray, lam: float, method: str, x_true
+) -> RegularizedSolution:
+    """The filtered GSVD expansion shared by every factored solve: x =
+    Q X y (Q only for a sketch), the ambient residual and the seminorm."""
+    factors = proj.factors
+    y = filtered_coordinates(factors, filters, proj.eta)
+    x = factors.x @ y
+    if proj.lift is not None:
+        x = proj.lift @ x
+    res = float(np.sqrt(_residual_sq(proj.eta, filters, proj.perp_sq_ambient)))
+    sem = float(_seminorm(factors, y))
+    sol = RegularizedSolution(x=x, lam=lam, method=method, residual_norm=res, seminorm=sem)
+    return _with_rel_error(sol, x_true)
 
 
 def solve_gsvd(
@@ -200,44 +267,28 @@ def solve_gsvd(
     """
     if not (lam > 0.0):
         raise ValueError(f"lam must be positive, got {lam}")
-    b = as_vector(b, "data")
-    if b.shape[0] != factors.u.shape[0]:
-        raise DimensionError(f"data length {b.shape[0]} != factor rows {factors.u.shape[0]}")
-    x, res, sem = _expand(factors, factors.u.T @ b, float(b @ b), tikhonov_filters(factors, lam))
-    sol = RegularizedSolution(x=x, lam=lam, method="gsvd", residual_norm=res, seminorm=sem)
-    return _with_rel_error(sol, x_true)
+    proj = _project(factors, b)
+    return _filtered_solution(proj, tikhonov_filters(proj.factors, lam), lam, "gsvd", x_true)
 
 
 def solve_tgsvd(
     factors: GsvdFactors, b, k: int, x_true=None
 ) -> RegularizedSolution:
     """Truncated GSVD solve: keep the k largest finite generalized values
-    plus every direction the regularizer ignores (beta = 0); drop the rest.
+    with alpha > 0 plus every direction the regularizer ignores (beta = 0);
+    drop the rest, alpha = 0 directions included. k may run up to the
+    number of alpha > 0 directions; a depth past the finite ones keeps them
+    all.
 
     The reported lam field stores float(k) since truncation depth is the
     regularization parameter here.
     """
-    b = as_vector(b, "data")
-    if b.shape[0] != factors.u.shape[0]:
-        raise DimensionError(f"data length {b.shape[0]} != factor rows {factors.u.shape[0]}")
-    n_active = int(np.count_nonzero(factors.alpha > 0.0))
+    proj = _project(factors, b)
+    n_active = int(np.count_nonzero(proj.factors.alpha > 0.0))
     if not (1 <= k <= n_active):
         raise ValueError(f"truncation depth must lie in [1, {n_active}], got {k}")
-    gamma = factors.gamma()
-    finite = np.isfinite(gamma)
-    filters = np.zeros_like(factors.alpha)
-    filters[~finite] = 1.0
-    finite_idx = np.flatnonzero(finite)
-    if finite_idx.size:
-        keep = min(k, finite_idx.size)
-        # gamma is ascending along the spectrum, so the largest finite
-        # generalized values sit at the tail of the finite window
-        filters[finite_idx[-keep:]] = 1.0
-    x, res, sem = _expand(factors, factors.u.T @ b, float(b @ b), filters)
-    sol = RegularizedSolution(
-        x=x, lam=float(k), method="tgsvd", residual_norm=res, seminorm=sem
-    )
-    return _with_rel_error(sol, x_true)
+    filters = (_truncation_depths(proj.factors) <= k).astype(float)
+    return _filtered_solution(proj, filters, float(k), "tgsvd", x_true)
 
 
 def solve_rgsvd(approx: ApproxGsvd, b, lam: float, x_true=None) -> RegularizedSolution:
@@ -245,35 +296,14 @@ def solve_rgsvd(approx: ApproxGsvd, b, lam: float, x_true=None) -> RegularizedSo
     expanded inside the compressed pair's GSVD coordinates.
 
     residual_norm is measured against the sketched operator (the only one
-    the factorization retains); seminorm |L x| is exact because x lies in
-    range(Q).
+    the factorization retains), so it includes the energy of b outside
+    range(P); seminorm |L x| is exact because x lies in range(Q).
     """
     if not (lam > 0.0):
         raise ValueError(f"lam must be positive, got {lam}")
-    b = as_vector(b, "data")
-    m = approx.p.shape[0]
-    if b.shape[0] != m:
-        raise DimensionError(f"data length {b.shape[0]} != operator rows {m}")
-    n = approx.q.shape[0]
-
-    if approx.is_degenerate:
-        x = np.zeros(n)
-        sol = RegularizedSolution(
-            x=x,
-            lam=lam,
-            method="rgsvd",
-            residual_norm=float(np.linalg.norm(b)),
-            seminorm=0.0,
-        )
+    proj = _project(approx, b)
+    if proj.factors is None:
+        x, res = np.zeros(approx.q.shape[0]), float(np.sqrt(proj.perp_sq_ambient))
+        sol = RegularizedSolution(x=x, lam=lam, method="rgsvd", residual_norm=res, seminorm=0.0)
         return _with_rel_error(sol, x_true)
-
-    # the sketched operator's left factor is P @ inner.u, so its data
-    # coordinates are inner.u.T (P.T b) and |b|^2 - |eta|^2 is the energy
-    # of b it cannot reach
-    inner = approx.inner
-    eta = inner.u.T @ (approx.p.T @ b)
-    w, res, sem = _expand(inner, eta, float(b @ b), tikhonov_filters(inner, lam))
-    sol = RegularizedSolution(
-        x=approx.q @ w, lam=lam, method="rgsvd", residual_norm=res, seminorm=sem
-    )
-    return _with_rel_error(sol, x_true)
+    return _filtered_solution(proj, tikhonov_filters(proj.factors, lam), lam, "rgsvd", x_true)

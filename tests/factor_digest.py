@@ -4,12 +4,13 @@ bit for bit with diff:
 
     PYTHONPATH=src python tests/factor_digest.py kernels > kernels.txt
     PYTHONPATH=src python tests/factor_digest.py tomo > tomo.txt
+    PYTHONPATH=src python tests/factor_digest.py dense > dense.txt
 
 "kernels" runs the seven quadrature kernels at n in {512, 2048}, square and
 row-truncated to m = n/2, sketch and noise seeds 0-2, stage2_epsilon in
 {1e-8, None} and blocksize in {1, 3, 4}, at 1 BLAS thread (504 cases).
 "tomo" runs the n = 50 tomography problem with blocksize 64 at 2 threads.
-Each case prints five lines, keyed by its name and a kind:
+Each case of these two prints five lines, keyed by its name and a kind:
 
     factors    digests of p, q, a_comp, l_comp, inner.u, inner.x, alpha, beta
     sketch     l1, l2, branch
@@ -21,6 +22,12 @@ Each case prints five lines, keyed by its name and a kind:
                projected data P.T b (each only where its parameter exists)
     residuals  the same solves' residual norms, as repr floats
 
+"dense" takes the exact route instead: gsvd_full_rank(check_rank=False) of
+the seven square kernels at n = 512, at 1 BLAS thread. Each kernel prints
+one factors line (digests of u, x, alpha and beta), and each of its noise
+seeds 0-2 prints the lambdas, solves and residuals lines above, with
+solve_gsvd and solve_tgsvd on the exact factors and the data b itself.
+
 Only names present in the package since the factorization kept its inner
 GSVD are read, so an older tree can be digested with this file as well.
 """
@@ -29,7 +36,7 @@ import hashlib
 import os
 import sys
 
-THREADS = {"kernels": "1", "tomo": "2"}
+THREADS = {"kernels": "1", "tomo": "2", "dense": "1"}
 
 if __name__ == "__main__":
     if len(sys.argv) != 2 or sys.argv[1] not in THREADS:
@@ -38,6 +45,7 @@ if __name__ == "__main__":
 
 import numpy as np  # noqa: E402  (after the thread pinning above)
 
+from randgsvd.gsvd import GmpPair, gsvd_full_rank  # noqa: E402
 from randgsvd.problems import (  # noqa: E402
     QUADRATURE_PROBLEMS,
     TestProblemSpec,
@@ -68,12 +76,24 @@ def _digest(*arrays) -> str:
     return h.hexdigest()[:16]
 
 
-def _select(selector, approx, b):
+def _select(selector, source, b):
     """The selector's parameter, or None where it finds none."""
     try:
-        return selector(approx, b)[0]
+        return selector(source, b)[0]
     except SelectionError:
         return None
+
+
+def _lambdas(key: str, source, b):
+    """Print the lambdas line; return the GCV lambda and truncation depth."""
+    lam, lam_lc, k = (_select(f, source, b) for f in (gcv_lambda, lcurve_lambda, gcv_truncation))
+    print(key, "lambdas", *(v.hex() if isinstance(v, float) else v for v in (lam, lam_lc, k)))
+    return lam, k
+
+
+def _solves(key: str, sols) -> None:
+    print(key, "solves", _digest(*(np.r_[s.x, s.lam, s.seminorm] for s in sols)))
+    print(key, "residuals", *(repr(s.residual_norm) for s in sols))
 
 
 def _report(key: str, prob, b, cfg: SamplerConfig) -> None:
@@ -85,16 +105,14 @@ def _report(key: str, prob, b, cfg: SamplerConfig) -> None:
     inner = approx.inner
     fields = (approx.p, approx.q, approx.a_comp, approx.l_comp, inner.u, inner.x, inner.alpha, inner.beta)
     print(key, "factors", *(_digest(f) for f in fields))
-    lam, lam_lc, k = (_select(f, approx, b) for f in (gcv_lambda, lcurve_lambda, gcv_truncation))
-    print(key, "lambdas", *(v.hex() if isinstance(v, float) else v for v in (lam, lam_lc, k)))
+    lam, k = _lambdas(key, approx, b)
     c = approx.p.T @ b
     sols = []
     if lam is not None:
         sols += [solve_rgsvd(approx, b, lam), solve_gsvd(inner, c, lam)]
     if k is not None:
         sols.append(solve_tgsvd(inner, c, k))
-    print(key, "solves", _digest(*(np.r_[s.x, s.lam, s.seminorm] for s in sols)))
-    print(key, "residuals", *(repr(s.residual_norm) for s in sols))
+    _solves(key, sols)
 
 
 def kernels() -> None:
@@ -120,5 +138,21 @@ def tomo() -> None:
     _report("tomo/n50/s0/bs64", prob, prob.b, cfg)
 
 
+def dense() -> None:
+    for name in QUADRATURE_PROBLEMS:
+        prob = generate(TestProblemSpec(name=name, n=512, delta=0.0))
+        factors = gsvd_full_rank(GmpPair(prob.a, prob.l), check_rank=False)
+        fields = (factors.u, factors.x, factors.alpha, factors.beta)
+        print(f"{name}/n512", "factors", *(_digest(f) for f in fields))
+        for seed in range(3):
+            key = f"{name}/n512/s{seed}"
+            b = add_noise(prob.b, DELTA, seed)
+            lam, k = _lambdas(key, factors, b)
+            sols = [] if lam is None else [solve_gsvd(factors, b, lam)]
+            if k is not None:
+                sols.append(solve_tgsvd(factors, b, k))
+            _solves(key, sols)
+
+
 if __name__ == "__main__":
-    {"kernels": kernels, "tomo": tomo}[sys.argv[1]]()
+    {"kernels": kernels, "tomo": tomo, "dense": dense}[sys.argv[1]]()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from randgsvd.gsvd import GmpPair, GsvdFactors, gsvd_full_rank
+from randgsvd.linalg import DimensionError
 from randgsvd.problems import TestProblemSpec, generate
 from randgsvd.rgsvd import rgsvd
 from randgsvd.sampling import SamplerConfig
@@ -137,3 +138,14 @@ def test_selection_rejects_degenerate_sketch(rng):
         gcv_lambda(approx, np.ones(10))
     with pytest.raises(SelectionError):
         lcurve_lambda(approx, np.ones(10))
+
+
+@pytest.mark.parametrize(
+    "selector", [gcv_lambda, lcurve_lambda, gcv_truncation], ids=lambda f: f.__name__
+)
+@pytest.mark.parametrize("sketched", [False, True], ids=["exact", "sketch"])
+def test_selectors_reject_wrong_data_length(shaw_instance, selector, sketched):
+    prob, factors = shaw_instance
+    source = rgsvd(prob.a, prob.l, 1e-2, SamplerConfig(epsilon=1e-2, seed=0)) if sketched else factors
+    with pytest.raises(DimensionError, match="data length 95 != operator rows 96"):
+        selector(source, prob.b[:-1])

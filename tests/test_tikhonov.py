@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from randgsvd.gsvd import GmpPair, GmpViolationError, gsvd_full_rank
+from randgsvd.gsvd import GmpPair, GmpViolationError, GsvdFactors, gsvd_full_rank
 from randgsvd.problems import TestProblemSpec, first_difference, generate
 from randgsvd.tikhonov import (
     TikhonovProblem,
@@ -97,6 +97,28 @@ def test_tgsvd_limits_and_validation(small_problem):
     # fewer kept components -> smaller seminorm (monotone smoothing)
     sems = [solve_tgsvd(factors, prob.b, k).seminorm for k in (2, n // 2, n)]
     assert sems[0] <= sems[1] + 1e-12 and sems[1] <= sems[2] + 1e-12
+
+
+def test_tgsvd_residual_keeps_alpha_zero_energy(rng):
+    # one alpha = 0 and one beta = 0 direction: a depth past the finite
+    # alpha > 0 values must not keep the alpha = 0 direction, whose solution
+    # coordinate is 0, so its data energy 3^2 stays in the residual
+    u = np.linalg.qr(rng.standard_normal((8, 3)))[0]
+    factors = GsvdFactors(
+        u=u,
+        v1=np.linalg.qr(rng.standard_normal((4, 2)))[0],
+        alpha=np.array([0.0, 0.6, 1.0]),
+        beta=np.array([1.0, 0.8]),
+        x=np.eye(3),
+        r=1,
+        branch="tall",
+    )
+    a = u * factors.alpha  # U.T a X = diag(alpha) with X = I
+    b = u @ np.array([3.0, 2.0, 1.0])
+    for k in (1, 2):
+        sol = solve_tgsvd(factors, b, k)
+        assert sol.residual_norm == pytest.approx(3.0, rel=1e-12)
+        assert sol.residual_norm == pytest.approx(np.linalg.norm(a @ sol.x - b), rel=1e-12)
 
 
 def test_filtered_coordinates_guards_dead_directions(rng):
