@@ -8,6 +8,13 @@ each sketched block against the basis collected so far, and stops as soon
 as a diagonal entry of the block's triangular factor falls to the requested
 tolerance -- those diagonals are the norms of the deflated sample columns,
 which is exactly the quantity the tolerance speaks about.
+
+On a large target each skinny product a @ Omega_i is a memory-bound pass
+over a, so the range finder multiplies a window of consecutive test blocks
+in one pass, then examines the blocks one at a time. Every block keeps its
+own seed, the factors are bit-identical to one product per block, and
+blocks drawn past the stop are discarded. The window's two limits and
+their measured reasons are given at _WINDOW_COLUMNS and _WINDOW_MIN_BYTES.
 """
 
 from __future__ import annotations
@@ -22,6 +29,23 @@ _SQRT3 = float(np.sqrt(3.0))
 _MASK64 = (1 << 64) - 1
 # odd 64-bit constant (golden-ratio fraction) used to derive secondary streams
 _STREAM_SALT = 0x9E3779B97F4A7C15
+# The range finder multiplies the target by up to this many test columns in
+# one product. At n = 2048 and one OpenBLAS thread (2-vCPU Xeon, OpenBLAS
+# 0.3.31) A @ Omega took 4.7, 4.9, 6.0 and 9.9 ms at widths 4, 8, 16 and 32:
+# up to about 16 columns a product costs one memory-bound pass over A, past
+# that it is compute-bound, and a wider window would only draw more columns
+# past the stop.
+_WINDOW_COLUMNS = 16
+# Windows are formed only on C-ordered targets of at least this many bytes,
+# because only there did a column slice of the windowed product equal the
+# per-block product bit for bit (same machine): on 17 shapes from 1024 x 1024
+# to 16384 x 64, windows of 2-16 columns, mixed widths included, at 1-4
+# threads. Small targets such as stage two's A.T P (2048 x 37) take another
+# OpenBLAS path and their slices differ; without this limit 96 of the 504
+# cases of tests/factor_digest.py kernels changed. Transposed views (stage
+# one on branch "under") differ at 1 thread whenever their row count is not
+# a multiple of 8 (1100 x 1000, 700 x 1600, 2049-2055 rows).
+_WINDOW_MIN_BYTES = 8 * 2**20
 
 
 class SamplingError(RuntimeError):
@@ -89,7 +113,11 @@ class RangeBasis:
 
     q               -- rows x l matrix with orthonormal columns (l may be 0)
     epsilon         -- tolerance the run was asked to honor
-    blocks_consumed -- number of (nonempty) sketch blocks drawn
+    blocks_consumed -- number of sketch blocks examined, the stopping
+                       block included
+    passes          -- number of products formed with the target; a pass
+                       may form several blocks, and blocks it formed past
+                       the stopping block are discarded
     triggered_diag  -- |R_ll| value that fired the stopping rule, or None
                        when the full column budget was used
     seed            -- base seed of the run
@@ -98,6 +126,7 @@ class RangeBasis:
     q: np.ndarray
     epsilon: float
     blocks_consumed: int
+    passes: int
     triggered_diag: float | None
     seed: int
 
@@ -112,6 +141,45 @@ def _block_widths(n: int, blocksize: int) -> list[int]:
     return [w for w in widths if w > 0]
 
 
+def _sample_blocks(a, cfg: SamplerConfig):
+    """Yield (pass number, a @ Omega_i) for every test block in order.
+
+    On a target that qualifies for windows (see _WINDOW_MIN_BYTES),
+    consecutive blocks spanning up to _WINDOW_COLUMNS columns are
+    multiplied in one pass, and each block's slice is copied out C-ordered
+    as its own product would be, so the caller sees the same bits as from
+    one product per block. A width-1 block is always multiplied alone:
+    numpy forms an n x 1 product with gemv, whose bits differ from gemm's.
+    """
+    n = a.shape[1]
+    widths = _block_widths(n, cfg.blocksize)
+    per_pass = 1
+    if a.flags.c_contiguous and a.nbytes >= _WINDOW_MIN_BYTES:
+        per_pass = max(1, _WINDOW_COLUMNS // cfg.blocksize)
+    start = passes = 0
+    while start < len(widths):
+        stop = start + 1
+        if widths[start] > 1:
+            while stop < min(start + per_pass, len(widths)) and widths[stop] > 1:
+                stop += 1
+        omegas = [
+            uniform_test_matrix(n, w, cfg.seed ^ (i + 1))
+            for i, w in enumerate(widths[start:stop], start=start)
+        ]
+        passes += 1
+        if len(omegas) == 1:
+            # the row-space sketch passes the transposed view a.T
+            yield passes, matmul(a, omegas[0])
+        else:
+            y = a @ np.hstack(omegas)
+            lo = 0
+            for omega in omegas:
+                hi = lo + omega.shape[1]
+                yield passes, np.ascontiguousarray(y[:, lo:hi])
+                lo = hi
+        start = stop
+
+
 def adaptive_range_finder(a, cfg: SamplerConfig) -> RangeBasis:
     """Blockwise adaptive randomized range finder.
 
@@ -123,6 +191,14 @@ def adaptive_range_finder(a, cfg: SamplerConfig) -> RangeBasis:
     above cfg.epsilon the whole block joins the basis, and the first entry
     at or below the tolerance stops the run, keeping only the columns in
     front of it.
+
+    The products are formed in passes over a: on a C-ordered target of at
+    least 8 MiB, one pass multiplies up to 16 columns' worth of consecutive
+    blocks (a width-1 block alone), at about the cost of one block's
+    product, since reading a dominates it; elsewhere each pass forms one
+    block. Either way each Y_i has the bits of its own product, so q,
+    blocks_consumed and triggered_diag do not depend on the grouping, and
+    RangeBasis.passes reports the number of products.
 
     Returns a RangeBasis whose column count l satisfies
     0 <= l <= min(a.shape); l == 0 means the very first sample column was
@@ -138,13 +214,10 @@ def adaptive_range_finder(a, cfg: SamplerConfig) -> RangeBasis:
         )
 
     q = np.empty((m, 0))
-    blocks_consumed = 0
+    blocks_consumed = passes = 0
     triggered: float | None = None
 
-    for idx, width in enumerate(_block_widths(n, cfg.blocksize)):
-        omega = uniform_test_matrix(n, width, cfg.seed ^ (idx + 1))
-        # the row-space sketch passes the transposed view a.T
-        y = matmul(a, omega)
+    for passes, y in _sample_blocks(a, cfg):
         if q.shape[1]:
             # two deflation passes keep the new block orthogonal to q at
             # working precision even when it is nearly contained in range(q)
@@ -173,6 +246,7 @@ def adaptive_range_finder(a, cfg: SamplerConfig) -> RangeBasis:
         q=q,
         epsilon=cfg.epsilon,
         blocks_consumed=blocks_consumed,
+        passes=passes,
         triggered_diag=triggered,
         seed=cfg.seed,
     )

@@ -6,6 +6,9 @@ bit for bit with diff:
     PYTHONPATH=src python tests/factor_digest.py tomo > tomo.txt
     PYTHONPATH=src python tests/factor_digest.py dense > dense.txt
 
+An optional second argument sets the BLAS thread count in place of the
+mode's default given below, e.g. ``factor_digest.py kernels 2``.
+
 "kernels" runs the seven quadrature kernels at n in {512, 2048}, square and
 row-truncated to m = n/2, sketch and noise seeds 0-2, stage2_epsilon in
 {1e-8, None} and blocksize in {1, 3, 4}, at 1 BLAS thread (504 cases).
@@ -39,9 +42,12 @@ import sys
 THREADS = {"kernels": "1", "tomo": "2", "dense": "1"}
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2 or sys.argv[1] not in THREADS:
-        sys.exit(f"usage: {sys.argv[0]} {{{','.join(THREADS)}}}")
-    os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = THREADS[sys.argv[1]]
+    args = sys.argv[1:]
+    if len(args) == 1 and args[0] in THREADS:
+        args.append(THREADS[args[0]])
+    if len(args) != 2 or args[0] not in THREADS or not args[1].isdigit() or int(args[1]) < 1:
+        sys.exit(f"usage: {sys.argv[0]} {{{','.join(THREADS)}}} [threads]")
+    os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = args[1]
 
 import numpy as np  # noqa: E402  (after the thread pinning above)
 

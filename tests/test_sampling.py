@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from oracle_sampling import verify_expectation_identity
+from oracle_sampling import per_block_range_finder, verify_expectation_identity
+from randgsvd.problems import phillips_matrix
 from randgsvd.sampling import (
+    _WINDOW_MIN_BYTES,
     SamplerConfig,
     SamplingError,
     adaptive_range_finder,
@@ -98,6 +100,61 @@ def test_blocksize_must_fit():
     # n == 1 allows the single-column block
     basis = adaptive_range_finder(np.ones((3, 1)), SamplerConfig(epsilon=1e-2, blocksize=1))
     assert basis.ncols == 1
+
+
+def test_passes_count_products_with_the_target():
+    cfg = SamplerConfig(epsilon=1e-2, blocksize=4, seed=0)
+    a, _ = phillips_matrix(2048)
+    assert a.nbytes >= _WINDOW_MIN_BYTES
+    basis = adaptive_range_finder(a, cfg)
+    assert (basis.blocks_consumed, basis.passes) == (8, 2)
+    small, _ = phillips_matrix(512)
+    assert small.nbytes < _WINDOW_MIN_BYTES
+    basis = adaptive_range_finder(small, cfg)
+    assert basis.blocks_consumed > 1
+    assert basis.passes == basis.blocks_consumed
+
+
+@pytest.fixture(scope="module")
+def window_target():
+    # 18003 x 61 (8.4 MB, above the window limit) with singular values
+    # 1 ... 1e-8: n = 61 leaves a trailing width-1 block for blocksizes 2-5
+    rng = np.random.default_rng(7)
+    u = np.linalg.qr(rng.standard_normal((18003, 61)))[0]
+    v = np.linalg.qr(rng.standard_normal((61, 61)))[0]
+    a = (u * np.logspace(0, -8, 61)) @ v.T
+    assert a.nbytes >= _WINDOW_MIN_BYTES
+    return a
+
+
+@pytest.mark.parametrize("layout", ["C", "transposed"])
+@pytest.mark.parametrize("blocksize", [2, 3, 4, 5])
+@pytest.mark.parametrize("run", ["to_last_block", "stop_in_first_window", "max_columns"])
+def test_windowed_passes_match_per_block_oracle(window_target, layout, blocksize, run):
+    a = window_target if layout == "C" else np.ascontiguousarray(window_target.T).T
+    epsilon = 0.3 if run == "stop_in_first_window" else 1e-11
+    max_columns = 5 if run == "max_columns" else None
+    cfg = SamplerConfig(epsilon=epsilon, blocksize=blocksize, seed=3, max_columns=max_columns)
+    if run == "max_columns":
+        with pytest.raises(SamplingError) as expected:
+            per_block_range_finder(a, cfg)
+        with pytest.raises(SamplingError) as got:
+            adaptive_range_finder(a, cfg)
+        assert str(got.value) == str(expected.value)
+        return
+    q, blocks, triggered = per_block_range_finder(a, cfg)
+    basis = adaptive_range_finder(a, cfg)
+    assert_array_equal(basis.q, q)
+    assert basis.blocks_consumed == blocks
+    assert basis.triggered_diag == triggered
+    if run == "to_last_block":
+        assert basis.ncols == 61 and triggered is None  # the width-1 block was used
+    else:
+        assert triggered is not None and blocks < 16 // blocksize  # look-ahead blocks dropped
+    if layout == "C":
+        assert basis.passes < blocks
+    else:
+        assert basis.passes == blocks
 
 
 def test_stage_config_clamps_blocksize():
