@@ -21,7 +21,6 @@ from .gsvd import (
     GmpViolationError,
     GsvdFactors,
     gsvd_full_rank,
-    reconstruct,
 )
 from .rgsvd import ApproxGsvd, rgsvd
 from .tikhonov import (
@@ -79,7 +78,6 @@ __all__ = [
     "parallel_tomo",
     "phantom",
     "read_report",
-    "reconstruct",
     "rgsvd",
     "run_benchmark",
     "solve_exact",

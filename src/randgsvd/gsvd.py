@@ -15,6 +15,11 @@ symmetric eigendecomposition of the top Gram block: with [A; L] = Q R and
 Q1.T @ Q1 = S diag(psi) S.T (psi ascending in [0, 1]), the columns of
 X = R^-1 S simultaneously diagonalize both Gram matrices, alpha = sqrt(psi)
 on the branch's index window, and beta = sqrt(1 - psi) wherever psi < 1.
+
+GsvdFactors keeps U, X, alpha and beta, which every solve and selector
+reads. V1 is not formed: no routine needs it, and a caller that does gets
+it on demand as V1 = L @ X[:, :n-r] / beta, whose columns are orthonormal
+because L X[:, :n-r] = Q2 S[:, :n-r] with Q2 the bottom block of Q.
 """
 
 from __future__ import annotations
@@ -95,7 +100,6 @@ class GsvdFactors:
     identities each branch satisfies).
 
     u      -- m x n (tall) or m x m (wide), orthonormal columns
-    v1     -- p x (n - r), orthonormal columns (empty when r = n)
     alpha  -- ascending, in [0, 1]
     beta   -- descending, in (0, 1]; length n - r
     x      -- n x n nonsingular
@@ -104,7 +108,6 @@ class GsvdFactors:
     """
 
     u: np.ndarray
-    v1: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
     x: np.ndarray
@@ -150,17 +153,15 @@ class GsvdFactors:
 def _gsvd_core(a: np.ndarray, l: np.ndarray, check_rank: bool) -> GsvdFactors:
     """Shared GSVD workhorse of gsvd_full_rank and rgsvd's compressed pair."""
     m, n = a.shape
-    p = l.shape[0]
 
     stack = qr_reduced(np.vstack([a, l]))
     diag_r = np.abs(np.diag(stack.r))
-    if diag_r.size and diag_r.min() <= 1e-12 * max(1.0, diag_r.max()) * max(m + p, n):
+    if diag_r.size and diag_r.min() <= 1e-12 * max(1.0, diag_r.max()) * max(m + l.shape[0], n):
         raise GmpViolationError(
             "stacked pair is numerically column rank deficient (triangular factor "
             f"diagonal ratio {diag_r.min() / max(diag_r.max(), 1e-300):.3e})"
         )
     q1 = stack.q[:m]
-    q2 = stack.q[m:]
 
     eig = symmetric_eig(q1.T @ q1)
     psi = np.clip(eig.values, 0.0, 1.0)
@@ -187,18 +188,11 @@ def _gsvd_core(a: np.ndarray, l: np.ndarray, check_rank: bool) -> GsvdFactors:
     col_norms = np.linalg.norm(raw_u, axis=0)
     u = raw_u / np.maximum(col_norms, np.finfo(float).tiny)
 
-    nb = n - r
-    beta = np.sqrt(1.0 - psi[:nb])
-    if nb > 0:
-        v1 = (q2 @ svecs[:, :nb]) / beta
-    else:
-        v1 = np.empty((p, 0))
-
+    beta = np.sqrt(1.0 - psi[: n - r])
     x = solve_upper_triangular(stack.r, svecs)
 
     return GsvdFactors(
         u=u,
-        v1=v1,
         alpha=alpha,
         beta=beta,
         x=x,
@@ -220,14 +214,3 @@ def gsvd_full_rank(pair: GmpPair, check_rank: bool = True) -> GsvdFactors:
     """
     return _gsvd_core(pair.a, pair.l, check_rank)
 
-
-def reconstruct(factors: GsvdFactors, pair: GmpPair) -> tuple[float, float]:
-    """Frobenius residuals of the two diagonalization identities:
-    (|U.T A Xcols - diag(alpha)|_F, |V1.T L X1 - diag(beta)|_F)."""
-    a, l = pair.a, pair.l
-    err_a = np.linalg.norm(factors.u.T @ a @ factors.x_cols - np.diag(factors.alpha))
-    nb = factors.beta.shape[0]
-    err_l = np.linalg.norm(
-        factors.v1.T @ l @ factors.x[:, :nb] - np.diag(factors.beta)
-    )
-    return float(err_a), float(err_l)

@@ -7,8 +7,9 @@ rows >= cols (branch "over", basis P), its row space when rows < cols
 first basis (A.T P, respectively A Q). The result keeps P, Q and the exact
 GSVD of the small compressed pair {P.T A Q, L Q}; every solve, selection
 and bound works from those alone. The lifted factors follow on demand:
-U2 = P @ inner.u and V1 = inner.v1 have orthonormal columns, and the full-
-row-rank Z = inner.x^-1 @ Q.T satisfies
+U2 = P @ inner.u and V1 = (L Q) @ inner.x[:, :nb] / inner.beta (nb =
+len(inner.beta)) have orthonormal columns, and the full-row-rank
+Z = inner.x^-1 @ Q.T satisfies
 
     [P P.T A Q Q.T; L Q Q.T] = [U2 diag(alpha) Z_rows; V1 diag(beta) Z_head]
 
@@ -107,8 +108,9 @@ def rgsvd(a, l, epsilon: float, cfg: SamplerConfig) -> ApproxGsvd:
 
     l may be a scipy.sparse matrix: it is validated on its stored values
     and L Q is formed as a sparse product, never densified; a dense l is
-    the fast path for dense regularizers. Only a's shape is checked here;
-    stage one's range finder rejects non-finite entries while it reads a.
+    the fast path for dense regularizers. Only a's shape is checked here:
+    a is not scanned for finiteness, since stage one's range finder rejects
+    a NaN or inf entry, or a sketch that overflows, on its products with a.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:

@@ -15,6 +15,13 @@ in one pass, then examines the blocks one at a time. Every block keeps its
 own seed, the factors are bit-identical to one product per block, and
 blocks drawn past the stop are discarded. The window's two limits and
 their measured reasons are given at _WINDOW_COLUMNS and _WINDOW_MIN_BYTES.
+
+The target is not scanned for finiteness on its own, which on a large
+target would cost one more pass over it: each sketch block is checked as
+it is examined instead. Every entry a_ij enters every entry of row i of
+a @ Omega_1, so a non-finite a already makes the first block non-finite
+(see adaptive_range_finder), and a finite a whose sketch overflows is
+refused by the same check instead of yielding NaN basis columns.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import DimensionError, as_matrix, matmul
+from .linalg import DimensionError, matmul
 
 _SQRT3 = float(np.sqrt(3.0))
 _MASK64 = (1 << 64) - 1
@@ -150,6 +157,11 @@ def _sample_blocks(a, cfg: SamplerConfig):
     as its own product would be, so the caller sees the same bits as from
     one product per block. A width-1 block is always multiplied alone:
     numpy forms an n x 1 product with gemv, whose bits differ from gemm's.
+
+    Products are formed with numpy's overflow and invalid-value warnings
+    off: the caller checks each block for non-finite entries and raises an
+    error that gives the reason, in place of a RuntimeWarning. The warning
+    state is left before each yield, since numpy keeps it per context.
     """
     n = a.shape[1]
     widths = _block_widths(n, cfg.blocksize)
@@ -167,11 +179,12 @@ def _sample_blocks(a, cfg: SamplerConfig):
             for i, w in enumerate(widths[start:stop], start=start)
         ]
         passes += 1
-        if len(omegas) == 1:
+        with np.errstate(invalid="ignore", over="ignore"):
             # the row-space sketch passes the transposed view a.T
-            yield passes, matmul(a, omegas[0])
+            y = matmul(a, omegas[0]) if len(omegas) == 1 else a @ np.hstack(omegas)
+        if len(omegas) == 1:
+            yield passes, y
         else:
-            y = a @ np.hstack(omegas)
             lo = 0
             for omega in omegas:
                 hi = lo + omega.shape[1]
@@ -200,11 +213,23 @@ def adaptive_range_finder(a, cfg: SamplerConfig) -> RangeBasis:
     blocks_consumed and triggered_diag do not depend on the grouping, and
     RangeBasis.passes reports the number of products.
 
+    a is not scanned for finiteness. Each Y_i is checked as it is examined
+    (rows x blocksize entries), and the first non-finite one raises
+    ValueError. For a non-finite a the check at Y_1 is exact: under IEEE
+    arithmetic every entry a_ij enters every entry of row i of Y_1, a NaN
+    propagates, +-inf times a test entry is +-inf (NaN for a zero entry),
+    and inf - inf is NaN. The same check refuses a finite a whose sketch
+    overflows, which would otherwise give a basis of NaN columns. Blocks
+    formed past the stop are not examined, so the outcome does not depend
+    on the grouping either.
+
     Returns a RangeBasis whose column count l satisfies
     0 <= l <= min(a.shape); l == 0 means the very first sample column was
     already below tolerance (e.g. a zero matrix).
     """
-    a = as_matrix(a, "range finder target")
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2:
+        raise DimensionError(f"range finder target must be 2-D, got ndim={a.ndim}")
     m, n = a.shape
     if n == 0:
         raise DimensionError("range finder target must have at least one column")
@@ -218,6 +243,11 @@ def adaptive_range_finder(a, cfg: SamplerConfig) -> RangeBasis:
     triggered: float | None = None
 
     for passes, y in _sample_blocks(a, cfg):
+        if not np.isfinite(y).all():
+            raise ValueError(
+                f"range finder target gives a non-finite sketch in block {blocks_consumed + 1}: "
+                "it holds a NaN or inf entry, or its sketch overflows"
+            )
         if q.shape[1]:
             # two deflation passes keep the new block orthogonal to q at
             # working precision even when it is nearly contained in range(q)

@@ -8,6 +8,7 @@ which test_rgsvd.py holds against the filtered solve of solve_rgsvd.
 
 import numpy as np
 
+from oracle_gsvd import v1_factor
 from randgsvd.linalg import rank_cutoff, thin_svd
 from randgsvd.tikhonov import RegularizedSolution
 
@@ -19,7 +20,8 @@ def sketched_identities(approx, a, l):
         |L Q Q.T       - V1 diag(beta)  Z_head|_F
 
     against the supplied ambient pair, with the lifted factors U2 = P @ inner.u,
-    V1 = inner.v1 and Z = inner.x^-1 @ Q.T formed here.
+    V1 = (L Q) @ inner.x[:, :nb] / inner.beta and Z = inner.x^-1 @ Q.T formed
+    here.
     """
     p, q = approx.p, approx.q
     inner = approx.inner
@@ -29,7 +31,8 @@ def sketched_identities(approx, a, l):
     z_rows = z[inner.offset :]
     err_a = float(np.linalg.norm(sketched_a - u2 @ (inner.alpha[:, None] * z_rows)))
     nb = inner.beta.shape[0]
-    err_l = float(np.linalg.norm(l @ q @ q.T - inner.v1 @ (inner.beta[:, None] * z[:nb])))
+    v1 = v1_factor(inner, approx.l_comp)
+    err_l = float(np.linalg.norm(l @ q @ q.T - v1 @ (inner.beta[:, None] * z[:nb])))
     return err_a, err_l
 
 

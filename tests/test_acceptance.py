@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 from bench_records import records_equal, strip_timings
+from oracle_gsvd import reconstruct
 from oracle_sampling import verify_expectation_identity
 from randgsvd import matio
 from randgsvd.bench import BenchConfig, read_report, run_benchmark
 from randgsvd.bounds import error_bound_diagnostics
-from randgsvd.gsvd import GmpPair, gsvd_full_rank, reconstruct
+from randgsvd.gsvd import GmpPair, gsvd_full_rank
 from randgsvd.problems import TestProblemSpec, add_noise, first_difference, generate
 from randgsvd.rgsvd import rgsvd
 from randgsvd.sampling import SamplerConfig, adaptive_range_finder

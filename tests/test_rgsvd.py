@@ -29,17 +29,39 @@ def test_dispatch_matches_orientation(rng):
     assert approx2.branch == "under"
 
 
+# entries set to a non-finite value, as (row, column, value) triples
+POISON = {
+    "nan": [(3, 2, np.nan)],
+    "inf": [(3, 2, np.inf)],
+    "neg-inf": [(3, 2, -np.inf)],
+    "inf-pair": [(3, 2, np.inf), (3, 5, -np.inf)],
+    "nan-last-row": [(-1, 2, np.nan)],
+    "nan-last-col": [(3, -1, np.nan)],
+}
+
+
 @pytest.mark.parametrize(
-    "shape, poisoned",
-    [((40, 30), "a"), ((30, 40), "a"), ((40, 30), "l")],
-    ids=["a-over", "a-under", "l"],
+    "shape, poisoned, placement",
+    [
+        pytest.param((40, 30), "a", "nan", id="a-over"),
+        pytest.param((30, 40), "a", "nan", id="a-under"),
+        pytest.param((40, 30), "l", "nan", id="l"),
+        *(
+            pytest.param(shape, "a", placement, id=f"a-{branch}-{placement}")
+            for shape, branch in (((40, 30), "over"), ((30, 40), "under"))
+            for placement in POISON
+            if placement != "nan"
+        ),
+    ],
 )
-def test_rejects_non_finite_input(rng, shape, poisoned):
-    # rgsvd reads only a's shape; stage one's range finder rejects a NaN
-    # in a on either orientation, and l is checked before any sketching
+def test_rejects_non_finite_input(rng, shape, poisoned, placement):
+    # rgsvd reads only a's shape; stage one's range finder rejects a
+    # non-finite a on either orientation from its first sketch block, and
+    # l is checked before any sketching
     m, n = shape
     pair = {"a": _decaying(rng, m, n), "l": rng.standard_normal((n - 1, n))}
-    pair[poisoned][3, 2] = np.nan
+    for i, j, value in POISON[placement]:
+        pair[poisoned][i, j] = value
     cfg = SamplerConfig(epsilon=1e-6, blocksize=4, seed=0)
     with pytest.raises(ValueError, match="non-finite"):
         rgsvd(pair["a"], pair["l"], 1e-6, cfg)

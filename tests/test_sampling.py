@@ -157,6 +157,44 @@ def test_windowed_passes_match_per_block_oracle(window_target, layout, blocksize
         assert basis.passes == blocks
 
 
+@pytest.mark.parametrize(
+    "placement",
+    ["nan-first", "nan-last-row", "nan-last-col", "inf", "neg-inf", "inf-pair"],
+)
+@pytest.mark.parametrize("path", ["windowed", "transposed", "gemv"])
+def test_non_finite_target_rejected_from_first_block(window_target, path, placement):
+    # every entry of the target enters a row of the first sketch block, so
+    # that block is non-finite on each product path: a 16-column window on
+    # a C-ordered 8.4 MB target, one block per pass on a transposed view,
+    # and gemv for blocksize 1
+    a = window_target.copy() if path != "transposed" else np.ascontiguousarray(window_target.T).T
+    entries = {
+        "nan-first": [(0, 0, np.nan)],
+        "nan-last-row": [(-1, 7, np.nan)],
+        "nan-last-col": [(5, -1, np.nan)],
+        "inf": [(5, 7, np.inf)],
+        "neg-inf": [(5, 7, -np.inf)],
+        "inf-pair": [(5, 7, np.inf), (5, 40, -np.inf)],
+    }[placement]
+    for i, j, value in entries:
+        a[i, j] = value
+    cfg = SamplerConfig(epsilon=1e-11, blocksize=1 if path == "gemv" else 4, seed=3)
+    with pytest.raises(ValueError, match="non-finite sketch in block 1:") as err:
+        adaptive_range_finder(a, cfg)
+    assert "NaN or inf entry" in str(err.value) and "overflows" in str(err.value)
+
+
+@pytest.mark.parametrize("seed, block", [(0, 1), (1, 3)], ids=["first-block", "later-block"])
+def test_sketch_overflow_raises_with_reason(seed, block):
+    # every entry is finite, but some sketch entries pass the float64 range:
+    # the range finder must say so, not return NaN columns
+    a = 1e307 * np.random.default_rng(seed).standard_normal((60, 40))
+    assert np.isfinite(a).all()
+    cfg = SamplerConfig(epsilon=1e-6, blocksize=4, seed=0)
+    with pytest.raises(ValueError, match=f"non-finite sketch in block {block}:.*overflows"):
+        adaptive_range_finder(a, cfg)
+
+
 def test_stage_config_clamps_blocksize():
     cfg = SamplerConfig(epsilon=1e-2, blocksize=64, seed=9)
     stage2 = stage_config(cfg, epsilon=1e-3, seed=derive_stage_seed(9), ncols=5)

@@ -97,7 +97,6 @@ def _tall_factors(rng, alpha, beta, m=40):
     n = alpha.size
     return GsvdFactors(
         u=np.linalg.qr(rng.standard_normal((m, n)))[0],
-        v1=np.linalg.qr(rng.standard_normal((n + 1, n)))[0],
         alpha=alpha,
         beta=beta,
         x=np.eye(n),

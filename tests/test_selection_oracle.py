@@ -60,7 +60,6 @@ def test_gcv_denominator_vanishing_on_whole_grid_raises():
     # filter rounds to 1 as well: every dof is 3 - 3 = 0 and the residual 0
     factors = GsvdFactors(
         u=np.eye(3),
-        v1=np.ones((1, 1)),
         alpha=np.array([0.6, 1.0, 1.0]),
         beta=np.array([0.8]),
         x=np.eye(3),

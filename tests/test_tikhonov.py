@@ -106,7 +106,6 @@ def test_tgsvd_residual_keeps_alpha_zero_energy(rng):
     u = np.linalg.qr(rng.standard_normal((8, 3)))[0]
     factors = GsvdFactors(
         u=u,
-        v1=np.linalg.qr(rng.standard_normal((4, 2)))[0],
         alpha=np.array([0.0, 0.6, 1.0]),
         beta=np.array([1.0, 0.8]),
         x=np.eye(3),
