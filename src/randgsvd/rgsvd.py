@@ -29,6 +29,7 @@ import numpy as np
 from .gsvd import GsvdFactors, _gsvd_core
 from .linalg import DimensionError, as_operator, matmul
 from .sampling import (
+    RangeBasis,
     SamplerConfig,
     adaptive_range_finder,
     derive_stage_seed,
@@ -53,6 +54,13 @@ class ApproxGsvd:
     epsilon     -- stage-one tolerance the run was asked to honor
     branch      -- "over" (rows >= cols) or "under" (rows < cols)
     seed        -- base seed of stage one
+    stage1      -- the range finder's result for stage one: blocks
+                   examined, passes over the target and the triggering
+                   diagonal; its q is the very array held as p ("over")
+                   or q ("under")
+    stage2      -- the same for stage two, whose q is the other basis;
+                   None when stage one kept no column and stage two did
+                   not run
     """
 
     p: np.ndarray
@@ -65,6 +73,8 @@ class ApproxGsvd:
     epsilon: float
     branch: str
     seed: int
+    stage1: RangeBasis
+    stage2: RangeBasis | None
 
     @property
     def is_degenerate(self) -> bool:
@@ -79,7 +89,7 @@ class ApproxGsvd:
         return self.inner.beta if self.inner is not None else np.empty(0)
 
 
-def _degenerate(p_rows, basis_p, basis_q, epsilon, branch, seed) -> ApproxGsvd:
+def _degenerate(p_rows, basis_p, basis_q, epsilon, branch, seed, stage1, stage2) -> ApproxGsvd:
     return ApproxGsvd(
         p=basis_p,
         q=basis_q,
@@ -91,6 +101,8 @@ def _degenerate(p_rows, basis_p, basis_q, epsilon, branch, seed) -> ApproxGsvd:
         epsilon=epsilon,
         branch=branch,
         seed=seed,
+        stage1=stage1,
+        stage2=stage2,
     )
 
 
@@ -126,7 +138,9 @@ def rgsvd(a, l, epsilon: float, cfg: SamplerConfig) -> ApproxGsvd:
 
     t = a if over else a.T
     st1 = stage_config(cfg, epsilon=epsilon, seed=cfg.seed, ncols=t.shape[1])
-    basis1 = adaptive_range_finder(t, st1).q
+    stage1 = adaptive_range_finder(t, st1)
+    stage2 = None
+    basis1 = stage1.q
     basis2 = np.empty((t.shape[1], 0))
     l1 = basis1.shape[1]
     if l1:
@@ -138,11 +152,12 @@ def rgsvd(a, l, epsilon: float, cfg: SamplerConfig) -> ApproxGsvd:
             seed=derive_stage_seed(cfg.seed),
             ncols=l1,
         )
-        basis2 = adaptive_range_finder(s, st2).q
+        stage2 = adaptive_range_finder(s, st2)
+        basis2 = stage2.q
     l2 = basis2.shape[1]
     p, q = (basis1, basis2) if over else (basis2, basis1)
     if l2 == 0:
-        return _degenerate(l.shape[0], p, q, epsilon, branch, cfg.seed)
+        return _degenerate(l.shape[0], p, q, epsilon, branch, cfg.seed, stage1, stage2)
 
     a_comp = s.T @ basis2 if over else basis2.T @ s
     l_comp = l @ q
@@ -160,4 +175,6 @@ def rgsvd(a, l, epsilon: float, cfg: SamplerConfig) -> ApproxGsvd:
         epsilon=epsilon,
         branch=branch,
         seed=cfg.seed,
+        stage1=stage1,
+        stage2=stage2,
     )

@@ -11,10 +11,12 @@ which is exactly the quantity the tolerance speaks about.
 
 On a large target each skinny product a @ Omega_i is a memory-bound pass
 over a, so the range finder multiplies a window of consecutive test blocks
-in one pass, then examines the blocks one at a time. Every block keeps its
-own seed, the factors are bit-identical to one product per block, and
-blocks drawn past the stop are discarded. The window's two limits and
-their measured reasons are given at _WINDOW_COLUMNS and _WINDOW_MIN_BYTES.
+in one pass, then examines the blocks one at a time. This holds for a
+C-ordered target and for the transposed view that stage one sketches on
+the row-space branch alike. Every block keeps its own seed, the factors are
+bit-identical to one product per block, and blocks drawn past the stop are
+discarded. The window's limits and their measured reasons are given at
+_WINDOW_COLUMNS, _WINDOW_MIN_BYTES and _WINDOW_ROW_MULTIPLE.
 
 The target is not scanned for finiteness on its own, which on a large
 target would cost one more pass over it: each sketch block is checked as
@@ -43,16 +45,25 @@ _STREAM_SALT = 0x9E3779B97F4A7C15
 # that it is compute-bound, and a wider window would only draw more columns
 # past the stop.
 _WINDOW_COLUMNS = 16
-# Windows are formed only on C-ordered targets of at least this many bytes,
-# because only there did a column slice of the windowed product equal the
-# per-block product bit for bit (same machine): on 17 shapes from 1024 x 1024
+# Windows are formed only on targets of at least this many bytes, because
+# only there did a column slice of the windowed product equal the per-block
+# product bit for bit (same machine): on 17 C-ordered shapes from 1024 x 1024
 # to 16384 x 64, windows of 2-16 columns, mixed widths included, at 1-4
 # threads. Small targets such as stage two's A.T P (2048 x 37) take another
 # OpenBLAS path and their slices differ; without this limit 96 of the 504
-# cases of tests/factor_digest.py kernels changed. Transposed views (stage
-# one on branch "under") differ at 1 thread whenever their row count is not
-# a multiple of 8 (1100 x 1000, 700 x 1600, 2049-2055 rows).
+# cases of tests/factor_digest.py kernels changed.
 _WINDOW_MIN_BYTES = 8 * 2**20
+# A transposed (F-ordered) target, which stage one sketches on branch
+# "under", qualifies for windows only when its row count is a multiple of
+# this. Both the window and each block are formed by linalg.matmul as
+# (Omega.T @ a.T).T, and at 1 thread a column slice of the windowed product
+# equalled the block's own product exactly when rows % 8 == 0 (same
+# machine): on 64 combinations of 1024-4100 rows, 600-1537 columns and
+# blocksizes 2, 3, 4, 5 and 8. Every other row count tried differed: 1030,
+# 1036, 1100, 2050, 2052, 2060, 3001 and 4100, and earlier 700 and
+# 2049-2055. At 2 threads every shape tried matched, so the rule is
+# conservative there. The row-truncated kernels at n = 2048 give 2048 rows.
+_WINDOW_ROW_MULTIPLE = 8
 
 
 class SamplingError(RuntimeError):
@@ -151,12 +162,16 @@ def _block_widths(n: int, blocksize: int) -> list[int]:
 def _sample_blocks(a, cfg: SamplerConfig):
     """Yield (pass number, a @ Omega_i) for every test block in order.
 
-    On a target that qualifies for windows (see _WINDOW_MIN_BYTES),
+    On a target of at least _WINDOW_MIN_BYTES that is C-ordered, or a
+    transposed view whose row count is a multiple of _WINDOW_ROW_MULTIPLE,
     consecutive blocks spanning up to _WINDOW_COLUMNS columns are
-    multiplied in one pass, and each block's slice is copied out C-ordered
-    as its own product would be, so the caller sees the same bits as from
-    one product per block. A width-1 block is always multiplied alone:
-    numpy forms an n x 1 product with gemv, whose bits differ from gemm's.
+    multiplied in one pass. The window goes
+    through linalg.matmul as each block's own product does, and each
+    block's slice is copied out in that product's layout (C order on a
+    C-ordered target, F order on a transposed view), so the caller sees the
+    same bits as from one product per block. A width-1 block is always
+    multiplied alone: numpy forms an n x 1 product with gemv, whose bits
+    differ from gemm's.
 
     Products are formed with numpy's overflow and invalid-value warnings
     off: the caller checks each block for non-finite entries and raises an
@@ -166,7 +181,9 @@ def _sample_blocks(a, cfg: SamplerConfig):
     n = a.shape[1]
     widths = _block_widths(n, cfg.blocksize)
     per_pass = 1
-    if a.flags.c_contiguous and a.nbytes >= _WINDOW_MIN_BYTES:
+    if a.nbytes >= _WINDOW_MIN_BYTES and (
+        a.flags.c_contiguous or (a.flags.f_contiguous and a.shape[0] % _WINDOW_ROW_MULTIPLE == 0)
+    ):
         per_pass = max(1, _WINDOW_COLUMNS // cfg.blocksize)
     start = passes = 0
     while start < len(widths):
@@ -181,14 +198,14 @@ def _sample_blocks(a, cfg: SamplerConfig):
         passes += 1
         with np.errstate(invalid="ignore", over="ignore"):
             # the row-space sketch passes the transposed view a.T
-            y = matmul(a, omegas[0]) if len(omegas) == 1 else a @ np.hstack(omegas)
+            y = matmul(a, omegas[0] if len(omegas) == 1 else np.hstack(omegas))
         if len(omegas) == 1:
             yield passes, y
         else:
             lo = 0
             for omega in omegas:
                 hi = lo + omega.shape[1]
-                yield passes, np.ascontiguousarray(y[:, lo:hi])
+                yield passes, y[:, lo:hi].copy(order="K")
                 lo = hi
         start = stop
 
@@ -205,13 +222,14 @@ def adaptive_range_finder(a, cfg: SamplerConfig) -> RangeBasis:
     at or below the tolerance stops the run, keeping only the columns in
     front of it.
 
-    The products are formed in passes over a: on a C-ordered target of at
-    least 8 MiB, one pass multiplies up to 16 columns' worth of consecutive
-    blocks (a width-1 block alone), at about the cost of one block's
-    product, since reading a dominates it; elsewhere each pass forms one
-    block. Either way each Y_i has the bits of its own product, so q,
-    blocks_consumed and triggered_diag do not depend on the grouping, and
-    RangeBasis.passes reports the number of products.
+    The products are formed in passes over a: on a target of at least
+    8 MiB that is C-ordered, or a transposed view whose row count is a
+    multiple of 8, one pass multiplies up to 16 columns' worth of
+    consecutive blocks (a width-1 block alone), at about the cost of one
+    block's product, since reading a dominates it; elsewhere each pass
+    forms one block. Either way each Y_i has the bits of its own product,
+    so q, blocks_consumed and triggered_diag do not depend on the
+    grouping, and RangeBasis.passes reports the number of products.
 
     a is not scanned for finiteness. Each Y_i is checked as it is examined
     (rows x blocksize entries), and the first non-finite one raises

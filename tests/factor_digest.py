@@ -5,6 +5,7 @@ bit for bit with diff:
     PYTHONPATH=src python tests/factor_digest.py kernels > kernels.txt
     PYTHONPATH=src python tests/factor_digest.py tomo > tomo.txt
     PYTHONPATH=src python tests/factor_digest.py dense > dense.txt
+    PYTHONPATH=src python tests/factor_digest.py under > under.txt
 
 An optional second argument sets the BLAS thread count in place of the
 mode's default given below, e.g. ``factor_digest.py kernels 2``.
@@ -12,6 +13,10 @@ mode's default given below, e.g. ``factor_digest.py kernels 2``.
 "kernels" runs the seven quadrature kernels at n in {512, 2048}, square and
 row-truncated to m = n/2, sketch and noise seeds 0-2, stage2_epsilon in
 {1e-8, None} and blocksize in {1, 3, 4}, at 1 BLAS thread (504 cases).
+"under" runs the same grid on the seven kernels at n = 2052 row-truncated
+to m = 1026, also at 1 thread (126 cases): stage one then sketches a
+16.8 MB transposed view whose 2052 rows are not a multiple of 8, the other
+side of the window rule from the row-truncated n = 2048 cases.
 "tomo" runs the n = 50 tomography problem with blocksize 64 at 2 threads.
 Each case of these two prints five lines, keyed by its name and a kind:
 
@@ -39,7 +44,7 @@ import hashlib
 import os
 import sys
 
-THREADS = {"kernels": "1", "tomo": "2", "dense": "1"}
+THREADS = {"kernels": "1", "tomo": "2", "dense": "1", "under": "1"}
 
 if __name__ == "__main__":
     args = sys.argv[1:]
@@ -121,21 +126,28 @@ def _report(key: str, prob, b, cfg: SamplerConfig) -> None:
     _solves(key, sols)
 
 
+def _sketch_grid(name: str, n: int, prob) -> None:
+    m = prob.a.shape[0]
+    for seed in range(3):
+        b = add_noise(prob.b, DELTA, seed)
+        for stage2 in (1e-8, None):
+            for blocksize in (1, 3, 4):
+                cfg = SamplerConfig(epsilon=EPSILON, blocksize=blocksize, seed=seed, stage2_epsilon=stage2)
+                _report(f"{name}/n{n}/m{m}/s{seed}/e2={stage2}/bs{blocksize}", prob, b, cfg)
+
+
 def kernels() -> None:
     for name in QUADRATURE_PROBLEMS:
         for n in (512, 2048):
             square = generate(TestProblemSpec(name=name, n=n, delta=0.0))
             for prob in (square, make_underdetermined(square, n // 2)):
-                m = prob.a.shape[0]
-                for seed in range(3):
-                    b = add_noise(prob.b, DELTA, seed)
-                    for stage2 in (1e-8, None):
-                        for blocksize in (1, 3, 4):
-                            cfg = SamplerConfig(
-                                epsilon=EPSILON, blocksize=blocksize, seed=seed, stage2_epsilon=stage2
-                            )
-                            key = f"{name}/n{n}/m{m}/s{seed}/e2={stage2}/bs{blocksize}"
-                            _report(key, prob, b, cfg)
+                _sketch_grid(name, n, prob)
+
+
+def under() -> None:
+    for name in QUADRATURE_PROBLEMS:
+        square = generate(TestProblemSpec(name=name, n=2052, delta=0.0))
+        _sketch_grid(name, 2052, make_underdetermined(square, 1026))
 
 
 def tomo() -> None:
@@ -161,4 +173,4 @@ def dense() -> None:
 
 
 if __name__ == "__main__":
-    {"kernels": kernels, "tomo": tomo, "dense": dense}[sys.argv[1]]()
+    {"kernels": kernels, "tomo": tomo, "dense": dense, "under": under}[sys.argv[1]]()

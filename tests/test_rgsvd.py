@@ -5,7 +5,7 @@ from numpy.testing import assert_array_equal
 from oracle_rgsvd import sketched_identities, solve_rgsvd_pinv
 from randgsvd.gsvd import GmpPair, gsvd_full_rank
 from randgsvd.linalg import DimensionError
-from randgsvd.problems import first_difference, shaw_matrix
+from randgsvd.problems import TestProblemSpec, first_difference, generate, shaw_matrix
 from randgsvd.rgsvd import rgsvd
 from randgsvd.sampling import SamplerConfig
 from randgsvd.tikhonov import solve_exact, solve_rgsvd, TikhonovProblem
@@ -179,10 +179,24 @@ def test_degenerate_zero_operator():
     l = np.eye(10)
     approx = rgsvd(a, l, 1e-4, SamplerConfig(epsilon=1e-4, blocksize=3, seed=0))
     assert approx.is_degenerate
+    assert approx.stage1.q is approx.p and approx.stage1.ncols == 0
+    assert approx.stage2 is None
     b = np.ones(12)
     sol = solve_rgsvd(approx, b, 0.5)
     assert_array_equal(sol.x, np.zeros(10))
     assert sol.residual_norm == pytest.approx(np.linalg.norm(b))
+
+
+def test_stage_metadata_kept_on_row_space_branch():
+    # stage one sketches the 2048-row transposed view of the row-truncated
+    # shaw kernel, where one pass forms several blocks
+    prob = generate(TestProblemSpec(name="shaw", n=2048, m=1024))
+    approx = rgsvd(prob.a, prob.l, 1e-2, SamplerConfig(epsilon=1e-2, blocksize=4, seed=5))
+    assert approx.branch == "under"
+    assert approx.stage1.q is approx.q and approx.stage2.q is approx.p
+    assert (approx.stage1.ncols, approx.stage2.ncols) == (approx.l1, approx.l2)
+    assert approx.stage1.passes < approx.stage1.blocks_consumed
+    assert approx.stage1.triggered_diag <= 1e-2
 
 
 def test_under_branch_alignment(rng):

@@ -3,9 +3,10 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from oracle_sampling import per_block_range_finder, verify_expectation_identity
-from randgsvd.problems import phillips_matrix
+from randgsvd.problems import TestProblemSpec, generate, phillips_matrix
 from randgsvd.sampling import (
     _WINDOW_MIN_BYTES,
+    _WINDOW_ROW_MULTIPLE,
     SamplerConfig,
     SamplingError,
     adaptive_range_finder,
@@ -127,11 +128,20 @@ def window_target():
     return a
 
 
-@pytest.mark.parametrize("layout", ["C", "transposed"])
+def _transposed_view(a):
+    return np.ascontiguousarray(a.T).T
+
+
+# "transposed" keeps all 18003 rows (not a multiple of 8: one block per
+# pass); "transposed-18000" drops three, which makes the view qualify
+@pytest.mark.parametrize("layout", ["C", "transposed", "transposed-18000"])
 @pytest.mark.parametrize("blocksize", [2, 3, 4, 5])
 @pytest.mark.parametrize("run", ["to_last_block", "stop_in_first_window", "max_columns"])
 def test_windowed_passes_match_per_block_oracle(window_target, layout, blocksize, run):
-    a = window_target if layout == "C" else np.ascontiguousarray(window_target.T).T
+    rows = 18000 if layout == "transposed-18000" else 18003
+    a = window_target if layout == "C" else _transposed_view(window_target[:rows])
+    assert a.nbytes >= _WINDOW_MIN_BYTES
+    assert (a.shape[0] % _WINDOW_ROW_MULTIPLE == 0) == (layout == "transposed-18000")
     epsilon = 0.3 if run == "stop_in_first_window" else 1e-11
     max_columns = 5 if run == "max_columns" else None
     cfg = SamplerConfig(epsilon=epsilon, blocksize=blocksize, seed=3, max_columns=max_columns)
@@ -151,23 +161,42 @@ def test_windowed_passes_match_per_block_oracle(window_target, layout, blocksize
         assert basis.ncols == 61 and triggered is None  # the width-1 block was used
     else:
         assert triggered is not None and blocks < 16 // blocksize  # look-ahead blocks dropped
-    if layout == "C":
-        assert basis.passes < blocks
-    else:
+    if layout == "transposed":
         assert basis.passes == blocks
+    else:
+        assert basis.passes < blocks
+
+
+@pytest.mark.parametrize(
+    "name, blocks", [("shaw", 2), ("heat", 3), ("phillips", 4)], ids=["shaw", "heat", "phillips"]
+)
+def test_row_space_sketch_of_truncated_kernel_takes_one_pass(name, blocks):
+    # stage one on the row-space branch of a row-truncated kernel (n = 2048,
+    # m = 1024): the target is the 2048-row transposed view of A, which
+    # qualifies for windows, so one pass forms every block
+    t = generate(TestProblemSpec(name=name, n=2048, m=1024)).a.T
+    assert t.flags.f_contiguous and t.nbytes >= _WINDOW_MIN_BYTES
+    cfg = SamplerConfig(epsilon=1e-2, blocksize=4, seed=5)
+    q, expected_blocks, triggered = per_block_range_finder(t, cfg)
+    basis = adaptive_range_finder(t, cfg)
+    assert_array_equal(basis.q, q)
+    assert (basis.blocks_consumed, basis.passes) == (expected_blocks, 1) == (blocks, 1)
+    assert basis.triggered_diag == triggered
 
 
 @pytest.mark.parametrize(
     "placement",
     ["nan-first", "nan-last-row", "nan-last-col", "inf", "neg-inf", "inf-pair"],
 )
-@pytest.mark.parametrize("path", ["windowed", "transposed", "gemv"])
+@pytest.mark.parametrize("path", ["windowed", "transposed", "transposed-windowed", "gemv"])
 def test_non_finite_target_rejected_from_first_block(window_target, path, placement):
     # every entry of the target enters a row of the first sketch block, so
     # that block is non-finite on each product path: a 16-column window on
-    # a C-ordered 8.4 MB target, one block per pass on a transposed view,
-    # and gemv for blocksize 1
-    a = window_target.copy() if path != "transposed" else np.ascontiguousarray(window_target.T).T
+    # a C-ordered 8.4 MB target, one block per pass on a transposed view of
+    # 18003 rows, F-ordered slices of a window on one of 18000 rows, and
+    # gemv for blocksize 1
+    rows = 18000 if path == "transposed-windowed" else 18003
+    a = _transposed_view(window_target[:rows]) if path.startswith("transposed") else window_target.copy()
     entries = {
         "nan-first": [(0, 0, np.nan)],
         "nan-last-row": [(-1, 7, np.nan)],
