@@ -16,6 +16,9 @@ Q1.T @ Q1 = S diag(psi) S.T (psi ascending in [0, 1]), the columns of
 X = R^-1 S simultaneously diagonalize both Gram matrices, alpha = sqrt(psi)
 on the branch's index window, and beta = sqrt(1 - psi) wherever psi < 1.
 
+The stack is factored in place in one F-ordered buffer, of which only Q1
+is copied out; numpy's QR of a stacked copy made about four more copies.
+
 GsvdFactors keeps U, X, alpha and beta, which every solve and selector
 reads. V1 is not formed: no routine needs it, and a caller that does gets
 it on demand as V1 = L @ X[:, :n-r] / beta, whose columns are orthonormal
@@ -154,14 +157,16 @@ def _gsvd_core(a: np.ndarray, l: np.ndarray, check_rank: bool) -> GsvdFactors:
     """Shared GSVD workhorse of gsvd_full_rank and rgsvd's compressed pair."""
     m, n = a.shape
 
-    stack = qr_reduced(np.vstack([a, l]))
-    diag_r = np.abs(np.diag(stack.r))
+    # the F-ordered stack becomes Q in place; only its top block is kept
+    qr = qr_reduced(np.concatenate((a, l), out=np.empty((m + l.shape[0], n), order="F")))
+    q1, tri = np.ascontiguousarray(qr.q[:m]), qr.r
+    del qr
+    diag_r = np.abs(np.diag(tri))
     if diag_r.size and diag_r.min() <= 1e-12 * max(1.0, diag_r.max()) * max(m + l.shape[0], n):
         raise GmpViolationError(
             "stacked pair is numerically column rank deficient (triangular factor "
             f"diagonal ratio {diag_r.min() / max(diag_r.max(), 1e-300):.3e})"
         )
-    q1 = stack.q[:m]
 
     eig = symmetric_eig(q1.T @ q1)
     psi = np.clip(eig.values, 0.0, 1.0)
@@ -184,12 +189,11 @@ def _gsvd_core(a: np.ndarray, l: np.ndarray, check_rank: bool) -> GsvdFactors:
     # the tolerant path psi can round to zero while the computed column still
     # holds rounding noise; normalizing by the computed norm keeps every
     # column at unit length instead of amplifying that noise.
-    raw_u = q1 @ svecs if tall else q1 @ svecs[:, k0:]
-    col_norms = np.linalg.norm(raw_u, axis=0)
-    u = raw_u / np.maximum(col_norms, np.finfo(float).tiny)
+    u = q1 @ svecs if tall else q1 @ svecs[:, k0:]
+    u /= np.maximum(np.linalg.norm(u, axis=0), np.finfo(float).tiny)
 
     beta = np.sqrt(1.0 - psi[: n - r])
-    x = solve_upper_triangular(stack.r, svecs)
+    x = solve_upper_triangular(tri, svecs)
 
     return GsvdFactors(
         u=u,

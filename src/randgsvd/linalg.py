@@ -87,21 +87,27 @@ class QrFactors:
 
 
 def qr_reduced(a) -> QrFactors:
-    """Reduced (economy) QR of a tall-or-square matrix.
+    """Reduced (economy) QR of a tall-or-square matrix, in place.
 
-    The factorization is normalized so that diag(r) >= 0, which makes the
-    factors unique for full-rank input and keeps golden tests deterministic
-    across LAPACK builds. Requires rows >= cols.
+    dgeqrf and dorgqr overwrite an F-ordered float64 input, which becomes q
+    (other input is copied once); work sizes are queried, as they set the
+    block size and so the bits. The factorization is normalized so that
+    diag(r) >= 0, which makes the factors unique for full-rank input and
+    keeps golden tests deterministic across LAPACK builds. Requires
+    rows >= cols.
     """
     a = as_matrix(a, "qr input")
     m, n = a.shape
     if m < n:
         raise DimensionError(f"qr_reduced requires rows >= cols, got {m}x{n}")
-    q, r = np.linalg.qr(a)
-    sign = np.sign(np.diag(r))
+    lwork = int(scipy.linalg.lapack.dgeqrf_lwork(m, n)[0])
+    qr, tau, _, _ = scipy.linalg.lapack.dgeqrf(a, lwork=lwork, overwrite_a=1)
+    sign = np.sign(np.diag(qr))
     sign[sign == 0] = 1.0
-    q = q * sign
-    r = np.triu(r * sign[:, None])
+    r = np.triu(np.multiply(qr[:n], sign[:, None], order="C"))
+    lwork = int(scipy.linalg.lapack.dorgqr(qr, tau, lwork=-1, overwrite_a=1)[1][0])
+    q = scipy.linalg.lapack.dorgqr(qr, tau, lwork=lwork, overwrite_a=1)[0]
+    q *= sign
     return QrFactors(q=q, r=r)
 
 
@@ -118,13 +124,16 @@ def symmetric_eig(s) -> SymEig:
     """Full eigendecomposition of a symmetric matrix (ascending values).
 
     The input is symmetrized internally, so tiny asymmetries from rounding
-    in products like Q^T Q are harmless.
+    in products like Q^T Q are harmless. The vectors come back C-ordered.
     """
     s = as_matrix(s, "symmetric_eig input")
     if s.shape[0] != s.shape[1]:
         raise DimensionError(f"symmetric_eig needs a square matrix, got {s.shape}")
-    w, v = np.linalg.eigh(0.5 * (s + s.T))
-    return SymEig(vectors=v, values=w)
+    t = s + s.T
+    t *= 0.5
+    # t is exactly symmetric, so its transpose is the same matrix, F-ordered
+    w, v = scipy.linalg.eigh(t.T, driver="evd", overwrite_a=True, check_finite=False)
+    return SymEig(vectors=np.ascontiguousarray(v), values=w)
 
 
 class ThinSvd(NamedTuple):

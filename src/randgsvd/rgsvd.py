@@ -160,6 +160,7 @@ def rgsvd(a, l, epsilon: float, cfg: SamplerConfig) -> ApproxGsvd:
         return _degenerate(l.shape[0], p, q, epsilon, branch, cfg.seed, stage1, stage2)
 
     a_comp = s.T @ basis2 if over else basis2.T @ s
+    del s  # A.T P or A Q, as large as A; the core needs only a_comp
     l_comp = l @ q
     # tolerant core: a tight epsilon can legitimately capture directions the
     # regularizer dominates (tiny alpha); the sketched stack stays full rank,

@@ -156,7 +156,11 @@ def gcv_truncation(source, b, *, rows: str = "projected") -> tuple[int, float]:
         if g < best_g:
             best_k, best_g = k, g
     if best_k is None:
-        raise SelectionError("GCV denominator vanished for every truncation depth")
+        hint = "; rows='ambient' counts the operator's rows instead" if rows == "projected" else ""
+        raise SelectionError(
+            f"GCV denominator vanished for every truncation depth: with rows={rows!r}, "
+            f"m_hat = {m_hat} and no depth k >= 1 leaves m_hat - kept > 0{hint}"
+        )
     return best_k, best_g
 
 

@@ -37,22 +37,42 @@ def test_as_vector_coerces_and_validates():
 
 
 def test_qr_reduced_reconstructs_with_positive_diagonal(rng):
+    # a C-ordered input is factored in a copy and left as it was
     a = rng.standard_normal((30, 12))
+    a0 = a.copy()
     f = qr_reduced(a)
+    assert not np.shares_memory(f.q, a) and np.array_equal(a, a0)
     assert f.q.shape == (30, 12) and f.r.shape == (12, 12)
     assert_allclose(f.q @ f.r, a, atol=1e-12)
     assert_allclose(f.q.T @ f.q, np.eye(12), atol=1e-12)
     assert np.all(np.diag(f.r) > 0)
+    # the same bits as from an F-ordered copy of the input
+    g = qr_reduced(np.asfortranarray(a0))
+    assert np.array_equal(f.q, g.q) and np.array_equal(f.r, g.r)
     with pytest.raises(DimensionError):
         qr_reduced(rng.standard_normal((5, 9)))
+
+
+def test_qr_reduced_factors_f_ordered_input_in_place(rng):
+    a = np.asfortranarray(rng.standard_normal((30, 12)))
+    a0 = a.copy()
+    f = qr_reduced(a)
+    assert np.shares_memory(f.q, a)  # the input's buffer became q
+    assert np.all(np.diag(f.r) >= 0)
+    assert_allclose(f.q @ f.r, a0, atol=1e-12)
+    assert_allclose(f.q.T @ f.q, np.eye(12), atol=1e-12)
 
 
 def test_symmetric_eig_orders_ascending(rng):
     s = rng.standard_normal((9, 9))
     s = s + s.T
+    s0 = s.copy()
     eig = symmetric_eig(s)
+    assert np.array_equal(s, s0)
     assert np.all(np.diff(eig.values) >= 0)
+    assert eig.vectors.flags.c_contiguous
     assert_allclose(eig.vectors @ np.diag(eig.values) @ eig.vectors.T, s, atol=1e-11)
+    assert_allclose(eig.vectors.T @ eig.vectors, np.eye(9), atol=1e-12)
 
 
 def test_thin_svd_shapes_and_order(rng):
