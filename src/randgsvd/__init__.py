@@ -39,7 +39,6 @@ from .problems import (
     add_noise,
     first_difference,
     generate,
-    make_underdetermined,
     parallel_tomo,
     phantom,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "generate",
     "gsvd_full_rank",
     "lcurve_lambda",
-    "make_underdetermined",
     "parallel_tomo",
     "phantom",
     "read_report",

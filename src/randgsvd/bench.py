@@ -3,11 +3,10 @@ select the regularization parameter, and emit a deterministic CSV report
 plus optional solution dumps for plotting.
 
 Method tags:
-  gsvd        dense factor-and-filter solve (tolerant of numerical rank loss)
-  tgsvd       truncated expansion; k picked by discrete GCV or fixed
-  rgsvd_alg3  two-sided sketched solve, overdetermined/square orientation
-  rgsvd_alg4  two-sided sketched solve, underdetermined orientation
-  exact       stacked direct solve at a fixed lambda (no selection rule)
+  gsvd   dense factor-and-filter solve (tolerant of numerical rank loss)
+  tgsvd  truncated expansion; k picked by discrete GCV or fixed
+  rgsvd  two-sided sketched solve; the branch follows A's shape
+  exact  stacked direct solve at a fixed lambda (no selection rule)
 
 Failures for a single (problem, method, seed) combination are captured as
 rows with NaN lambda/rel_error that carry the error; the run continues.
@@ -33,9 +32,8 @@ from .tikhonov import (
     solve_rgsvd,
     solve_tgsvd,
 )
-from . import matio
 
-METHODS = ("gsvd", "tgsvd", "rgsvd_alg3", "rgsvd_alg4", "exact")
+METHODS = ("gsvd", "tgsvd", "rgsvd", "exact")
 SELECTORS = ("gcv", "lcurve", "fixed")
 CSV_HEADER = "problem,method,selector,lambda,rel_error,wall_time_s,l1,l2,seed"
 
@@ -72,7 +70,7 @@ class BenchConfig:
     truncation index for tgsvd) when selector='fixed'."""
 
     problems: tuple = QUADRATURE_PROBLEMS
-    methods: tuple = ("rgsvd_alg3",)
+    methods: tuple = ("rgsvd",)
     n: int = 2048
     m: int | None = None
     delta: float = 1e-3
@@ -184,13 +182,8 @@ def _run_dense(
 
 
 def _run_sketched(
-    prob: TikhonovProblem, method: str, cfg: BenchConfig, seed: int
+    prob: TikhonovProblem, cfg: BenchConfig, seed: int
 ) -> tuple[RegularizedSolution, float, int, int]:
-    m, _, n = prob.shape
-    if method == "rgsvd_alg3" and m < n:
-        raise ValueError("rgsvd_alg3 needs m >= n; use rgsvd_alg4")
-    if method == "rgsvd_alg4" and m >= n:
-        raise ValueError("rgsvd_alg4 needs m < n; use rgsvd_alg3")
     # Stage two resamples a matrix whose rank stage one already pinned at
     # l1, so its Frobenius-tail trigger fires a few columns early at the
     # stage-one tolerance. The benchmark drives stage two to saturation
@@ -231,6 +224,7 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRecord]:
         for method in cfg.methods:
             for seed in cfg.seeds:
                 t_all = time.perf_counter()
+                error = None
                 try:
                     prob = problems.instance(cfg, name, seed)
                     l1 = l2 = 0
@@ -240,49 +234,49 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRecord]:
                     elif method == "exact":
                         sol, elapsed = _run_exact(prob, cfg)
                     else:
-                        sol, elapsed, l1, l2 = _run_sketched(prob, method, cfg, seed)
-                    rec = BenchRecord(
+                        sol, elapsed, l1, l2 = _run_sketched(prob, cfg, seed)
+                    lam = float(sol.lam)
+                    rel_error = float("nan") if sol.rel_error is None else sol.rel_error
+                    if cfg.dump_dir is not None:
+                        _dump_solution(cfg.dump_dir, prob, name, method, seed, sol)
+                except Exception as exc:
+                    error = f"{type(exc).__name__}: {exc}"
+                    lam = rel_error = float("nan")
+                    l1 = l2 = 0
+                    elapsed = time.perf_counter() - t_all
+                records.append(
+                    BenchRecord(
                         problem=name,
                         method=method,
                         selector=cfg.selector,
-                        lam=float(sol.lam),
-                        rel_error=float("nan") if sol.rel_error is None else sol.rel_error,
+                        lam=lam,
+                        rel_error=rel_error,
                         wall_time_s=max(elapsed, 1e-9),
                         l1=l1,
                         l2=l2,
                         seed=seed,
+                        error=error,
                     )
-                    if cfg.dump_dir is not None:
-                        _dump_solution(cfg.dump_dir, prob, rec, sol)
-                except Exception as exc:
-                    rec = BenchRecord(
-                        problem=name,
-                        method=method,
-                        selector=cfg.selector,
-                        lam=float("nan"),
-                        rel_error=float("nan"),
-                        wall_time_s=max(time.perf_counter() - t_all, 1e-9),
-                        l1=0,
-                        l2=0,
-                        seed=seed,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                records.append(rec)
+                )
     records.sort(key=lambda r: (r.problem, r.method, r.seed))
     if cfg.output_path is not None:
         emit_report(records, cfg.output_path)
     return records
 
 
-def _dump_solution(dump_dir, prob: TikhonovProblem, rec: BenchRecord, sol) -> None:
-    pdir = os.path.join(dump_dir, rec.problem)
+def _write_vector(path, v) -> None:
+    """One repr float per line, so the values parse back bit for bit."""
+    with open(path, "w") as fh:
+        fh.writelines(f"{float(x)!r}\n" for x in v)
+
+
+def _dump_solution(dump_dir, prob: TikhonovProblem, name, method, seed, sol) -> None:
+    pdir = os.path.join(dump_dir, name)
     os.makedirs(pdir, exist_ok=True)
     truth = os.path.join(pdir, "x_true.csv")
     if prob.x_true is not None and not os.path.exists(truth):
-        matio.write_vector_csv(truth, prob.x_true)
-    matio.write_vector_csv(
-        os.path.join(pdir, f"{rec.method}_seed{rec.seed}.csv"), sol.x
-    )
+        _write_vector(truth, prob.x_true)
+    _write_vector(os.path.join(pdir, f"{method}_seed{seed}.csv"), sol.x)
 
 
 def _fmt(x: float) -> str:

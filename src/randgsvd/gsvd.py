@@ -128,11 +128,6 @@ class GsvdFactors:
         alpha = 0)."""
         return 0 if self.branch == "tall" else self.n - self.u.shape[0]
 
-    @property
-    def x_cols(self) -> np.ndarray:
-        """Columns of x aligned with the alpha entries."""
-        return self.x if self.branch == "tall" else self.x[:, self.offset :]
-
     def gamma(self) -> np.ndarray:
         """Generalized values alpha_i / beta_i aligned with alpha
         (np.inf where beta = 0)."""

@@ -1,6 +1,7 @@
 """Test-problem generators: seven classic first-kind Fredholm
-discretizations, the first-difference regularizer, noise injection,
-underdetermined row truncation, and a parallel-beam tomography operator.
+discretizations (square, or row-truncated to an underdetermined variant),
+the first-difference regularizer, noise injection, and a parallel-beam
+tomography operator.
 
 The Fredholm problems follow the standard Regularization Tools
 discretizations: midpoint quadrature for the kernels evaluated pointwise
@@ -20,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from . import matio
-from .linalg import CsrMatrix, as_vector, dense
+from .linalg import CsrMatrix, as_vector
 from .tikhonov import TikhonovProblem
 
 _MASK64 = (1 << 64) - 1
@@ -250,25 +250,6 @@ def add_noise(b, delta: float, seed: int) -> np.ndarray:
     return b + delta * np.linalg.norm(b) * zeta / norm
 
 
-def make_underdetermined(prob: TikhonovProblem, m: int, seed: int = 0) -> TikhonovProblem:
-    """Keep the first m rows of the operator and data; the regularizer and
-    x_true are untouched. The construction (and seed argument, kept for
-    provenance) is recorded in the metadata."""
-    n = prob.a.shape[1]
-    if m >= prob.a.shape[0]:
-        raise ValueError(f"m must be smaller than the current row count, got m={m}")
-    meta = dict(prob.meta or {})
-    meta.update({"construction": "row-truncation", "m": m, "truncation_seed": seed})
-    return TikhonovProblem(
-        a=prob.a[:m].copy(),
-        l=prob.l,
-        b=prob.b[:m].copy(),
-        x_true=prob.x_true,
-        delta=prob.delta,
-        meta=meta,
-    )
-
-
 def generate(spec: TestProblemSpec) -> TikhonovProblem:
     """Build the instance a TestProblemSpec describes.
 
@@ -432,32 +413,3 @@ def _generate_tomo(spec: TestProblemSpec) -> TikhonovProblem:
         meta=meta,
     )
 
-
-def export_problem(directory, prob: TikhonovProblem) -> None:
-    """Write a problem as a Matrix Market + CSV bundle (a.mtx, l.mtx,
-    b.csv, x_true.csv); a sparse regularizer is written as a dense array."""
-    import os
-
-    os.makedirs(directory, exist_ok=True)
-    matio.write_matrix_mm(os.path.join(directory, "a.mtx"), prob.a)
-    matio.write_matrix_mm(os.path.join(directory, "l.mtx"), dense(prob.l))
-    matio.write_vector_csv(os.path.join(directory, "b.csv"), prob.b)
-    if prob.x_true is not None:
-        matio.write_vector_csv(os.path.join(directory, "x_true.csv"), prob.x_true)
-
-
-def import_problem(directory, delta: float = 0.0) -> TikhonovProblem:
-    """Read a bundle written by export_problem (or by an external toolbox
-    using the same layout)."""
-    import os
-
-    x_path = os.path.join(directory, "x_true.csv")
-    x_true = matio.read_vector_csv(x_path) if os.path.exists(x_path) else None
-    return TikhonovProblem(
-        a=matio.read_matrix_mm(os.path.join(directory, "a.mtx")),
-        l=matio.read_matrix_mm(os.path.join(directory, "l.mtx")),
-        b=matio.read_vector_csv(os.path.join(directory, "b.csv")),
-        x_true=x_true,
-        delta=delta,
-        meta={"source": str(directory)},
-    )

@@ -80,39 +80,15 @@ class ApproxGsvd:
     def is_degenerate(self) -> bool:
         return self.inner is None
 
-    @property
-    def alpha(self) -> np.ndarray:
-        return self.inner.alpha if self.inner is not None else np.empty(0)
-
-    @property
-    def beta(self) -> np.ndarray:
-        return self.inner.beta if self.inner is not None else np.empty(0)
-
-
-def _degenerate(p_rows, basis_p, basis_q, epsilon, branch, seed, stage1, stage2) -> ApproxGsvd:
-    return ApproxGsvd(
-        p=basis_p,
-        q=basis_q,
-        a_comp=np.empty((basis_p.shape[1], basis_q.shape[1])),
-        l_comp=np.empty((p_rows, basis_q.shape[1])),
-        inner=None,
-        l1=0,
-        l2=0,
-        epsilon=epsilon,
-        branch=branch,
-        seed=seed,
-        stage1=stage1,
-        stage2=stage2,
-    )
-
 
 def rgsvd(a, l, epsilon: float, cfg: SamplerConfig) -> ApproxGsvd:
     """Two-sided randomized GSVD of the pair {a, l}.
 
     Stage one sketches t = a (rows >= cols) or t = a.T (rows < cols) to
-    tolerance epsilon (basis B1, l1 columns); stage two sketches t.T @ B1
-    (basis B2, l2 <= l1 columns, fresh seed derived from cfg.seed,
-    tolerance cfg.stage2_epsilon or epsilon). The compressed pair
+    tolerance epsilon, which must equal cfg.epsilon (basis B1, l1
+    columns); stage two sketches t.T @ B1 (basis B2, l2 <= l1 columns,
+    fresh seed derived from cfg.seed, tolerance cfg.stage2_epsilon or
+    epsilon). The compressed pair
     {P.T A Q, L Q} -- l1 x l2 and full column rank w.p. 1 on branch
     "over", l2 x l1 and full row rank w.p. 1 on branch "under", where it
     lands on the wide GSVD branch whenever l2 < l1 -- goes through the
@@ -131,8 +107,8 @@ def rgsvd(a, l, epsilon: float, cfg: SamplerConfig) -> ApproxGsvd:
     m, n = a.shape
     if l.shape[1] != n:
         raise DimensionError(f"regularizer columns {l.shape[1]} != {n}")
-    if not (epsilon > 0.0):
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if epsilon != cfg.epsilon:
+        raise ValueError(f"epsilon {epsilon} differs from the sampler's {cfg.epsilon}")
     over = m >= n
     branch = "over" if over else "under"
 
@@ -156,21 +132,26 @@ def rgsvd(a, l, epsilon: float, cfg: SamplerConfig) -> ApproxGsvd:
         basis2 = stage2.q
     l2 = basis2.shape[1]
     p, q = (basis1, basis2) if over else (basis2, basis1)
-    if l2 == 0:
-        return _degenerate(l.shape[0], p, q, epsilon, branch, cfg.seed, stage1, stage2)
-
-    a_comp = s.T @ basis2 if over else basis2.T @ s
-    del s  # A.T P or A Q, as large as A; the core needs only a_comp
-    l_comp = l @ q
-    # tolerant core: a tight epsilon can legitimately capture directions the
-    # regularizer dominates (tiny alpha); the sketched stack stays full rank,
-    # so the solve is well-posed and the filters damp those directions
+    if l2:
+        a_comp = s.T @ basis2 if over else basis2.T @ s
+        del s  # A.T P or A Q, as large as A; the core needs only a_comp
+        l_comp = l @ q
+        # tolerant core: a tight epsilon can legitimately capture directions
+        # the regularizer dominates (tiny alpha); the sketched stack stays
+        # full rank, so the solve is well-posed and the filters damp those
+        # directions
+        inner = _gsvd_core(a_comp, l_comp, check_rank=False)
+    else:  # degenerate: no core to factor, and both counts read 0
+        a_comp = np.empty((p.shape[1], q.shape[1]))
+        l_comp = np.empty((l.shape[0], q.shape[1]))
+        inner = None
+        l1 = 0
     return ApproxGsvd(
         p=p,
         q=q,
         a_comp=a_comp,
         l_comp=l_comp,
-        inner=_gsvd_core(a_comp, l_comp, check_rank=False),
+        inner=inner,
         l1=l1,
         l2=l2,
         epsilon=epsilon,

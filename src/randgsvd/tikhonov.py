@@ -41,8 +41,8 @@ class TikhonovProblem:
 
     l may be a scipy.sparse matrix; it is kept sparse (as a CsrMatrix,
     with its stored values checked) and only the dense routes densify it:
-    the stack-rank check (n <= GMP_CHECK_MAX_N), GmpPair, solve_exact,
-    the error bounds and export_problem. x_true may be None for real data;
+    the stack-rank check (n <= GMP_CHECK_MAX_N), GmpPair, solve_exact
+    and the error bounds. x_true may be None for real data;
     delta records the relative noise level used to synthesize b (0.0
     means b is clean). meta carries free-form provenance notes (problem
     name, truncation, ...).

@@ -23,9 +23,9 @@ def v1_factor(factors, l):
 
 def reconstruct(factors, pair) -> tuple[float, float]:
     """Frobenius residuals of the two diagonalization identities:
-    (|U.T A Xcols - diag(alpha)|_F, |V1.T L X1 - diag(beta)|_F)."""
+    (|U.T A X[:, offset:] - diag(alpha)|_F, |V1.T L X1 - diag(beta)|_F)."""
     a, l = pair.a, pair.l
-    err_a = np.linalg.norm(factors.u.T @ a @ factors.x_cols - np.diag(factors.alpha))
+    err_a = np.linalg.norm(factors.u.T @ a @ factors.x[:, factors.offset :] - np.diag(factors.alpha))
     nb = factors.beta.shape[0]
     err_l = np.linalg.norm(
         v1_factor(factors, l).T @ l @ factors.x[:, :nb] - np.diag(factors.beta)

@@ -15,7 +15,6 @@ import pytest
 from bench_records import records_equal, strip_timings
 from oracle_gsvd import reconstruct
 from oracle_sampling import verify_expectation_identity
-from randgsvd import matio
 from randgsvd.bench import BenchConfig, read_report, run_benchmark
 from randgsvd.bounds import error_bound_diagnostics
 from randgsvd.gsvd import GmpPair, gsvd_full_rank
@@ -307,7 +306,7 @@ def test_criterion_09_tomography():
 def test_criterion_10_deterministic_reruns(tmp_path):
     cfg = dict(
         problems=("shaw", "gravity"),
-        methods=("gsvd", "rgsvd_alg3"),
+        methods=("gsvd", "rgsvd"),
         n=64,
         delta=1e-3,
         epsilon=1e-2,

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 from bench_records import records_equal, strip_timings
-from randgsvd import matio
 from randgsvd.bench import (
     CSV_HEADER,
     BenchConfig,
@@ -14,12 +14,13 @@ from randgsvd.bench import (
     run_benchmark,
 )
 from randgsvd.cli import config_from_args, main, parse_selector, read_config_file
+from randgsvd.problems import TestProblemSpec, generate
 
 FAST = dict(n=32, delta=1e-3, epsilon=1e-2, blocksize=4)
 
 
 def test_records_sorted_and_complete():
-    cfg = BenchConfig(problems=("shaw", "gravity"), methods=("gsvd", "rgsvd_alg3"), seeds=(1, 0), **FAST)
+    cfg = BenchConfig(problems=("shaw", "gravity"), methods=("gsvd", "rgsvd"), seeds=(1, 0), **FAST)
     records = run_benchmark(cfg)
     assert len(records) == 2 * 2 * 2
     keys = [(r.problem, r.method, r.seed) for r in records]
@@ -35,7 +36,7 @@ def test_records_sorted_and_complete():
 
 
 def test_csv_round_trip_exact(tmp_path):
-    cfg = BenchConfig(problems=("shaw",), methods=("gsvd", "rgsvd_alg3"), seeds=(0, 3), **FAST)
+    cfg = BenchConfig(problems=("shaw",), methods=("gsvd", "rgsvd"), seeds=(0, 3), **FAST)
     records = run_benchmark(cfg)
     path = tmp_path / "report.csv"
     emit_report(records, path)
@@ -45,23 +46,27 @@ def test_csv_round_trip_exact(tmp_path):
 
 
 def test_reruns_are_deterministic_modulo_timing():
-    cfg = BenchConfig(problems=("gravity",), methods=("rgsvd_alg3", "gsvd"), seeds=(0, 1), **FAST)
+    cfg = BenchConfig(problems=("gravity",), methods=("rgsvd", "gsvd"), seeds=(0, 1), **FAST)
     first = strip_timings(run_benchmark(cfg))
     second = strip_timings(run_benchmark(cfg))
     assert records_equal(first, second)
 
 
-def test_wrong_orientation_becomes_failure_row():
-    # rgsvd_alg4 requires m < n; on the square instance the row fails but the
-    # run carries on and the companion method still reports
-    cfg = BenchConfig(problems=("shaw",), methods=("rgsvd_alg4", "gsvd"), seeds=(0,), **FAST)
+def test_failing_combination_becomes_failure_row():
+    # tgsvd has no L-curve rule; its row fails but the run carries on and
+    # the companion method still reports
+    cfg = BenchConfig(
+        problems=("shaw",), methods=("tgsvd", "rgsvd"), selector="lcurve", seeds=(0,), **FAST
+    )
     records = run_benchmark(cfg)
     by_method = {r.method: r for r in records}
-    assert by_method["rgsvd_alg4"].failed
-    assert by_method["rgsvd_alg4"].error == "ValueError: rgsvd_alg4 needs m < n; use rgsvd_alg3"
-    assert math.isnan(by_method["rgsvd_alg4"].lam)
-    assert not by_method["gsvd"].failed
-    assert by_method["gsvd"].error is None
+    assert by_method["tgsvd"].failed
+    assert by_method["tgsvd"].error == "ValueError: tgsvd supports selectors 'gcv' and 'fixed' only"
+    assert math.isnan(by_method["tgsvd"].lam) and math.isnan(by_method["tgsvd"].rel_error)
+    assert (by_method["tgsvd"].l1, by_method["tgsvd"].l2) == (0, 0)
+    assert not by_method["rgsvd"].failed
+    assert by_method["rgsvd"].error is None
+    assert by_method["rgsvd"].l1 >= 1 and by_method["rgsvd"].rel_error < 1.0
 
 
 def test_problem_without_x_true_is_not_a_failure(monkeypatch):
@@ -74,14 +79,14 @@ def test_problem_without_x_true_is_not_a_failure(monkeypatch):
     monkeypatch.setattr(
         bench, "generate", lambda spec: dataclasses.replace(real_generate(spec), x_true=None)
     )
-    cfg = BenchConfig(problems=("shaw",), methods=("gsvd", "rgsvd_alg3"), seeds=(0,), **FAST)
+    cfg = BenchConfig(problems=("shaw",), methods=("gsvd", "rgsvd"), seeds=(0,), **FAST)
     for rec in run_benchmark(cfg):
         assert not rec.failed and rec.error is None
         assert math.isnan(rec.rel_error) and rec.lam > 0
 
 
 def test_underdetermined_route():
-    cfg = BenchConfig(problems=("gravity",), methods=("rgsvd_alg4",), seeds=(0,), m=24, **FAST)
+    cfg = BenchConfig(problems=("gravity",), methods=("rgsvd",), seeds=(0,), m=24, **FAST)
     records = run_benchmark(cfg)
     assert len(records) == 1 and not records[0].failed
     assert records[0].rel_error < 1.0
@@ -115,15 +120,17 @@ def test_tgsvd_fixed_truncation():
 def test_dumped_solutions_recompute_rel_error(tmp_path):
     cfg = BenchConfig(
         problems=("shaw",),
-        methods=("gsvd", "rgsvd_alg3"),
+        methods=("gsvd", "rgsvd"),
         seeds=(2,),
         dump_dir=str(tmp_path),
         **FAST,
     )
     records = run_benchmark(cfg)
-    x_true = matio.read_vector_csv(tmp_path / "shaw" / "x_true.csv")
+    x_true = np.loadtxt(tmp_path / "shaw" / "x_true.csv")
+    # one repr float per line parses back bit for bit
+    assert_array_equal(x_true, generate(TestProblemSpec(name="shaw", n=FAST["n"])).x_true)
     for rec in records:
-        x = matio.read_vector_csv(tmp_path / "shaw" / f"{rec.method}_seed{rec.seed}.csv")
+        x = np.loadtxt(tmp_path / "shaw" / f"{rec.method}_seed{rec.seed}.csv")
         rel = np.linalg.norm(x - x_true) / np.linalg.norm(x_true)
         assert rel == pytest.approx(rec.rel_error, rel=1e-10)
 
@@ -157,6 +164,10 @@ def test_config_validation():
         BenchConfig(methods=())
     with pytest.raises(ValueError):
         BenchConfig(methods=("newton",))
+    # one sketched tag serves both orientations; the old ones are gone
+    for tag in ("rgsvd_alg3", "rgsvd_alg4"):
+        with pytest.raises(ValueError, match="unknown method"):
+            BenchConfig(methods=(tag,))
     with pytest.raises(ValueError):
         BenchConfig(selector="aic")
     with pytest.raises(ValueError):
@@ -229,10 +240,14 @@ def test_main_exit_codes(tmp_path, capsys):
     assert ok == 0
     assert len(read_report(out)) == 1
     assert "ok" in capsys.readouterr().out
-    bad = main(["--problems", "shaw", "--method", "rgsvd_alg4", "--n", "32", "--seeds", "0"])
+    bad = main(
+        ["--problems", "shaw", "--method", "tgsvd", "--selector", "lcurve", "--n", "32", "--seeds", "0"]
+    )
     assert bad == 1
     out = capsys.readouterr().out
-    assert "FAIL" in out and "error=ValueError: rgsvd_alg4 needs m < n" in out
+    assert "FAIL" in out and "error=ValueError: tgsvd supports selectors" in out
+    assert main(["--method", "rgsvd_alg3", "--n", "32"]) == 2
+    assert "unknown method 'rgsvd_alg3'" in capsys.readouterr().err
     assert main(["--selector", "huh", "--n", "32"]) == 2
     capsys.readouterr()
     assert main(["--bogus"]) == 2

@@ -14,7 +14,7 @@ from randgsvd.problems import first_difference
 def _check_identities(pair, factors, tol=1e-10):
     m, p, n = pair.shape
     scale = max(np.linalg.norm(pair.a), np.linalg.norm(pair.l), 1.0)
-    d1 = factors.u.T @ pair.a @ factors.x_cols
+    d1 = factors.u.T @ pair.a @ factors.x[:, factors.offset :]
     assert np.linalg.norm(d1 - np.diag(factors.alpha)) <= tol * scale
     nb = factors.beta.size
     v1 = v1_factor(factors, pair.l)

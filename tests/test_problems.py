@@ -10,14 +10,11 @@ from randgsvd.problems import (
     add_noise,
     baart_matrix,
     deriv2_matrix,
-    export_problem,
     first_difference,
     foxgood_matrix,
     generate,
     gravity_matrix,
     heat_matrix,
-    import_problem,
-    make_underdetermined,
     parallel_tomo,
     phantom,
     phillips_matrix,
@@ -150,18 +147,6 @@ def test_generate_underdetermined_truncates_clean_rows():
     assert rel == pytest.approx(1e-2, rel=1e-12)
 
 
-def test_make_underdetermined(rng):
-    prob = generate(TestProblemSpec(name="shaw", n=32, delta=1e-3, seed=1))
-    down = make_underdetermined(prob, 20)
-    assert down.a.shape == (20, 32)
-    assert_array_equal(down.a, prob.a[:20])
-    assert_array_equal(down.b, prob.b[:20])
-    assert_array_equal(down.l.toarray(), prob.l.toarray())
-    assert down.meta["m"] == 20
-    with pytest.raises(ValueError):
-        make_underdetermined(prob, 32)
-
-
 def test_first_difference_operator():
     l = first_difference(6)
     assert l.shape == (5, 6)
@@ -248,13 +233,3 @@ def test_generate_tomo_instance():
     assert prob.l.shape == (35, 36)
     assert_array_equal(prob.b, prob.a @ prob.x_true)
     assert prob.meta["rays"] == 24
-
-
-def test_export_import_round_trip(tmp_path):
-    prob = generate(TestProblemSpec(name="foxgood", n=24, delta=1e-3, seed=2))
-    export_problem(tmp_path / "bundle", prob)
-    back = import_problem(tmp_path / "bundle", delta=1e-3)
-    assert_array_equal(back.b, prob.b)
-    assert_array_equal(back.x_true, prob.x_true)
-    assert_allclose(back.a, prob.a, atol=1e-15)
-    assert_allclose(back.l, prob.l.toarray(), atol=1e-15)

@@ -29,6 +29,15 @@ def test_dispatch_matches_orientation(rng):
     assert approx2.branch == "under"
 
 
+def test_epsilon_must_match_sampler(rng):
+    # stage one runs at the epsilon argument, so a sampler asking for a
+    # different tolerance would be ignored without a word
+    a = _decaying(rng, 40, 30)
+    l = rng.standard_normal((29, 30))
+    with pytest.raises(ValueError, match="differs from the sampler"):
+        rgsvd(a, l, 1e-2, SamplerConfig(epsilon=1e-4, blocksize=4, seed=0))
+
+
 # entries set to a non-finite value, as (row, column, value) triples
 POISON = {
     "nan": [(3, 2, np.nan)],
@@ -93,9 +102,10 @@ def test_sparse_regularizer_matches_dense_bitwise(rows):
     sparse, dense = (rgsvd(a, reg, 1e-6, cfg) for reg in (l, l.toarray()))
     assert sparse.branch == ("over" if rows == 64 else "under")
     assert sparse.l2 > 0
-    for field in ("p", "q", "a_comp", "l_comp", "alpha", "beta"):
+    for field in ("p", "q", "a_comp", "l_comp"):
         assert_array_equal(getattr(sparse, field), getattr(dense, field))
-    assert_array_equal(sparse.inner.x, dense.inner.x)
+    for field in ("u", "x", "alpha", "beta"):
+        assert_array_equal(getattr(sparse.inner, field), getattr(dense.inner, field))
 
 
 def test_sketched_identities_hold(rng):

@@ -3,7 +3,7 @@ import pytest
 
 from randgsvd.gsvd import GmpPair, GsvdFactors, gsvd_full_rank
 from randgsvd.linalg import DimensionError
-from randgsvd.problems import TestProblemSpec, add_noise, generate, make_underdetermined
+from randgsvd.problems import TestProblemSpec, add_noise, generate
 from randgsvd.rgsvd import rgsvd
 from randgsvd.sampling import SamplerConfig
 from randgsvd.selection import (
@@ -124,7 +124,7 @@ def test_truncation_gcv_names_projected_row_count_on_single_column_sketch():
     # deriv2 row-truncated to m = 256 keeps one column in each stage at sketch
     # seed 1: with rows="projected", m_hat = 1 and every depth k >= 1 keeps
     # at least one direction, so no depth leaves a degree of freedom
-    prob = make_underdetermined(generate(TestProblemSpec(name="deriv2", n=512, delta=0.0)), 256)
+    prob = generate(TestProblemSpec(name="deriv2", n=512, m=256))
     b = add_noise(prob.b, 1e-3, 1)
     cfg = SamplerConfig(epsilon=1e-2, blocksize=4, seed=1, stage2_epsilon=1e-8)
     approx = rgsvd(prob.a, prob.l, 1e-2, cfg)
