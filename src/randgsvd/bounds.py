@@ -33,13 +33,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gsvd import GmpPair, gsvd_full_rank
-from .linalg import dense, smallest_singular_value, spectral_norm
+from .gsvd import _gsvd_core
+from .linalg import dense
 from .rgsvd import ApproxGsvd
 from .tikhonov import TikhonovProblem, solve_exact, solve_rgsvd
 
 SCALE_GUARD_MAX_N = 512
 _C0 = (1.0 + np.sqrt(5.0)) / 2.0
+
+
+def _sv(a: np.ndarray) -> np.ndarray:
+    """Singular values of a, descending; [0.0] for an empty matrix, so
+    _sv(a)[0] is the 2-norm and _sv(a)[-1] the smallest singular value."""
+    return np.linalg.svd(a, compute_uv=False) if a.size else np.zeros(1)
 
 
 @dataclass(frozen=True)
@@ -93,34 +99,33 @@ def error_bound_diagnostics(
 
     q = approx.q
     pb = approx.p
-    gamma1 = spectral_norm(l - (l @ q) @ q.T)
-    stacked = np.vstack([a, lam * l])
-    pinv_norm = 1.0 / smallest_singular_value(stacked)
+    gamma1 = _sv(l - (l @ q) @ q.T)[0]
+    stacked_sv = _sv(np.vstack([a, lam * l]))
+    pinv_norm = 1.0 / stacked_sv[-1]
 
     if approx.branch == "over":
         pa = pb @ (pb.T @ a)
-        eps1 = spectral_norm(a - pa)
+        eps1 = _sv(a - pa)[0]
         pta = pb.T @ a
-        eps2 = spectral_norm(pta - (pta @ q) @ q.T)
+        eps2 = _sv(pta - (pta @ q) @ q.T)[0]
         eps_used = max(epsilon, eps1, eps2)
-        xi = 1.0 / smallest_singular_value(np.vstack([pa, lam * l]))
+        xi = 1.0 / _sv(np.vstack([pa, lam * l]))[-1]
         rhs = eps_used * (_C0 * xi**2 * nu + np.sqrt(2.0) * xi * pinv_norm * nu)
         rhs += _C0 * lam * gamma1 * xi**2 * nu
         gamma2 = 0.0
     else:
         aq = a @ q
-        eps1 = spectral_norm(a - aq @ q.T)
-        eps2 = spectral_norm(aq - pb @ (pb.T @ aq))
+        eps1 = _sv(a - aq @ q.T)[0]
+        eps2 = _sv(aq - pb @ (pb.T @ aq))[0]
         eps_used = max(epsilon, eps1, eps2)
         pa = pb @ (pb.T @ a)
-        xi = 1.0 / smallest_singular_value(np.vstack([pa, lam * l]))
-        ambient = gsvd_full_rank(GmpPair(a, l), check_rank=False)
-        x_all = ambient.x
+        xi = 1.0 / _sv(np.vstack([pa, lam * l]))[-1]
+        # the problem already validated the pair and checked its stack rank
+        x_all = _gsvd_core(a, l, check_rank=False).x
         x1 = x_all[:, : max(n - approx.l1, 0)]
-        gamma2 = spectral_norm(x1) / smallest_singular_value(x_all)
-        stack_norm = spectral_norm(stacked)
+        gamma2 = _sv(x1)[0] / _sv(x_all)[-1]
         rhs = _C0 * eps2 * xi * pinv_norm * nu
-        rhs += _C0 * (eps1 + lam * gamma1 + gamma2 * stack_norm) * pinv_norm**2 * nu
+        rhs += _C0 * (eps1 + lam * gamma1 + gamma2 * stacked_sv[0]) * pinv_norm**2 * nu
         rhs += gamma2
 
     return ErrorBoundDiagnostics(

@@ -149,13 +149,17 @@ class GsvdFactors:
 
 
 def _gsvd_core(a: np.ndarray, l: np.ndarray, check_rank: bool) -> GsvdFactors:
-    """Shared GSVD workhorse of gsvd_full_rank and rgsvd's compressed pair."""
+    """Shared GSVD workhorse of gsvd_full_rank, rgsvd's compressed pair and
+    the error bounds' ambient pair. Trusts its input: a and l are dense,
+    finite float64 arrays with matching column counts whose stack has at
+    least as many rows as columns; an exactly singular triangular factor
+    is refused by the diagonal-ratio check below."""
     m, n = a.shape
 
     # the F-ordered stack becomes Q in place; only its top block is kept
-    qr = qr_reduced(np.concatenate((a, l), out=np.empty((m + l.shape[0], n), order="F")))
-    q1, tri = np.ascontiguousarray(qr.q[:m]), qr.r
-    del qr
+    q, tri = qr_reduced(np.concatenate((a, l), out=np.empty((m + l.shape[0], n), order="F")))
+    q1 = np.ascontiguousarray(q[:m])
+    del q
     diag_r = np.abs(np.diag(tri))
     if diag_r.size and diag_r.min() <= 1e-12 * max(1.0, diag_r.max()) * max(m + l.shape[0], n):
         raise GmpViolationError(
@@ -163,9 +167,8 @@ def _gsvd_core(a: np.ndarray, l: np.ndarray, check_rank: bool) -> GsvdFactors:
             f"diagonal ratio {diag_r.min() / max(diag_r.max(), 1e-300):.3e})"
         )
 
-    eig = symmetric_eig(q1.T @ q1)
-    psi = np.clip(eig.values, 0.0, 1.0)
-    svecs = eig.vectors
+    psi, svecs = symmetric_eig(q1.T @ q1)
+    psi = np.clip(psi, 0.0, 1.0)
 
     tol = 1e-12 * n
     r = int(np.count_nonzero(psi > 1.0 - tol))

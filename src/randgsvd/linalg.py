@@ -4,17 +4,14 @@ Everything operates on plain float64 numpy arrays: matrices are 2-D,
 vectors 1-D, all entries finite. The one exception is an operator that
 only ever multiplies (the regularizer L): it may stay a scipy.sparse
 matrix, validated by as_operator and densified by dense only where dense
-factorizations need it. The factorizations are thin wrappers
-around LAPACK (through numpy/scipy) that pin down the conventions the
-rest of the package relies on: nonnegative R diagonal in QR, ascending
-eigenvalues, descending singular values, and an explicit relative rank
-cutoff for pseudo-inverse applications.
+factorizations need it. The validators (as_matrix, as_operator,
+as_vector) run at the package's entry points only. The factorizations
+below serve the core GSVD, which hands them arrays it has just formed,
+so they check nothing: they are thin wrappers around LAPACK that pin down
+a nonnegative R diagonal in QR and ascending eigenvalues.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -77,29 +74,16 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class QrFactors:
-    """Reduced QR factors; q has orthonormal columns, r is upper triangular
-    with a nonnegative diagonal."""
-
-    q: np.ndarray
-    r: np.ndarray
-
-
-def qr_reduced(a) -> QrFactors:
-    """Reduced (economy) QR of a tall-or-square matrix, in place.
+def qr_reduced(a) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced (economy) QR (q, r) of a matrix with rows >= cols, in place.
 
     dgeqrf and dorgqr overwrite an F-ordered float64 input, which becomes q
     (other input is copied once); work sizes are queried, as they set the
     block size and so the bits. The factorization is normalized so that
     diag(r) >= 0, which makes the factors unique for full-rank input and
-    keeps golden tests deterministic across LAPACK builds. Requires
-    rows >= cols.
+    keeps golden tests deterministic across LAPACK builds.
     """
-    a = as_matrix(a, "qr input")
     m, n = a.shape
-    if m < n:
-        raise DimensionError(f"qr_reduced requires rows >= cols, got {m}x{n}")
     lwork = int(scipy.linalg.lapack.dgeqrf_lwork(m, n)[0])
     qr, tau, _, _ = scipy.linalg.lapack.dgeqrf(a, lwork=lwork, overwrite_a=1)
     sign = np.sign(np.diag(qr))
@@ -108,53 +92,21 @@ def qr_reduced(a) -> QrFactors:
     lwork = int(scipy.linalg.lapack.dorgqr(qr, tau, lwork=-1, overwrite_a=1)[1][0])
     q = scipy.linalg.lapack.dorgqr(qr, tau, lwork=lwork, overwrite_a=1)[0]
     q *= sign
-    return QrFactors(q=q, r=r)
+    return q, r
 
 
-@dataclass(frozen=True)
-class SymEig:
-    """Eigendecomposition of a symmetric matrix; values ascending,
-    vectors orthonormal columns aligned with values."""
-
-    vectors: np.ndarray
-    values: np.ndarray
-
-
-def symmetric_eig(s) -> SymEig:
-    """Full eigendecomposition of a symmetric matrix (ascending values).
+def symmetric_eig(s) -> tuple[np.ndarray, np.ndarray]:
+    """Full eigendecomposition (values, vectors) of a symmetric matrix,
+    values ascending and vectors C-ordered, one per column.
 
     The input is symmetrized internally, so tiny asymmetries from rounding
-    in products like Q^T Q are harmless. The vectors come back C-ordered.
+    in products like Q^T Q are harmless.
     """
-    s = as_matrix(s, "symmetric_eig input")
-    if s.shape[0] != s.shape[1]:
-        raise DimensionError(f"symmetric_eig needs a square matrix, got {s.shape}")
     t = s + s.T
     t *= 0.5
     # t is exactly symmetric, so its transpose is the same matrix, F-ordered
     w, v = scipy.linalg.eigh(t.T, driver="evd", overwrite_a=True, check_finite=False)
-    return SymEig(vectors=np.ascontiguousarray(v), values=w)
-
-
-class ThinSvd(NamedTuple):
-    u: np.ndarray
-    sigma: np.ndarray
-    v: np.ndarray
-
-
-def thin_svd(a) -> ThinSvd:
-    """Thin SVD a = u @ diag(sigma) @ v.T with sigma descending."""
-    a = as_matrix(a, "svd input")
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    return ThinSvd(u=u, sigma=s, v=vt.T)
-
-
-def rank_cutoff(sigma: np.ndarray, m: int, n: int) -> float:
-    """Relative cutoff tau = 1e-12 * max(m, n) * sigma_max used to decide
-    which singular values participate in pseudo-inverse applications."""
-    if sigma.size == 0:
-        return 0.0
-    return 1e-12 * max(m, n) * float(sigma[0])
+    return w, np.ascontiguousarray(v)
 
 
 def matmul(x, y) -> np.ndarray:
@@ -165,30 +117,6 @@ def matmul(x, y) -> np.ndarray:
 
 
 def solve_upper_triangular(r, b) -> np.ndarray:
-    """Back-substitution solve r @ x = b for upper-triangular r.
-
-    Accepts a vector or a matrix right-hand side.
-    """
-    r = as_matrix(r, "triangular matrix")
-    if r.shape[0] != r.shape[1]:
-        raise DimensionError(f"triangular solve needs a square matrix, got {r.shape}")
-    diag = np.abs(np.diag(r))
-    if r.shape[0] and diag.min() == 0.0:
-        raise RankDeficiencyError("upper-triangular factor is exactly singular")
-    return scipy.linalg.solve_triangular(r, b, lower=False)
-
-
-def spectral_norm(a) -> float:
-    """Largest singular value (2-norm); 0.0 for an empty matrix."""
-    a = as_matrix(a, "spectral_norm input")
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
-
-
-def smallest_singular_value(a) -> float:
-    """Smallest singular value of a (of min(m, n) total); 0.0 if empty."""
-    a = as_matrix(a, "smallest_singular_value input")
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[-1])
+    """Back-substitution solve r @ x = b for upper-triangular r, with a
+    vector or a matrix right-hand side."""
+    return scipy.linalg.solve_triangular(r, b, lower=False, check_finite=False)

@@ -5,11 +5,11 @@ randomized range finder on the longer side of A: its column space when
 rows >= cols (branch "over", basis P), its row space when rows < cols
 (branch "under", basis Q). Stage two sketches the other side through the
 first basis (A.T P, respectively A Q). The result keeps P, Q and the exact
-GSVD of the small compressed pair {P.T A Q, L Q}; every solve, selection
-and bound works from those alone. The lifted factors follow on demand:
-U2 = P @ inner.u and V1 = (L Q) @ inner.x[:, :nb] / inner.beta (nb =
-len(inner.beta)) have orthonormal columns, and the full-row-rank
-Z = inner.x^-1 @ Q.T satisfies
+GSVD of the small compressed pair {P.T A Q, L Q}, not the pair itself;
+every solve, selection and bound works from those alone. The lifted
+factors follow on demand: U2 = P @ inner.u and V1 = (L Q) @
+inner.x[:, :nb] / inner.beta (nb = len(inner.beta)) have orthonormal
+columns, and the full-row-rank Z = inner.x^-1 @ Q.T satisfies
 
     [P P.T A Q Q.T; L Q Q.T] = [U2 diag(alpha) Z_rows; V1 diag(beta) Z_head]
 
@@ -46,18 +46,15 @@ class ApproxGsvd:
                    the projected data. Branch "over" draws p in stage one
                    (l1 columns) and q in stage two (l2); branch "under"
                    draws q in stage one and p in stage two
-    a_comp      -- P.T A Q, the compressed first member
-    l_comp      -- L Q, the compressed regularizer
-    inner       -- exact GSVD factors of {a_comp, l_comp} (None when a
-                   stage collapsed to zero columns)
+    inner       -- exact GSVD factors of the compressed pair
+                   {P.T A Q, L Q} (None when a stage collapsed to zero
+                   columns)
     l1, l2      -- stage-one / stage-two sample counts
-    epsilon     -- stage-one tolerance the run was asked to honor
     branch      -- "over" (rows >= cols) or "under" (rows < cols)
-    seed        -- base seed of stage one
-    stage1      -- the range finder's result for stage one: blocks
-                   examined, passes over the target and the triggering
-                   diagonal; its q is the very array held as p ("over")
-                   or q ("under")
+    stage1      -- the range finder's result for stage one: tolerance,
+                   seed, blocks examined, passes over the target and the
+                   triggering diagonal; its q is the very array held as p
+                   ("over") or q ("under")
     stage2      -- the same for stage two, whose q is the other basis;
                    None when stage one kept no column and stage two did
                    not run
@@ -65,14 +62,10 @@ class ApproxGsvd:
 
     p: np.ndarray
     q: np.ndarray
-    a_comp: np.ndarray
-    l_comp: np.ndarray
     inner: GsvdFactors | None
     l1: int
     l2: int
-    epsilon: float
     branch: str
-    seed: int
     stage1: RangeBasis
     stage2: RangeBasis | None
 
@@ -134,29 +127,22 @@ def rgsvd(a, l, epsilon: float, cfg: SamplerConfig) -> ApproxGsvd:
     p, q = (basis1, basis2) if over else (basis2, basis1)
     if l2:
         a_comp = s.T @ basis2 if over else basis2.T @ s
-        del s  # A.T P or A Q, as large as A; the core needs only a_comp
-        l_comp = l @ q
+        del s  # A.T P or A Q, as large as A; the core needs only P.T A Q
         # tolerant core: a tight epsilon can legitimately capture directions
         # the regularizer dominates (tiny alpha); the sketched stack stays
         # full rank, so the solve is well-posed and the filters damp those
         # directions
-        inner = _gsvd_core(a_comp, l_comp, check_rank=False)
+        inner = _gsvd_core(a_comp, l @ q, check_rank=False)
     else:  # degenerate: no core to factor, and both counts read 0
-        a_comp = np.empty((p.shape[1], q.shape[1]))
-        l_comp = np.empty((l.shape[0], q.shape[1]))
         inner = None
         l1 = 0
     return ApproxGsvd(
         p=p,
         q=q,
-        a_comp=a_comp,
-        l_comp=l_comp,
         inner=inner,
         l1=l1,
         l2=l2,
-        epsilon=epsilon,
         branch=branch,
-        seed=cfg.seed,
         stage1=stage1,
         stage2=stage2,
     )

@@ -8,8 +8,11 @@ For exact GSVD factors the data coefficients are eta = U.T b and the
 residual floor is the energy of b outside range(U). For a randomized
 factorization the same formulas run on the projected data P.T b, i.e. the
 criteria see the sketched operator -- the one the factorization actually
-retains. The GCV denominator counts projected rows by default; the
-"ambient" mode switches it to the full row count of the original operator.
+retains. GCV counts projected rows by default; the "ambient" mode counts
+the full row count of the original operator and, to match it, takes the
+ambient residual floor, the energy of b outside the sketched operator's
+range, which is the residual solve_rgsvd reports. The two modes agree on
+exact factors.
 """
 
 from __future__ import annotations
@@ -44,32 +47,33 @@ def _make_context(source, b) -> _Projection:
     return ctx
 
 
-def _rows(ctx: _Projection, rows: str) -> int:
+def _rows(ctx: _Projection, rows: str) -> tuple[int, float]:
+    """GCV's row count m_hat and the residual floor that goes with it."""
     if rows == "projected":
-        return ctx.rows_projected
+        return ctx.rows_projected, ctx.perp_sq
     if rows == "ambient":
-        return ctx.rows_ambient
+        return ctx.rows_ambient, ctx.perp_sq_ambient
     raise ValueError(f"rows must be 'projected' or 'ambient', got {rows!r}")
 
 
-def _gcv_value(ctx: _Projection, lam: float, m_hat: int) -> float:
+def _gcv_value(ctx: _Projection, lam: float, m_hat: int, floor: float) -> float:
     # the golden-section refine's one-lambda form; its scalar dof**2 can
     # differ from the grid's in the last bit, and the refined lambda
     # follows those bits, so it stays scalar
     f = tikhonov_filters(ctx.factors, lam)
-    res_sq = float(_residual_sq(ctx.eta, f, ctx.perp_sq))
+    res_sq = float(_residual_sq(ctx.eta, f, floor))
     dof = m_hat - float(np.sum(f))
     if dof <= 0.0:
         return np.inf
     return res_sq / dof**2
 
 
-def _gcv_grid(ctx: _Projection, grid: np.ndarray, m_hat: int) -> np.ndarray:
+def _gcv_grid(ctx: _Projection, grid: np.ndarray, m_hat: int, floor: float) -> np.ndarray:
     """_gcv_value at every grid point, from one (grid, k) filter matrix."""
     f = tikhonov_filters(ctx.factors, grid)
     dof = m_hat - np.sum(f, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(dof > 0.0, _residual_sq(ctx.eta, f, ctx.perp_sq) / dof**2, np.inf)
+        return np.where(dof > 0.0, _residual_sq(ctx.eta, f, floor) / dof**2, np.inf)
 
 
 def _log_grid(lam_range, size) -> np.ndarray:
@@ -114,21 +118,22 @@ def gcv_lambda(
 
     over a log grid, then sharpen the grid minimum by golden section.
     ``source`` is either exact GsvdFactors or an ApproxGsvd; ``rows``
-    chooses m_hat (projected row count by default). Returns (lam, G(lam)).
+    chooses m_hat and the residual's floor (projected by default; see the
+    module docstring). Returns (lam, G(lam)).
     """
     ctx = _make_context(source, b)
     if ctx.factors.beta.shape[0] == 0:
         raise SelectionError("all filters are unity (regularizer sees nothing); GCV is flat")
-    m_hat = _rows(ctx, rows)
+    m_hat, floor = _rows(ctx, rows)
     grid = _log_grid(lam_range, grid_size)
-    vals = _gcv_grid(ctx, grid, m_hat)
+    vals = _gcv_grid(ctx, grid, m_hat, floor)
     if not np.isfinite(vals).any():
         raise SelectionError("GCV denominator vanished on the whole grid")
     i = int(np.nanargmin(vals))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid.size - 1)]
-    lam = _golden_refine(lambda t: _gcv_value(ctx, t, m_hat), lo, hi)
-    return lam, _gcv_value(ctx, lam, m_hat)
+    lam = _golden_refine(lambda t: _gcv_value(ctx, t, m_hat, floor), lo, hi)
+    return lam, _gcv_value(ctx, lam, m_hat, floor)
 
 
 def gcv_truncation(source, b, *, rows: str = "projected") -> tuple[int, float]:
@@ -145,14 +150,14 @@ def gcv_truncation(source, b, *, rows: str = "projected") -> tuple[int, float]:
     n_fit = int(np.max(depths, initial=0.0, where=np.isfinite(depths)))
     if n_fit == 0:
         raise SelectionError("no finite generalized values with alpha > 0 to truncate over")
-    m_hat = _rows(ctx, rows)
+    m_hat, floor = _rows(ctx, rows)
     best_k, best_g = None, np.inf
     for k in range(1, n_fit + 1):
         f = (depths <= k).astype(float)
         dof = m_hat - int(np.count_nonzero(f))
         if dof <= 0:
             continue
-        g = float(_residual_sq(ctx.eta, f, ctx.perp_sq)) / dof**2
+        g = float(_residual_sq(ctx.eta, f, floor)) / dof**2
         if g < best_g:
             best_k, best_g = k, g
     if best_k is None:

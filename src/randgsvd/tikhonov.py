@@ -22,16 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gsvd import GmpViolationError, GsvdFactors, check_stack_rank
-from .linalg import (
-    CsrMatrix,
-    DimensionError,
-    as_matrix,
-    as_operator,
-    as_vector,
-    dense,
-    rank_cutoff,
-    thin_svd,
-)
+from .linalg import CsrMatrix, DimensionError, as_matrix, as_operator, as_vector, dense
 from .rgsvd import ApproxGsvd
 
 
@@ -104,6 +95,8 @@ def _with_rel_error(sol: RegularizedSolution, x_true) -> RegularizedSolution:
     if x_true is None:
         return sol
     x_true = as_vector(x_true, "x_true")
+    if x_true.shape != sol.x.shape:
+        raise DimensionError(f"x_true length {x_true.shape[0]} != solution length {sol.x.shape[0]}")
     denom = float(np.linalg.norm(x_true))
     if denom == 0.0:
         return sol
@@ -111,24 +104,24 @@ def _with_rel_error(sol: RegularizedSolution, x_true) -> RegularizedSolution:
 
 
 def solve_exact(prob: TikhonovProblem, lam: float) -> RegularizedSolution:
-    """Reference solver: minimum-norm least squares on the stacked system
-    [a; lam * l] @ x = [b; 0]."""
+    """Reference solver: least squares on the stacked system
+    [a; lam * l] @ x = [b; 0] by its thin SVD, refused when the smallest
+    singular value is at or below the cutoff 1e-12 * max(m + p, n) * sigma_0."""
     if not (lam > 0.0):
         raise ValueError(f"lam must be positive, got {lam}")
     a, l, b = prob.a, dense(prob.l), prob.b
     m, p, n = prob.shape
     stacked = np.vstack([a, lam * l])
     rhs = np.concatenate([b, np.zeros(p)])
-    u, sigma, v = thin_svd(stacked)
+    u, sigma, vt = np.linalg.svd(stacked, full_matrices=False)
     if sigma.size == 0 or sigma[0] == 0.0:
         raise GmpViolationError("stacked system is identically zero")
-    cutoff = rank_cutoff(sigma, m + p, n)
-    if sigma[-1] <= cutoff:
+    if sigma[-1] <= 1e-12 * max(m + p, n) * float(sigma[0]):
         raise GmpViolationError(
             f"stacked system numerically singular at lam={lam} "
             f"(sigma ratio {sigma[-1] / sigma[0]:.3e})"
         )
-    x = v @ ((u.T @ rhs) / sigma)
+    x = vt.T @ ((u.T @ rhs) / sigma)
     res = float(np.linalg.norm(a @ x - b))
     sem = float(np.linalg.norm(l @ x))
     sol = RegularizedSolution(x=x, lam=lam, method="exact", residual_norm=res, seminorm=sem)

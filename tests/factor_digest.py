@@ -20,7 +20,7 @@ side of the window rule from the row-truncated n = 2048 cases.
 "tomo" runs the n = 50 tomography problem with blocksize 64 at 2 threads.
 Each case of these two prints five lines, keyed by its name and a kind:
 
-    factors    digests of p, q, a_comp, l_comp, inner.u, inner.x, alpha, beta
+    factors    digests of p, q, inner.u, inner.x, alpha, beta
     sketch     l1, l2, branch
     lambdas    GCV lambda, L-curve lambda and GCV truncation depth (None
                where the selector raises SelectionError)
@@ -43,6 +43,12 @@ agree bit for bit at n = 512 and 2048, but at n = 2052 they differ in the
 last bits of one or two entries on 6 of the 7 kernels (at most 4.4e-15,
 on shaw; 1 BLAS thread), and the digests of earlier trees were taken on
 the cut b.
+
+The compressed pair {P.T A Q, L Q} is not digested, and the factorization
+does not keep it: inner is a function of the pair (its stacked QR,
+eigendecomposition and triangular solve), and every solve and selector
+reads inner alone, so a change in the pair's bits that reaches any result
+shows in inner's digests.
 
 Only names present in the package since the factorization kept its inner
 GSVD are read, so an older tree can be digested with this file as well.
@@ -116,7 +122,7 @@ def _report(key: str, prob, b, cfg: SamplerConfig) -> None:
         print(key, "factors", _digest(approx.p, approx.q))
         return
     inner = approx.inner
-    fields = (approx.p, approx.q, approx.a_comp, approx.l_comp, inner.u, inner.x, inner.alpha, inner.beta)
+    fields = (approx.p, approx.q, inner.u, inner.x, inner.alpha, inner.beta)
     print(key, "factors", *(_digest(f) for f in fields))
     lam, k = _lambdas(key, approx, b)
     c = approx.p.T @ b

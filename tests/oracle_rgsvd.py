@@ -9,7 +9,6 @@ which test_rgsvd.py holds against the filtered solve of solve_rgsvd.
 import numpy as np
 
 from oracle_gsvd import v1_factor
-from randgsvd.linalg import rank_cutoff, thin_svd
 from randgsvd.tikhonov import RegularizedSolution
 
 
@@ -31,34 +30,38 @@ def sketched_identities(approx, a, l):
     z_rows = z[inner.offset :]
     err_a = float(np.linalg.norm(sketched_a - u2 @ (inner.alpha[:, None] * z_rows)))
     nb = inner.beta.shape[0]
-    v1 = v1_factor(inner, approx.l_comp)
-    err_l = float(np.linalg.norm(l @ q @ q.T - v1 @ (inner.beta[:, None] * z[:nb])))
+    l_comp = l @ q
+    v1 = v1_factor(inner, l_comp)
+    err_l = float(np.linalg.norm(l_comp @ q.T - v1 @ (inner.beta[:, None] * z[:nb])))
     return err_a, err_l
 
 
 def min_norm_lstsq(a, rhs):
     """Minimum-norm least-squares solution of a @ x = rhs via the thin SVD,
-    treating singular values at or below ``rank_cutoff`` as zero."""
+    treating singular values at or below 1e-12 * max(m, n) * sigma_0 as
+    zero."""
     m, n = a.shape
-    u, sigma, v = thin_svd(a)
+    u, sigma, vt = np.linalg.svd(a, full_matrices=False)
     if sigma.size == 0 or sigma[0] == 0.0:
         return np.zeros(n)
-    keep = sigma > rank_cutoff(sigma, m, n)
+    keep = sigma > 1e-12 * max(m, n) * sigma[0]
     coeff = (u.T @ rhs)[keep] / sigma[keep]
-    return v[:, keep] @ coeff
+    return vt[keep].T @ coeff
 
 
-def solve_rgsvd_pinv(approx, b, lam):
-    """Tikhonov solve of the stacked compressed system [P.T A Q; lam L Q]
-    by minimum-norm least squares; residual_norm and seminorm are measured
-    as solve_rgsvd measures them (against the sketched operator)."""
+def solve_rgsvd_pinv(approx, a, l, b, lam):
+    """Tikhonov solve of the stacked compressed system [P.T A Q; lam L Q],
+    formed here from the ambient pair {a, l}, by minimum-norm least squares;
+    residual_norm and seminorm are measured as solve_rgsvd measures them
+    (against the sketched operator)."""
+    a_comp, l_comp = approx.p.T @ a @ approx.q, l @ approx.q
     c = approx.p.T @ b
     perp_sq = float(b @ b - c @ c)
-    stacked = np.vstack([approx.a_comp, lam * approx.l_comp])
-    rhs = np.concatenate([c, np.zeros(approx.l_comp.shape[0])])
+    stacked = np.vstack([a_comp, lam * l_comp])
+    rhs = np.concatenate([c, np.zeros(l_comp.shape[0])])
     w = min_norm_lstsq(stacked, rhs)
-    res = float(np.sqrt(np.linalg.norm(approx.a_comp @ w - c) ** 2 + max(perp_sq, 0.0)))
-    sem = float(np.linalg.norm(approx.l_comp @ w))
+    res = float(np.sqrt(np.linalg.norm(a_comp @ w - c) ** 2 + max(perp_sq, 0.0)))
+    sem = float(np.linalg.norm(l_comp @ w))
     return RegularizedSolution(
         x=approx.q @ w, lam=lam, method="rgsvd", residual_norm=res, seminorm=sem
     )

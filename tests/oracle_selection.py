@@ -11,12 +11,13 @@ import numpy as np
 from randgsvd.tikhonov import filtered_coordinates, tikhonov_filters
 
 
-def gcv_grid_loop(ctx, grid, m_hat):
-    """GCV functional at each grid point, one lambda at a time."""
+def gcv_grid_loop(ctx, grid, m_hat, floor):
+    """GCV functional at each grid point, one lambda at a time, with m_hat
+    rows and the residual floor that goes with them."""
     vals = []
     for lam in grid:
         f = tikhonov_filters(ctx.factors, lam)
-        res_sq = float(np.sum(((1.0 - f) * ctx.eta) ** 2)) + ctx.perp_sq
+        res_sq = float(np.sum(((1.0 - f) * ctx.eta) ** 2)) + floor
         dof = m_hat - float(np.sum(f))
         vals.append(np.inf if dof <= 0.0 else res_sq / dof**2)
     return np.array(vals)

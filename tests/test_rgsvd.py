@@ -102,7 +102,7 @@ def test_sparse_regularizer_matches_dense_bitwise(rows):
     sparse, dense = (rgsvd(a, reg, 1e-6, cfg) for reg in (l, l.toarray()))
     assert sparse.branch == ("over" if rows == 64 else "under")
     assert sparse.l2 > 0
-    for field in ("p", "q", "a_comp", "l_comp"):
+    for field in ("p", "q"):
         assert_array_equal(getattr(sparse, field), getattr(dense, field))
     for field in ("u", "x", "alpha", "beta"):
         assert_array_equal(getattr(sparse.inner, field), getattr(dense.inner, field))
@@ -148,7 +148,7 @@ def test_under_branch_matches_range_restricted_oracle(rng, make_gmp):
         stacked = np.vstack([a @ q, lam * (l @ q)])
         rhs = np.concatenate([b, np.zeros(p)])
         x_ref = q @ np.linalg.lstsq(stacked, rhs, rcond=None)[0]
-        for sk in (solve_rgsvd(approx, b, lam), solve_rgsvd_pinv(approx, b, lam)):
+        for sk in (solve_rgsvd(approx, b, lam), solve_rgsvd_pinv(approx, a, l, b, lam)):
             rel = np.linalg.norm(sk.x - x_ref) / np.linalg.norm(x_ref)
             assert rel <= 1e-8
 
@@ -164,7 +164,7 @@ def test_filter_and_pinv_paths_agree(rng, stage2_epsilon):
     approx = rgsvd(a, l, 1e-6, cfg)
     for lam in (1e-3, 1e-2, 1.0):
         s1 = solve_rgsvd(approx, b, lam)
-        s2 = solve_rgsvd_pinv(approx, b, lam)
+        s2 = solve_rgsvd_pinv(approx, a, l, b, lam)
         # the two routes are algebraically equal; numerically they drift by
         # roughly eps * cond of the stacked system, which lam bounds from below
         assert np.linalg.norm(s1.x - s2.x) <= 1e-8 * max(1.0, np.linalg.norm(s1.x))
@@ -237,7 +237,7 @@ def test_under_branch_wide_inner_via_loose_stage2(rng):
     b = rng.standard_normal(25)
     for lam in (1e-2, 1.0):
         s1 = solve_rgsvd(approx, b, lam)
-        s2 = solve_rgsvd_pinv(approx, b, lam)
+        s2 = solve_rgsvd_pinv(approx, a, l, b, lam)
         assert np.linalg.norm(s1.x - s2.x) <= 1e-9 * max(1.0, np.linalg.norm(s2.x))
 
 

@@ -7,12 +7,14 @@ from randgsvd.problems import TestProblemSpec, add_noise, generate
 from randgsvd.rgsvd import rgsvd
 from randgsvd.sampling import SamplerConfig
 from randgsvd.selection import (
+    GRID_SIZE,
+    LAMBDA_RANGE,
     SelectionError,
     gcv_lambda,
     gcv_truncation,
     lcurve_lambda,
 )
-from randgsvd.tikhonov import solve_gsvd, solve_rgsvd, solve_tgsvd
+from randgsvd.tikhonov import solve_gsvd, solve_rgsvd, solve_tgsvd, tikhonov_filters
 
 
 @pytest.fixture(scope="module")
@@ -34,11 +36,11 @@ def test_gcv_interior_minimum(shaw_instance):
 def test_gcv_beats_nearby_lambdas(shaw_instance):
     prob, factors = shaw_instance
     lam, g = gcv_lambda(factors, prob.b)
-    from randgsvd.selection import _make_context, _gcv_value
+    from randgsvd.selection import _make_context, _gcv_value, _rows
 
     ctx = _make_context(factors, prob.b)
     for factor in (0.5, 0.9, 1.1, 2.0):
-        assert g <= _gcv_value(ctx, lam * factor, ctx.rows_projected) * (1 + 1e-9)
+        assert g <= _gcv_value(ctx, lam * factor, *_rows(ctx, "projected")) * (1 + 1e-9)
 
 
 def test_gcv_grid_refinement_stability(shaw_instance):
@@ -57,6 +59,24 @@ def test_gcv_rows_modes_differ_only_for_sketched(shaw_instance):
     lam_sp, _ = gcv_lambda(approx, prob.b, rows="projected")
     lam_sa, _ = gcv_lambda(approx, prob.b, rows="ambient")
     assert lam_sp > 0 and lam_sa > 0
+
+
+def test_ambient_gcv_reads_the_residual_solve_rgsvd_reports():
+    # stage two saturates (l2 == l1), so the projected floor is rounding
+    # noise; ambient GCV used to divide it by the ambient dof and ran to
+    # the grid's lower edge (1e-10 here)
+    prob = generate(TestProblemSpec(name="shaw", n=256, delta=0.0))
+    b = add_noise(prob.b, 1e-3, 0)
+    cfg = SamplerConfig(epsilon=1e-2, blocksize=4, seed=0, stage2_epsilon=1e-8)
+    approx = rgsvd(prob.a, prob.l, 1e-2, cfg)
+    assert approx.l1 == approx.l2
+    lam, g = gcv_lambda(approx, b, rows="ambient")
+    grid = np.logspace(np.log10(LAMBDA_RANGE[0]), np.log10(LAMBDA_RANGE[1]), GRID_SIZE)
+    assert grid[1] < lam < grid[-2]
+    sol = solve_rgsvd(approx, b, lam, x_true=prob.x_true)
+    dof = 256 - np.sum(tikhonov_filters(approx.inner, lam))
+    assert g == pytest.approx(sol.residual_norm**2 / dof**2, rel=1e-12)
+    assert sol.rel_error < 0.2
 
 
 def test_gcv_through_sketched_factors(shaw_instance):

@@ -43,9 +43,12 @@ def test_grid_values_and_lambdas_match_per_lambda_loops(name, m, monkeypatch):
     for source in sources:
         for b in datas:
             ctx = selection._make_context(source, b)
-            for rows in (ctx.rows_projected, ctx.rows_ambient):
+            for rows in ("projected", "ambient"):
+                m_hat, floor = selection._rows(ctx, rows)
                 assert_allclose(
-                    selection._gcv_grid(ctx, grid, rows), gcv_grid_loop(ctx, grid, rows), rtol=1e-14
+                    selection._gcv_grid(ctx, grid, m_hat, floor),
+                    gcv_grid_loop(ctx, grid, m_hat, floor),
+                    rtol=1e-14,
                 )
             for vec, loop in zip(selection._lcurve_points(ctx, grid), lcurve_points_loop(ctx, grid)):
                 assert_allclose(vec, loop, rtol=1e-14)
