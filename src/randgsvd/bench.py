@@ -118,7 +118,7 @@ class _ProblemCache:
             key = ("tomo", cfg.n, cfg.delta, seed)
             if key not in self._store:
                 self._store[key] = generate(
-                    TestProblemSpec(name="tomo", n=cfg.n, delta=cfg.delta, seed=seed)
+                    TestProblemSpec(name="tomo", n=cfg.n, m=cfg.m, delta=cfg.delta, seed=seed)
                 )
             return self._store[key]
         key = (name, cfg.n, cfg.m)
@@ -169,7 +169,7 @@ def _run_dense(
     t0 = time.perf_counter()
     if method == "tgsvd":
         if cfg.selector == "fixed":
-            k = int(cfg.fixed_value)
+            k = cfg.fixed_value
         elif cfg.selector == "gcv":
             k, _ = gcv_truncation(factors, prob.b, rows=cfg.gcv_rows)
         else:
@@ -220,6 +220,7 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRecord]:
     problems = _ProblemCache()
     dense = _FactorCache()
     records: list[BenchRecord] = []
+    dumped_truths: set[str] = set()
     for name in cfg.problems:
         for method in cfg.methods:
             for seed in cfg.seeds:
@@ -238,7 +239,7 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRecord]:
                     lam = float(sol.lam)
                     rel_error = float("nan") if sol.rel_error is None else sol.rel_error
                     if cfg.dump_dir is not None:
-                        _dump_solution(cfg.dump_dir, prob, name, method, seed, sol)
+                        _dump_solution(cfg.dump_dir, prob, name, method, seed, sol, dumped_truths)
                 except Exception as exc:
                     error = f"{type(exc).__name__}: {exc}"
                     lam = rel_error = float("nan")
@@ -270,12 +271,14 @@ def _write_vector(path, v) -> None:
         fh.writelines(f"{float(x)!r}\n" for x in v)
 
 
-def _dump_solution(dump_dir, prob: TikhonovProblem, name, method, seed, sol) -> None:
+def _dump_solution(dump_dir, prob: TikhonovProblem, name, method, seed, sol, dumped_truths) -> None:
+    """Write the solution; the first dump of a problem in a run also
+    writes its x_true, over any file an earlier run left there."""
     pdir = os.path.join(dump_dir, name)
     os.makedirs(pdir, exist_ok=True)
-    truth = os.path.join(pdir, "x_true.csv")
-    if prob.x_true is not None and not os.path.exists(truth):
-        _write_vector(truth, prob.x_true)
+    if prob.x_true is not None and name not in dumped_truths:
+        _write_vector(os.path.join(pdir, "x_true.csv"), prob.x_true)
+        dumped_truths.add(name)
     _write_vector(os.path.join(pdir, f"{method}_seed{seed}.csv"), sol.x)
 
 
@@ -319,6 +322,10 @@ def read_report(path) -> list[BenchRecord]:
         if header != CSV_HEADER.split(","):
             raise ValueError(f"unexpected report header {header!r}")
         for row in reader:
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}, line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
+                )
             out.append(
                 BenchRecord(
                     problem=row[0],

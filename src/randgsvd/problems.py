@@ -22,9 +22,8 @@ import numpy as np
 import scipy.linalg
 
 from .linalg import CsrMatrix, as_vector
+from .sampling import _philox
 from .tikhonov import TikhonovProblem
-
-_MASK64 = (1 << 64) - 1
 
 QUADRATURE_PROBLEMS = ("shaw", "baart", "deriv2", "foxgood", "gravity", "heat", "phillips")
 
@@ -33,10 +32,11 @@ QUADRATURE_PROBLEMS = ("shaw", "baart", "deriv2", "foxgood", "gravity", "heat", 
 class TestProblemSpec:
     """Recipe for one synthetic instance.
 
-    m defaults to n; m < n truncates rows (underdetermined variant built
-    from the noiseless square problem, then noised at level delta). The
-    'tomo' name interprets n as the grid side N and builds the
-    parallel-beam operator with angles 0:12:179 and 4N rays per angle.
+    m defaults to n; 1 <= m < n truncates rows (underdetermined variant
+    built from the noiseless square problem, then noised at level delta).
+    The 'tomo' name interprets n as the grid side N and builds the
+    parallel-beam operator with angles 0:12:179 and 4N rays per angle
+    (no m).
     """
 
     __test__ = False  # keep pytest from collecting this as a test class
@@ -54,9 +54,11 @@ class TestProblemSpec:
             raise ValueError(f"n must be at least 8, got {self.n}")
         if self.delta < 0.0:
             raise ValueError("delta must be nonnegative")
-        rows = self.n if self.m is None else self.m
-        if self.name != "tomo" and rows > self.n:
-            raise ValueError("m > n variants are not supported")
+        if self.m is not None:
+            if self.name == "tomo":
+                raise ValueError("'tomo' has a fixed row count and takes no m")
+            if not (1 <= self.m <= self.n):
+                raise ValueError(f"m must lie in [1, n] = [1, {self.n}], got {self.m}")
 
 
 def _midpoints(lo: float, hi: float, n: int) -> np.ndarray:
@@ -135,14 +137,12 @@ def heat_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
     row[0] = col[0]
     a = scipy.linalg.toeplitz(col, row)
     x = np.zeros(n)
-    for i in range(1, n // 2 + 1):
-        ti = i * 20.0 / n
-        if ti < 2.0:
-            x[i - 1] = 0.75 * ti**2 / 4.0
-        elif ti < 3.0:
-            x[i - 1] = 0.75 + (ti - 2.0) * (3.0 - ti)
-        else:
-            x[i - 1] = 0.75 * np.exp(-(ti - 3.0) * 2.0)
+    ti = np.arange(1, n // 2 + 1) * 20.0 / n
+    x[: n // 2] = np.select(
+        [ti < 2.0, ti < 3.0],
+        [0.75 * ti**2 / 4.0, 0.75 + (ti - 2.0) * (3.0 - ti)],
+        0.75 * np.exp(-(ti - 3.0) * 2.0),
+    )
     return a, x
 
 
@@ -242,7 +242,7 @@ def add_noise(b, delta: float, seed: int) -> np.ndarray:
         raise ValueError("delta must be nonnegative")
     if delta == 0.0:
         return b.copy()
-    gen = np.random.Generator(np.random.Philox(key=seed & _MASK64))
+    gen = _philox(seed)
     zeta = gen.standard_normal(b.shape[0])
     norm = np.linalg.norm(zeta)
     if norm == 0.0:
@@ -272,58 +272,43 @@ def generate(spec: TestProblemSpec) -> TikhonovProblem:
     return TikhonovProblem(a=a, l=l, b=b, x_true=x_true, delta=spec.delta, meta=meta)
 
 
-def _cell_of(coord: float, n_grid: int) -> int:
-    """Cell index of a coordinate in [0,1]; exact gridline hits go to the
-    lower cell (corner ties resolve downward)."""
-    scaled = coord * n_grid
-    k = int(np.floor(scaled))
-    if k > 0 and scaled == np.floor(scaled):
-        k -= 1
-    return min(max(k, 0), n_grid - 1)
+def _trace_rays(p0: np.ndarray, direction: np.ndarray, n_grid: int):
+    """Intersection lengths of the parallel lines p0[k] + t * direction
+    with the unit-square pixel grid.
 
-
-def _trace_ray(p0: np.ndarray, direction: np.ndarray, n_grid: int):
-    """Intersection lengths of one line with the unit-square pixel grid.
-
-    Returns (pixel_indices, lengths) with pixels flattened row-major as
-    iy * n_grid + ix, iy counted from the bottom edge.
+    Returns (ray, pixel, length) arrays ordered by ray, then by t, with
+    pixels flattened row-major as iy * n_grid + ix, iy counted from the
+    bottom edge. Each ray's crossings are clipped to its chord [t_lo, t_hi]
+    and sorted, so crossings off the chord, repeated crossings (corner
+    hits) and rays that miss the square give segments of length 0, which
+    are dropped.
     """
-    t_lo, t_hi = -np.inf, np.inf
+    t_lo = np.full(p0.shape[0], -np.inf)
+    t_hi = np.full(p0.shape[0], np.inf)
+    lines = np.arange(1, n_grid) / n_grid
+    crossings = []
     for axis in range(2):
         d = direction[axis]
-        o = p0[axis]
-        if abs(d) < 1e-14:
-            if not (0.0 <= o <= 1.0):
-                return np.empty(0, dtype=np.int64), np.empty(0)
+        o = p0[:, axis]
+        if abs(d) < 1e-14:  # a line along this axis outside [0, 1] has an empty chord
+            t_hi = np.where((0.0 <= o) & (o <= 1.0), t_hi, -np.inf)
         else:
             ta = (0.0 - o) / d
             tb = (1.0 - o) / d
-            t_lo = max(t_lo, min(ta, tb))
-            t_hi = min(t_hi, max(ta, tb))
-    if not (t_hi > t_lo):
-        return np.empty(0, dtype=np.int64), np.empty(0)
-
-    crossings = [np.array([t_lo, t_hi])]
-    for axis in range(2):
-        d = direction[axis]
-        if abs(d) >= 1e-14:
-            lines = np.arange(1, n_grid) / n_grid
-            ts = (lines - p0[axis]) / d
-            crossings.append(ts[(ts > t_lo) & (ts < t_hi)])
-    ts = np.unique(np.concatenate(crossings))
-    lengths = np.diff(ts)
-    keep = lengths > 1e-14
-    if not keep.any():
-        return np.empty(0, dtype=np.int64), np.empty(0)
-    mids = 0.5 * (ts[:-1] + ts[1:])[keep]
-    lengths = lengths[keep]
-    pix = np.empty(lengths.size, dtype=np.int64)
-    for k, t in enumerate(mids):
-        point = p0 + t * direction
-        ix = _cell_of(point[0], n_grid)
-        iy = _cell_of(point[1], n_grid)
-        pix[k] = iy * n_grid + ix
-    return pix, lengths
+            t_lo = np.maximum(t_lo, np.minimum(ta, tb))
+            t_hi = np.minimum(t_hi, np.maximum(ta, tb))
+            crossings.append((lines - o[:, None]) / d)
+    t_hi = np.where(t_hi > t_lo, t_hi, t_lo)[:, None]
+    t_lo = t_lo[:, None]
+    ts = np.sort(np.hstack([t_lo, t_hi] + [np.clip(c, t_lo, t_hi) for c in crossings]), axis=1)
+    lengths = np.diff(ts, axis=1)
+    ray, seg = np.nonzero(lengths > 1e-14)
+    mids = 0.5 * (ts[ray, seg] + ts[ray, seg + 1])
+    scaled = (p0[ray] + mids[:, None] * direction) * n_grid
+    cell = np.floor(scaled)
+    cell -= (cell > 0) & (scaled == cell)  # gridline hits go to the lower cell
+    ix, iy = np.clip(cell, 0, n_grid - 1).astype(np.int64).T
+    return ray, iy * n_grid + ix, lengths[ray, seg]
 
 
 def parallel_tomo(
@@ -332,10 +317,11 @@ def parallel_tomo(
     """Parallel-beam line-integral operator on the unit square, sparse.
 
     For each angle, `rays` parallel lines cross the square with offsets
-    centered across the sqrt(2) diagonal span. Row (angle_index * rays + k)
-    holds the per-pixel intersection lengths of ray k at that angle. Also
-    returns a seeded piecewise phantom (values in [0,1]) flattened in the
-    same pixel order.
+    centered across the sqrt(2) diagonal span; all rays of an angle are
+    traced at once. Row (angle_index * rays + k) holds the per-pixel
+    intersection lengths of ray k at that angle; a ray along a gridline
+    counts in the lower (left) cells. Also returns a seeded piecewise
+    phantom (values in [0,1]) flattened in the same pixel order.
     """
     if n_grid < 2:
         raise ValueError(f"n_grid must be at least 2, got {n_grid}")
@@ -347,25 +333,15 @@ def parallel_tomo(
     span = np.sqrt(2.0)
     offsets = ((np.arange(rays) + 0.5) / rays - 0.5) * span
     center = np.array([0.5, 0.5])
-    rows_i: list[np.ndarray] = []
-    cols_i: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
+    traced = []
     for ia, ang in enumerate(angles):
         rad = np.deg2rad(ang)
         direction = np.array([np.cos(rad), np.sin(rad)])
         normal = np.array([-np.sin(rad), np.cos(rad)])
-        for k in range(rays):
-            p0 = center + offsets[k] * normal
-            # a ray that misses the square adds empty arrays, so every list
-            # holds angles.size * rays >= 1 entries for the concatenation
-            pix, lengths = _trace_ray(p0, direction, n_grid)
-            rows_i.append(np.full(pix.size, ia * rays + k, dtype=np.int64))
-            cols_i.append(pix)
-            vals.append(lengths)
-    op = CsrMatrix(
-        (np.concatenate(vals), (np.concatenate(rows_i), np.concatenate(cols_i))),
-        shape=(angles.size * rays, n_grid * n_grid),
-    )
+        ray, pix, lengths = _trace_rays(center + offsets[:, None] * normal, direction, n_grid)
+        traced.append((lengths, ia * rays + ray, pix))
+    vals, rows_i, cols_i = (np.concatenate(parts) for parts in zip(*traced))
+    op = CsrMatrix((vals, (rows_i, cols_i)), shape=(angles.size * rays, n_grid * n_grid))
     return op, phantom(n_grid, phantom_seed)
 
 
@@ -373,7 +349,7 @@ def phantom(n_grid: int, seed: int = 0, shapes: int = 8) -> np.ndarray:
     """Seeded synthetic test image: a mixture of axis-aligned rectangles and
     disks with intensities in [0,1], max-blended, flattened like the
     tomography pixel order."""
-    gen = np.random.Generator(np.random.Philox(key=seed & _MASK64))
+    gen = _philox(seed)
     xs = (np.arange(n_grid) + 0.5) / n_grid
     gx, gy = np.meshgrid(xs, xs)  # gy rows follow iy (bottom-up)
     img = np.zeros((n_grid, n_grid))

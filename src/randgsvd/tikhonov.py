@@ -271,11 +271,13 @@ def solve_tgsvd(
     with alpha > 0 plus every direction the regularizer ignores (beta = 0);
     drop the rest, alpha = 0 directions included. k may run up to the
     number of alpha > 0 directions; a depth past the finite ones keeps them
-    all.
+    all. k must have an integer value (6, 6.0 and numpy integers qualify).
 
     The reported lam field stores float(k) since truncation depth is the
     regularization parameter here.
     """
+    if not float(k).is_integer():
+        raise ValueError(f"truncation depth must be an integer, got {k}")
     proj = _project(factors, b)
     n_active = int(np.count_nonzero(proj.factors.alpha > 0.0))
     if not (1 <= k <= n_active):

@@ -6,6 +6,7 @@ bit for bit with diff:
     PYTHONPATH=src python tests/factor_digest.py tomo > tomo.txt
     PYTHONPATH=src python tests/factor_digest.py dense > dense.txt
     PYTHONPATH=src python tests/factor_digest.py under > under.txt
+    PYTHONPATH=src python tests/factor_digest.py problems > problems.txt
 
 An optional second argument sets the BLAS thread count in place of the
 mode's default given below, e.g. ``factor_digest.py kernels 2``.
@@ -36,6 +37,11 @@ one factors line (digests of u, x, alpha and beta), and each of its noise
 seeds 0-2 prints the lambdas, solves and residuals lines above, with
 solve_gsvd and solve_tgsvd on the exact factors and the data b itself.
 
+"problems" digests the test problems themselves, at 1 BLAS thread: A and
+x_true of the seven kernels at n in {512, 2048}, one line each; indptr,
+indices and data of parallel_tomo(50, 0:12:179, 200), the operator the
+"tomo" mode densifies; and b of that mode's n = 50 instance.
+
 The row-truncated cases keep the first m rows of the clean square problem
 and cut b from the full product A x_true, rather than building them with
 generate(TestProblemSpec(..., m=m)), which forms A[:m] x_true. The two
@@ -58,7 +64,7 @@ import hashlib
 import os
 import sys
 
-THREADS = {"kernels": "1", "tomo": "2", "dense": "1", "under": "1"}
+THREADS = {"kernels": "1", "tomo": "2", "dense": "1", "under": "1", "problems": "1"}
 
 if __name__ == "__main__":
     args = sys.argv[1:]
@@ -71,7 +77,13 @@ if __name__ == "__main__":
 import numpy as np  # noqa: E402  (after the thread pinning above)
 
 from randgsvd.gsvd import GmpPair, gsvd_full_rank  # noqa: E402
-from randgsvd.problems import QUADRATURE_PROBLEMS, TestProblemSpec, add_noise, generate  # noqa: E402
+from randgsvd.problems import (  # noqa: E402
+    QUADRATURE_PROBLEMS,
+    TestProblemSpec,
+    add_noise,
+    generate,
+    parallel_tomo,
+)
 from randgsvd.rgsvd import rgsvd  # noqa: E402
 from randgsvd.sampling import SamplerConfig  # noqa: E402
 from randgsvd.selection import (  # noqa: E402
@@ -185,5 +197,17 @@ def dense() -> None:
             _solves(key, sols)
 
 
+def problems() -> None:
+    for name in QUADRATURE_PROBLEMS:
+        for n in (512, 2048):
+            prob = generate(TestProblemSpec(name=name, n=n, delta=0.0))
+            print(f"{name}/n{n}", "problem", _digest(prob.a), _digest(prob.x_true))
+    op, x_true = parallel_tomo(50, np.arange(0.0, 180.0, 12.0), 200)
+    print("tomo/n50", "operator", *(_digest(f) for f in (op.indptr, op.indices, op.data, x_true)))
+    prob = generate(TestProblemSpec(name="tomo", n=50, delta=DELTA, seed=0))
+    print("tomo/n50/s0", "data", _digest(prob.b))
+
+
 if __name__ == "__main__":
-    {"kernels": kernels, "tomo": tomo, "dense": dense, "under": under}[sys.argv[1]]()
+    modes = {"kernels": kernels, "tomo": tomo, "dense": dense, "under": under, "problems": problems}
+    modes[sys.argv[1]]()

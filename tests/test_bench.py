@@ -117,6 +117,36 @@ def test_tgsvd_fixed_truncation():
     assert rec.lam == 6.0  # the lambda column carries the truncation index
 
 
+def test_tgsvd_fractional_truncation_fails():
+    # the depth is not floored to 2: the row fails and reports no lambda
+    cfg = BenchConfig(
+        problems=("shaw",), methods=("tgsvd",), selector="fixed", fixed_value=2.5, seeds=(0,), **FAST
+    )
+    rec = run_benchmark(cfg)[0]
+    assert rec.failed and rec.error.startswith("ValueError: truncation depth must be an integer")
+    assert math.isnan(rec.lam)
+
+
+def test_tomo_rejects_row_count():
+    cfg = BenchConfig(problems=("tomo", "shaw"), methods=("gsvd",), seeds=(0,), **dict(FAST, n=8), m=4)
+    by_problem = {r.problem: r for r in run_benchmark(cfg)}
+    assert by_problem["tomo"].error == "ValueError: 'tomo' has a fixed row count and takes no m"
+    assert not by_problem["shaw"].failed
+
+
+def test_dump_dir_reuse_overwrites_x_true(tmp_path):
+    # a run at n = 32 into a directory left by a run at n = 16 must not
+    # keep the old 16-entry x_true beside its 32-entry solutions
+    for n in (16, 32):
+        cfg = BenchConfig(
+            problems=("shaw",), methods=("gsvd",), seeds=(0, 1), dump_dir=str(tmp_path), **dict(FAST, n=n)
+        )
+        run_benchmark(cfg)
+        x_true = np.loadtxt(tmp_path / "shaw" / "x_true.csv")
+        assert_array_equal(x_true, generate(TestProblemSpec(name="shaw", n=n)).x_true)
+        assert np.loadtxt(tmp_path / "shaw" / "gsvd_seed1.csv").shape == (n,)
+
+
 def test_dumped_solutions_recompute_rel_error(tmp_path):
     cfg = BenchConfig(
         problems=("shaw",),
@@ -140,10 +170,18 @@ def test_emit_report_rejects_empty(tmp_path):
         emit_report([], tmp_path / "nothing.csv")
 
 
-def test_read_report_rejects_foreign_header(tmp_path):
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("a,b,c\n1,2,3\n", "unexpected report header"),
+        (CSV_HEADER + "\nshaw,gsvd,gcv,0.1,0.2,0.3,0,0,0\nshaw,gsvd,gcv\n", r"bad\.csv, line 3: expected 9"),
+    ],
+    ids=["header", "short-row"],
+)
+def test_read_report_rejects_foreign_header(tmp_path, text, match):
     path = tmp_path / "bad.csv"
-    path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError):
+    path.write_text(text)
+    with pytest.raises(ValueError, match=match):
         read_report(path)
 
 

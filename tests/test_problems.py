@@ -124,6 +124,12 @@ def test_spec_validation():
         TestProblemSpec(name="shaw", n=4)  # too small
     with pytest.raises(ValueError):
         TestProblemSpec(name="shaw", n=32, m=40)  # m > n unsupported
+    for m in (0, -5):  # a[:m] would slice rows off the end
+        with pytest.raises(ValueError, match="m must lie in"):
+            TestProblemSpec(name="shaw", n=64, m=m)
+    for m in (3, 36, 360):  # tomo's row count is fixed by its geometry
+        with pytest.raises(ValueError, match="takes no m"):
+            TestProblemSpec(name="tomo", n=6, m=m)
     with pytest.raises(ValueError):
         TestProblemSpec(name="shaw", n=32, delta=-0.1)
     with pytest.raises(ValueError):
@@ -215,6 +221,56 @@ def test_example_scale_shape():
     assert img.shape == (2500,)
     # one stored entry per (ray, pixel) crossing
     assert op.nnz == 134_972
+
+
+def _clipped_lengths(p0, direction, n_grid):
+    """Brute-force oracle: clip each line p0[k] + t * direction against
+    every pixel box [ix/N, (ix+1)/N] x [iy/N, (iy+1)/N] separately; the
+    chord length is the clipped t-interval, as |direction| = 1."""
+    out = np.zeros((len(p0), n_grid * n_grid))
+    for k, p in enumerate(p0):
+        for iy in range(n_grid):
+            for ix in range(n_grid):
+                t0, t1 = -np.inf, np.inf
+                for axis, cell in ((0, ix), (1, iy)):
+                    lo, hi = cell / n_grid, (cell + 1) / n_grid
+                    d = direction[axis]
+                    if d == 0.0:
+                        if not lo <= p[axis] <= hi:
+                            t0, t1 = 0.0, -1.0
+                        continue
+                    ta, tb = (lo - p[axis]) / d, (hi - p[axis]) / d
+                    t0, t1 = max(t0, min(ta, tb)), min(t1, max(ta, tb))
+                if t1 > t0:
+                    out[k, iy * n_grid + ix] = t1 - t0
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_tracer_matches_per_pixel_clipping(seed):
+    # random angles and offsets in general position: no ray runs along a
+    # gridline or through a grid corner (the tie rules are pinned above)
+    rng = np.random.default_rng(seed)
+    n_grid = 8
+    angles = rng.uniform(-360.0, 360.0, size=3)
+    op, _ = parallel_tomo(n_grid, angles, rays=10)
+    offsets = ((np.arange(10) + 0.5) / 10 - 0.5) * np.sqrt(2.0)
+    traced = op.toarray()
+    for ia, ang in enumerate(np.deg2rad(angles)):
+        direction = np.array([np.cos(ang), np.sin(ang)])
+        normal = np.array([-np.sin(ang), np.cos(ang)])
+        # the documented geometry, and the same rays at random offsets
+        for s in (offsets, rng.uniform(-0.75, 0.75, size=10)):
+            p0 = 0.5 + s[:, None] * normal
+            want = _clipped_lengths(p0, direction, n_grid)
+            if s is offsets:
+                got = traced[ia * 10 : (ia + 1) * 10]
+            else:
+                ray, pix, lengths = problems._trace_rays(p0, direction, n_grid)
+                got = np.zeros_like(want)
+                got[ray, pix] = lengths
+            assert_array_equal(got > 0, want > 0)
+            assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 def test_phantom_seeded():

@@ -94,6 +94,11 @@ def test_tgsvd_limits_and_validation(small_problem):
         solve_tgsvd(factors, prob.b, 0)
     with pytest.raises(ValueError):
         solve_tgsvd(factors, prob.b, n + 1)
+    # a fractional depth is rejected, not floored; integer values pass
+    with pytest.raises(ValueError, match="must be an integer"):
+        solve_tgsvd(factors, prob.b, 2.5)
+    for k in (6.0, np.int64(6)):
+        assert_array_equal(solve_tgsvd(factors, prob.b, k).x, solve_tgsvd(factors, prob.b, 6).x)
     # fewer kept components -> smaller seminorm (monotone smoothing)
     sems = [solve_tgsvd(factors, prob.b, k).seminorm for k in (2, n // 2, n)]
     assert sems[0] <= sems[1] + 1e-12 and sems[1] <= sems[2] + 1e-12
