@@ -42,7 +42,7 @@ from .problems import (
     parallel_tomo,
     phantom,
 )
-from .bench import BenchConfig, BenchRecord, emit_report, read_report, run_benchmark
+from .bench import BenchConfig, BenchRecord, emit_report, run_benchmark
 
 __version__ = "0.1.0"
 
@@ -75,7 +75,6 @@ __all__ = [
     "lcurve_lambda",
     "parallel_tomo",
     "phantom",
-    "read_report",
     "rgsvd",
     "run_benchmark",
     "solve_exact",

@@ -15,11 +15,13 @@ rows with NaN lambda/rel_error that carry the error; the run continues.
 from __future__ import annotations
 
 import csv
+import functools
 import os
 import time
 from dataclasses import dataclass
 
-from .gsvd import GmpPair, GsvdFactors, gsvd_full_rank
+from .gsvd import GsvdFactors, _gsvd_core
+from .linalg import dense
 from .problems import QUADRATURE_PROBLEMS, TestProblemSpec, add_noise, generate
 from .rgsvd import rgsvd
 from .sampling import SamplerConfig
@@ -43,8 +45,12 @@ class BenchRecord:
     """One benchmark row. l1/l2 are the sketch sample counts (0 for the
     dense methods). rel_error is NaN when the problem has no x_true. A
     failed run carries NaN lambda and rel_error and, in ``error``, the
-    exception as "<Type>: <message>"; the error is not a report column,
-    so rows read back from a report have none."""
+    exception as "<Type>: <message>"; the error is not a report column.
+
+    wall_time_s covers factor, select and solve. A problem's dense factors
+    are computed once and shared by its gsvd and tgsvd rows, and every
+    such row is charged the factorization's time, so dense rows compare
+    with sketched rows, which factor anew per seed."""
 
     problem: str
     method: str
@@ -91,6 +97,8 @@ class BenchConfig:
             raise ValueError("problems list must be nonempty")
         if not self.seeds:
             raise ValueError("seeds list must be nonempty")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be nonnegative, got {min(self.seeds)}")
         if not self.methods:
             raise ValueError("methods list must be nonempty")
         for name in self.methods:
@@ -104,110 +112,44 @@ class BenchConfig:
             raise ValueError(f"unknown gcv_rows {self.gcv_rows!r}")
 
 
-class _ProblemCache:
-    """Memoizes the expensive clean parts across seeds: the operator,
-    regularizer, and clean data only depend on (name, n, m) for the
-    quadrature problems. Tomography phantoms are seed-dependent, so those
-    instances are cached per seed."""
-
-    def __init__(self):
-        self._store: dict = {}
-
-    def instance(self, cfg: BenchConfig, name: str, seed: int) -> TikhonovProblem:
-        if name == "tomo":
-            key = ("tomo", cfg.n, cfg.delta, seed)
-            if key not in self._store:
-                self._store[key] = generate(
-                    TestProblemSpec(name="tomo", n=cfg.n, m=cfg.m, delta=cfg.delta, seed=seed)
-                )
-            return self._store[key]
-        key = (name, cfg.n, cfg.m)
-        if key not in self._store:
-            self._store[key] = generate(TestProblemSpec(name=name, n=cfg.n, m=cfg.m))
-        clean = self._store[key]
-        return TikhonovProblem(
-            a=clean.a,
-            l=clean.l,
-            b=add_noise(clean.b, cfg.delta, seed),
-            x_true=clean.x_true,
-            delta=cfg.delta,
-            meta=dict(clean.meta or {}, seed=seed),
-        )
-
-
-class _FactorCache:
-    """The dense factorization depends only on the instance operator, so
-    gsvd/tgsvd rows across seeds of the same quadrature problem reuse it."""
-
-    def __init__(self):
-        self._store: dict = {}
-        self._times: dict = {}
-
-    def factors(self, name: str, cfg: BenchConfig, prob: TikhonovProblem):
-        key = (name, cfg.n, cfg.m)
-        if key not in self._store:
-            t0 = time.perf_counter()
-            factors = gsvd_full_rank(GmpPair(prob.a, prob.l), check_rank=False)
-            self._times[key] = time.perf_counter() - t0
-            self._store[key] = factors
-        return self._store[key], self._times[key]
-
-
-def _select_lambda(source, b, cfg: BenchConfig) -> float:
-    if cfg.selector == "fixed":
-        return float(cfg.fixed_value)
-    if cfg.selector == "gcv":
-        lam, _ = gcv_lambda(source, b, rows=cfg.gcv_rows)
-        return lam
-    lam, _ = lcurve_lambda(source, b)
-    return lam
-
-
-def _run_dense(
-    prob: TikhonovProblem, method: str, cfg: BenchConfig, factors: GsvdFactors, factor_time: float
-) -> tuple[RegularizedSolution, float]:
-    t0 = time.perf_counter()
-    if method == "tgsvd":
-        if cfg.selector == "fixed":
-            k = cfg.fixed_value
-        elif cfg.selector == "gcv":
-            k, _ = gcv_truncation(factors, prob.b, rows=cfg.gcv_rows)
-        else:
-            raise ValueError("tgsvd supports selectors 'gcv' and 'fixed' only")
-        sol = solve_tgsvd(factors, prob.b, k, x_true=prob.x_true)
-    else:
-        lam = _select_lambda(factors, prob.b, cfg)
-        sol = solve_gsvd(factors, prob.b, lam, x_true=prob.x_true)
-    return sol, factor_time + (time.perf_counter() - t0)
-
-
-def _run_sketched(
-    prob: TikhonovProblem, cfg: BenchConfig, seed: int
+def _run_cell(
+    prob: TikhonovProblem, method: str, seed: int, cfg: BenchConfig, factored
 ) -> tuple[RegularizedSolution, float, int, int]:
-    # Stage two resamples a matrix whose rank stage one already pinned at
-    # l1, so its Frobenius-tail trigger fires a few columns early at the
-    # stage-one tolerance. The benchmark drives stage two to saturation
-    # instead, which reproduces the l2 == l1 behavior of the one-sided
-    # baselines this harness is compared against.
-    sampler = SamplerConfig(
-        epsilon=cfg.epsilon,
-        blocksize=cfg.blocksize,
-        seed=seed,
-        stage2_epsilon=cfg.epsilon * 1e-6,
-    )
-    t0 = time.perf_counter()
-    approx = rgsvd(prob.a, prob.l, cfg.epsilon, sampler)
-    lam = _select_lambda(approx, prob.b, cfg)
-    sol = solve_rgsvd(approx, prob.b, lam, x_true=prob.x_true)
-    return sol, time.perf_counter() - t0, approx.l1, approx.l2
-
-
-def _run_exact(prob: TikhonovProblem, cfg: BenchConfig) -> tuple[RegularizedSolution, float]:
-    if cfg.selector != "fixed":
+    """Factor, select and solve one cell; return (solution, seconds, l1,
+    l2). factored() gives the problem's dense factors and the seconds
+    their one factorization took."""
+    if method == "exact" and cfg.selector != "fixed":
         raise ValueError("method 'exact' supports only the fixed selector")
+    if method == "tgsvd" and cfg.selector == "lcurve":
+        raise ValueError("tgsvd supports selectors 'gcv' and 'fixed' only")
+    factor_s = 0.0
+    if method in ("gsvd", "tgsvd"):
+        source, factor_s = factored()
     t0 = time.perf_counter()
-    sol = solve_exact(prob, float(cfg.fixed_value))
-    return sol, time.perf_counter() - t0
+    if method == "exact":
+        return solve_exact(prob, float(cfg.fixed_value)), time.perf_counter() - t0, 0, 0
+    if method == "rgsvd":
+        # Stage two resamples a matrix whose rank stage one already pinned
+        # at l1, so its Frobenius-tail trigger fires a few columns early at
+        # the stage-one tolerance. The benchmark drives stage two to
+        # saturation instead, which reproduces the l2 == l1 behavior of the
+        # one-sided baselines this harness is compared against.
+        sampler = SamplerConfig(
+            epsilon=cfg.epsilon, blocksize=cfg.blocksize, seed=seed, stage2_epsilon=cfg.epsilon * 1e-6
+        )
+        source = rgsvd(prob.a, prob.l, cfg.epsilon, sampler)
+    if cfg.selector == "fixed":
+        param = float(cfg.fixed_value)
+    elif method == "tgsvd":
+        param, _ = gcv_truncation(source, prob.b, rows=cfg.gcv_rows)
+    elif cfg.selector == "gcv":
+        param, _ = gcv_lambda(source, prob.b, rows=cfg.gcv_rows)
+    else:
+        param, _ = lcurve_lambda(source, prob.b)
+    solve = {"gsvd": solve_gsvd, "tgsvd": solve_tgsvd, "rgsvd": solve_rgsvd}[method]
+    sol = solve(source, prob.b, param, x_true=prob.x_true)
+    l1, l2 = (source.l1, source.l2) if method == "rgsvd" else (0, 0)
+    return sol, factor_s + time.perf_counter() - t0, l1, l2
 
 
 def run_benchmark(cfg: BenchConfig) -> list[BenchRecord]:
@@ -215,31 +157,51 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRecord]:
 
     Returns records sorted by (problem, method, seed). When cfg.output_path
     is set the CSV report is written; cfg.dump_dir additionally stores
-    x_true and every computed solution vector for plotting/recomputation.
+    each seed's x_true and every computed solution vector for
+    plotting/recomputation.
     """
-    problems = _ProblemCache()
-    dense = _FactorCache()
+
+    @functools.cache
+    def clean(name: str) -> TikhonovProblem:
+        return generate(TestProblemSpec(name=name, n=cfg.n, m=cfg.m))
+
+    @functools.cache
+    def instance(name: str, seed: int) -> TikhonovProblem:
+        if name == "tomo":
+            # the phantom, and so x_true and b, depends on the seed
+            return generate(TestProblemSpec(name=name, n=cfg.n, m=cfg.m, delta=cfg.delta, seed=seed))
+        base = clean(name)
+        return TikhonovProblem(
+            a=base.a,
+            l=base.l,
+            b=add_noise(base.b, cfg.delta, seed),
+            x_true=base.x_true,
+            delta=cfg.delta,
+            meta=dict(base.meta or {}, seed=seed),
+        )
+
+    @functools.cache
+    def factored(name: str) -> tuple[GsvdFactors, float]:
+        # A and L do not depend on the seed, tomography's included; the
+        # instance was validated, and its stack rank checked, when built
+        prob = instance(name, cfg.seeds[0])
+        t0 = time.perf_counter()
+        factors = _gsvd_core(prob.a, dense(prob.l), check_rank=False)
+        return factors, time.perf_counter() - t0
+
     records: list[BenchRecord] = []
-    dumped_truths: set[str] = set()
     for name in cfg.problems:
         for method in cfg.methods:
             for seed in cfg.seeds:
                 t_all = time.perf_counter()
                 error = None
                 try:
-                    prob = problems.instance(cfg, name, seed)
-                    l1 = l2 = 0
-                    if method in ("gsvd", "tgsvd"):
-                        factors, f_time = dense.factors(name, cfg, prob)
-                        sol, elapsed = _run_dense(prob, method, cfg, factors, f_time)
-                    elif method == "exact":
-                        sol, elapsed = _run_exact(prob, cfg)
-                    else:
-                        sol, elapsed, l1, l2 = _run_sketched(prob, cfg, seed)
+                    prob = instance(name, seed)
+                    sol, elapsed, l1, l2 = _run_cell(prob, method, seed, cfg, lambda: factored(name))
                     lam = float(sol.lam)
                     rel_error = float("nan") if sol.rel_error is None else sol.rel_error
                     if cfg.dump_dir is not None:
-                        _dump_solution(cfg.dump_dir, prob, name, method, seed, sol, dumped_truths)
+                        _dump_solution(cfg.dump_dir, prob, name, method, seed, sol)
                 except Exception as exc:
                     error = f"{type(exc).__name__}: {exc}"
                     lam = rel_error = float("nan")
@@ -271,14 +233,12 @@ def _write_vector(path, v) -> None:
         fh.writelines(f"{float(x)!r}\n" for x in v)
 
 
-def _dump_solution(dump_dir, prob: TikhonovProblem, name, method, seed, sol, dumped_truths) -> None:
-    """Write the solution; the first dump of a problem in a run also
-    writes its x_true, over any file an earlier run left there."""
+def _dump_solution(dump_dir, prob: TikhonovProblem, name, method, seed, sol) -> None:
+    """Write the solution and, beside it, the x_true of its seed."""
     pdir = os.path.join(dump_dir, name)
     os.makedirs(pdir, exist_ok=True)
-    if prob.x_true is not None and name not in dumped_truths:
-        _write_vector(os.path.join(pdir, "x_true.csv"), prob.x_true)
-        dumped_truths.add(name)
+    if prob.x_true is not None:
+        _write_vector(os.path.join(pdir, f"x_true_seed{seed}.csv"), prob.x_true)
     _write_vector(os.path.join(pdir, f"{method}_seed{seed}.csv"), sol.x)
 
 
@@ -310,33 +270,3 @@ def emit_report(records, path) -> None:
                     str(r.seed),
                 ]
             )
-
-
-def read_report(path) -> list[BenchRecord]:
-    """Parse a CSV emitted by emit_report back into records (exact for
-    repr-serialized floats)."""
-    out: list[BenchRecord] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != CSV_HEADER.split(","):
-            raise ValueError(f"unexpected report header {header!r}")
-        for row in reader:
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}, line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
-                )
-            out.append(
-                BenchRecord(
-                    problem=row[0],
-                    method=row[1],
-                    selector=row[2],
-                    lam=float(row[3]),
-                    rel_error=float(row[4]),
-                    wall_time_s=float(row[5]),
-                    l1=int(row[6]),
-                    l2=int(row[7]),
-                    seed=int(row[8]),
-                )
-            )
-    return out

@@ -80,6 +80,10 @@ def _log_grid(lam_range, size) -> np.ndarray:
     lo, hi = lam_range
     if not (0.0 < lo < hi):
         raise ValueError(f"invalid lambda range {lam_range}")
+    if size < 3:
+        # the fewest points an L-curve curvature, or a GCV minimum with a
+        # neighbor on each side, can use
+        raise ValueError(f"grid_size must be at least 3, got {size}")
     return np.logspace(np.log10(lo), np.log10(hi), size)
 
 

@@ -1,6 +1,8 @@
 """Report-level comparisons for the benchmark tests: equality of the CSV
-columns with NaN equal to NaN, and records with their timing zeroed."""
+columns with NaN equal to NaN, records with their timing zeroed, and a
+report's rows read back as text."""
 
+import csv
 import math
 from dataclasses import replace
 
@@ -11,6 +13,15 @@ def strip_timings(records) -> list[BenchRecord]:
     """Copy of the records with wall_time_s zeroed — the determinism
     comparisons exclude timing."""
     return [replace(r, wall_time_s=0.0) for r in records]
+
+
+def report_rows(path) -> list[list[str]]:
+    """The rows of a CSV report, header first, as the text fields it holds,
+    less the wall_time_s column, so two runs compare field for field."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    timing = rows[0].index("wall_time_s")
+    return [row[:timing] + row[timing + 1 :] for row in rows]
 
 
 def records_equal(a, b) -> bool:

@@ -7,6 +7,7 @@ bit for bit with diff:
     PYTHONPATH=src python tests/factor_digest.py dense > dense.txt
     PYTHONPATH=src python tests/factor_digest.py under > under.txt
     PYTHONPATH=src python tests/factor_digest.py problems > problems.txt
+    PYTHONPATH=src python tests/factor_digest.py bench > bench.txt
 
 An optional second argument sets the BLAS thread count in place of the
 mode's default given below, e.g. ``factor_digest.py kernels 2``.
@@ -42,6 +43,14 @@ x_true of the seven kernels at n in {512, 2048}, one line each; indptr,
 indices and data of parallel_tomo(50, 0:12:179, 200), the operator the
 "tomo" mode densifies; and b of that mode's n = 50 instance.
 
+"bench" runs the benchmark harness, at 1 BLAS thread, through
+BenchConfig and run_benchmark alone, into a temporary directory: all four
+methods at seeds 0 and 1 on square shaw, gravity, heat and tomo at n = 16
+under each of the selectors gcv, lcurve and fixed:3, then on shaw and
+phillips row-truncated to n = 32, m = 16 under GCV with ambient rows.
+Each grid prints its report rows without the wall_time_s column, each
+record's error, and the digest of every dump file.
+
 The row-truncated cases keep the first m rows of the clean square problem
 and cut b from the full product A x_true, rather than building them with
 generate(TestProblemSpec(..., m=m)), which forms A[:m] x_true. The two
@@ -63,8 +72,10 @@ GSVD are read, so an older tree can be digested with this file as well.
 import hashlib
 import os
 import sys
+import tempfile
+from pathlib import Path
 
-THREADS = {"kernels": "1", "tomo": "2", "dense": "1", "under": "1", "problems": "1"}
+THREADS = {"kernels": "1", "tomo": "2", "dense": "1", "under": "1", "problems": "1", "bench": "1"}
 
 if __name__ == "__main__":
     args = sys.argv[1:]
@@ -75,7 +86,9 @@ if __name__ == "__main__":
     os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = args[1]
 
 import numpy as np  # noqa: E402  (after the thread pinning above)
+from bench_records import report_rows  # noqa: E402
 
+from randgsvd.bench import BenchConfig, run_benchmark  # noqa: E402
 from randgsvd.gsvd import GmpPair, gsvd_full_rank  # noqa: E402
 from randgsvd.problems import (  # noqa: E402
     QUADRATURE_PROBLEMS,
@@ -208,6 +221,41 @@ def problems() -> None:
     print("tomo/n50/s0", "data", _digest(prob.b))
 
 
+def bench() -> None:
+    square = dict(problems=("shaw", "gravity", "heat", "tomo"), n=16)
+    grids = {
+        "gcv": dict(square, selector="gcv"),
+        "lcurve": dict(square, selector="lcurve"),
+        "fixed3": dict(square, selector="fixed", fixed_value=3.0),
+        "under-ambient": dict(problems=("shaw", "phillips"), n=32, m=16, gcv_rows="ambient"),
+    }
+    for tag, grid in grids.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            cfg = BenchConfig(
+                methods=("gsvd", "tgsvd", "rgsvd", "exact"),
+                seeds=(0, 1),
+                output_path=str(out / "report.csv"),
+                dump_dir=str(out / "dump"),
+                **grid,
+            )
+            records = run_benchmark(cfg)
+            for row in report_rows(out / "report.csv"):
+                print(tag, "row", ",".join(row))
+            for rec in records:
+                print(tag, "error", rec.problem, rec.method, rec.seed, rec.error)
+            for path in sorted((out / "dump").rglob("*.csv")):
+                digest = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+                print(tag, "dump", path.relative_to(out / "dump").as_posix(), digest)
+
+
 if __name__ == "__main__":
-    modes = {"kernels": kernels, "tomo": tomo, "dense": dense, "under": under, "problems": problems}
+    modes = {
+        "kernels": kernels,
+        "tomo": tomo,
+        "dense": dense,
+        "under": under,
+        "problems": problems,
+        "bench": bench,
+    }
     modes[sys.argv[1]]()

@@ -12,10 +12,10 @@ import time
 import numpy as np
 import pytest
 
-from bench_records import records_equal, strip_timings
+from bench_records import records_equal, report_rows, strip_timings
 from oracle_gsvd import reconstruct
 from oracle_sampling import verify_expectation_identity
-from randgsvd.bench import BenchConfig, read_report, run_benchmark
+from randgsvd.bench import BenchConfig, run_benchmark
 from randgsvd.bounds import error_bound_diagnostics
 from randgsvd.gsvd import GmpPair, gsvd_full_rank
 from randgsvd.problems import TestProblemSpec, add_noise, first_difference, generate
@@ -55,7 +55,7 @@ def _report(num, name, detail):
 
 def _sketch_cfg(seed, epsilon=1e-2, blocksize=4):
     # stage two saturates the rank stage one pinned down (the benchmark's
-    # configuration; see bench._run_sketched)
+    # configuration; see bench._run_cell)
     return SamplerConfig(
         epsilon=epsilon, blocksize=blocksize, seed=seed, stage2_epsilon=epsilon * 1e-6
     )
@@ -324,12 +324,10 @@ def test_criterion_10_deterministic_reruns(tmp_path):
     (dir_a, rec_a), (dir_b, rec_b) = runs
     assert records_equal(strip_timings(rec_a), strip_timings(rec_b))
     dumped = sorted(p.relative_to(dir_a) for p in dir_a.rglob("*.csv"))
-    assert len(dumped) >= 2 * 2 * 2 + 2 + 1  # solutions + x_true per problem + report
+    assert len(dumped) == 2 * 2 * 2 + 2 * 2 + 1  # solutions + x_true per problem and seed + report
     for rel in dumped:
         if rel.name == "report.csv":
-            a_rec = read_report(dir_a / rel)
-            b_rec = read_report(dir_b / rel)
-            assert records_equal(strip_timings(a_rec), strip_timings(b_rec))
+            assert report_rows(dir_a / rel) == report_rows(dir_b / rel)
         else:
             assert (dir_a / rel).read_bytes() == (dir_b / rel).read_bytes(), rel
     _report(10, "bit-identical reruns",

@@ -4,15 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from bench_records import records_equal, strip_timings
-from randgsvd.bench import (
-    CSV_HEADER,
-    BenchConfig,
-    BenchRecord,
-    emit_report,
-    read_report,
-    run_benchmark,
-)
+from bench_records import records_equal, report_rows, strip_timings
+from randgsvd import bench
+from randgsvd.bench import CSV_HEADER, BenchConfig, BenchRecord, emit_report, run_benchmark
 from randgsvd.cli import config_from_args, main, parse_selector, read_config_file
 from randgsvd.problems import TestProblemSpec, generate
 
@@ -41,8 +35,14 @@ def test_csv_round_trip_exact(tmp_path):
     path = tmp_path / "report.csv"
     emit_report(records, path)
     assert path.read_text().splitlines()[0] == CSV_HEADER
-    back = read_report(path)
-    assert records_equal(records, back)
+    header, *rows = report_rows(path)
+    assert len(rows) == len(records)
+    # repr floats parse back bit for bit
+    for rec, row in zip(records, rows):
+        field = dict(zip(header, row))
+        assert (field["problem"], field["method"], field["selector"]) == (rec.problem, rec.method, rec.selector)
+        assert float(field["lambda"]) == rec.lam and float(field["rel_error"]) == rec.rel_error
+        assert (int(field["l1"]), int(field["l2"]), int(field["seed"])) == (rec.l1, rec.l2, rec.seed)
 
 
 def test_reruns_are_deterministic_modulo_timing():
@@ -73,8 +73,6 @@ def test_problem_without_x_true_is_not_a_failure(monkeypatch):
     # real data has no x_true: rel_error is NaN, but the row succeeded
     import dataclasses
 
-    from randgsvd import bench
-
     real_generate = bench.generate
     monkeypatch.setattr(
         bench, "generate", lambda spec: dataclasses.replace(real_generate(spec), x_true=None)
@@ -83,6 +81,20 @@ def test_problem_without_x_true_is_not_a_failure(monkeypatch):
     for rec in run_benchmark(cfg):
         assert not rec.failed and rec.error is None
         assert math.isnan(rec.rel_error) and rec.lam > 0
+
+
+def test_instances_and_factors_built_once(monkeypatch):
+    generated, factored = [], []
+    real_generate, real_core = bench.generate, bench._gsvd_core
+    monkeypatch.setattr(bench, "generate", lambda spec: generated.append(spec) or real_generate(spec))
+    monkeypatch.setattr(bench, "_gsvd_core", lambda *args, **kw: factored.append(args) or real_core(*args, **kw))
+    cfg = BenchConfig(
+        problems=("shaw", "tomo"), methods=("gsvd", "tgsvd", "rgsvd"), seeds=(0, 1, 2), **dict(FAST, n=8)
+    )
+    assert not any(r.failed for r in run_benchmark(cfg))
+    # one clean shaw instance, one tomography instance per seed
+    assert [(s.name, s.seed) for s in generated] == [("shaw", 0), ("tomo", 0), ("tomo", 1), ("tomo", 2)]
+    assert [a.shape for a, _ in factored] == [(8, 8), (4 * 8 * 15, 64)]
 
 
 def test_underdetermined_route():
@@ -142,25 +154,28 @@ def test_dump_dir_reuse_overwrites_x_true(tmp_path):
             problems=("shaw",), methods=("gsvd",), seeds=(0, 1), dump_dir=str(tmp_path), **dict(FAST, n=n)
         )
         run_benchmark(cfg)
-        x_true = np.loadtxt(tmp_path / "shaw" / "x_true.csv")
+        x_true = np.loadtxt(tmp_path / "shaw" / "x_true_seed1.csv")
         assert_array_equal(x_true, generate(TestProblemSpec(name="shaw", n=n)).x_true)
         assert np.loadtxt(tmp_path / "shaw" / "gsvd_seed1.csv").shape == (n,)
 
 
-def test_dumped_solutions_recompute_rel_error(tmp_path):
+@pytest.mark.parametrize("name, n", [("shaw", 32), ("tomo", 8)], ids=["shaw", "tomo"])
+def test_dumped_solutions_recompute_rel_error(tmp_path, name, n):
+    # tomography's phantom is seeded, so each seed dumps its own x_true
     cfg = BenchConfig(
-        problems=("shaw",),
+        problems=(name,),
         methods=("gsvd", "rgsvd"),
-        seeds=(2,),
+        seeds=(0, 1),
         dump_dir=str(tmp_path),
-        **FAST,
+        **dict(FAST, n=n),
     )
     records = run_benchmark(cfg)
-    x_true = np.loadtxt(tmp_path / "shaw" / "x_true.csv")
-    # one repr float per line parses back bit for bit
-    assert_array_equal(x_true, generate(TestProblemSpec(name="shaw", n=FAST["n"])).x_true)
     for rec in records:
-        x = np.loadtxt(tmp_path / "shaw" / f"{rec.method}_seed{rec.seed}.csv")
+        x_true = np.loadtxt(tmp_path / name / f"x_true_seed{rec.seed}.csv")
+        # one repr float per line parses back bit for bit
+        spec = TestProblemSpec(name=name, n=n, delta=FAST["delta"], seed=rec.seed)
+        assert_array_equal(x_true, generate(spec).x_true)
+        x = np.loadtxt(tmp_path / name / f"{rec.method}_seed{rec.seed}.csv")
         rel = np.linalg.norm(x - x_true) / np.linalg.norm(x_true)
         assert rel == pytest.approx(rec.rel_error, rel=1e-10)
 
@@ -168,21 +183,6 @@ def test_dumped_solutions_recompute_rel_error(tmp_path):
 def test_emit_report_rejects_empty(tmp_path):
     with pytest.raises(ValueError):
         emit_report([], tmp_path / "nothing.csv")
-
-
-@pytest.mark.parametrize(
-    "text, match",
-    [
-        ("a,b,c\n1,2,3\n", "unexpected report header"),
-        (CSV_HEADER + "\nshaw,gsvd,gcv,0.1,0.2,0.3,0,0,0\nshaw,gsvd,gcv\n", r"bad\.csv, line 3: expected 9"),
-    ],
-    ids=["header", "short-row"],
-)
-def test_read_report_rejects_foreign_header(tmp_path, text, match):
-    path = tmp_path / "bad.csv"
-    path.write_text(text)
-    with pytest.raises(ValueError, match=match):
-        read_report(path)
 
 
 def test_records_equal_nan_and_mismatch():
@@ -198,6 +198,8 @@ def test_config_validation():
         BenchConfig(problems=())
     with pytest.raises(ValueError):
         BenchConfig(seeds=())
+    with pytest.raises(ValueError, match="seeds must be nonnegative"):
+        BenchConfig(seeds=(0, -1))
     with pytest.raises(ValueError):
         BenchConfig(methods=())
     with pytest.raises(ValueError):
@@ -276,7 +278,7 @@ def test_main_exit_codes(tmp_path, capsys):
         ["--problems", "shaw", "--method", "gsvd", "--n", "32", "--seeds", "0", "--out", str(out)]
     )
     assert ok == 0
-    assert len(read_report(out)) == 1
+    assert len(report_rows(out)) == 1 + 1  # header and the one row
     assert "ok" in capsys.readouterr().out
     bad = main(
         ["--problems", "shaw", "--method", "tgsvd", "--selector", "lcurve", "--n", "32", "--seeds", "0"]
@@ -288,5 +290,7 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "unknown method 'rgsvd_alg3'" in capsys.readouterr().err
     assert main(["--selector", "huh", "--n", "32"]) == 2
     capsys.readouterr()
+    assert main(["--seeds=-1", "--n", "32"]) == 2
+    assert "seeds must be nonnegative" in capsys.readouterr().err
     assert main(["--bogus"]) == 2
     assert "error: unrecognized arguments: --bogus" in capsys.readouterr().err

@@ -50,6 +50,14 @@ def test_gcv_grid_refinement_stability(shaw_instance):
     assert lam1 == pytest.approx(lam2, rel=0.05)
 
 
+@pytest.mark.parametrize("size", [0, 1, 2])
+@pytest.mark.parametrize("selector", [gcv_lambda, lcurve_lambda], ids=["gcv", "lcurve"])
+def test_grid_size_below_three_rejected(shaw_instance, selector, size):
+    prob, factors = shaw_instance
+    with pytest.raises(ValueError, match="grid_size must be at least 3"):
+        selector(factors, prob.b, grid_size=size)
+
+
 def test_gcv_rows_modes_differ_only_for_sketched(shaw_instance):
     prob, factors = shaw_instance
     lam_p, _ = gcv_lambda(factors, prob.b, rows="projected")
