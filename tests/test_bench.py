@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -35,14 +36,25 @@ def test_csv_round_trip_exact(tmp_path):
     path = tmp_path / "report.csv"
     emit_report(records, path)
     assert path.read_text().splitlines()[0] == CSV_HEADER
-    header, *rows = report_rows(path)
-    assert len(rows) == len(records)
-    # repr floats parse back bit for bit
-    for rec, row in zip(records, rows):
-        field = dict(zip(header, row))
-        assert (field["problem"], field["method"], field["selector"]) == (rec.problem, rec.method, rec.selector)
-        assert float(field["lambda"]) == rec.lam and float(field["rel_error"]) == rec.rel_error
-        assert (int(field["l1"]), int(field["l2"]), int(field["seed"])) == (rec.l1, rec.l2, rec.seed)
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == CSV_HEADER.split(",")
+    # every column, wall_time_s included; repr floats parse back bit for bit
+    back = [
+        BenchRecord(
+            problem=f["problem"],
+            method=f["method"],
+            selector=f["selector"],
+            lam=float(f["lambda"]),
+            rel_error=float(f["rel_error"]),
+            wall_time_s=float(f["wall_time_s"]),
+            l1=int(f["l1"]),
+            l2=int(f["l2"]),
+            seed=int(f["seed"]),
+        )
+        for f in (dict(zip(header, row)) for row in rows)
+    ]
+    assert records_equal(records, back)
 
 
 def test_reruns_are_deterministic_modulo_timing():
