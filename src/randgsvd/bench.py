@@ -186,7 +186,7 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRecord]:
         # instance was validated, and its stack rank checked, when built
         prob = instance(name, cfg.seeds[0])
         t0 = time.perf_counter()
-        factors = _gsvd_core(prob.a, dense(prob.l), check_rank=False)
+        factors = _gsvd_core([prob.a, dense(prob.l)], check_rank=False)
         return factors, time.perf_counter() - t0
 
     records: list[BenchRecord] = []

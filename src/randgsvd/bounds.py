@@ -121,7 +121,7 @@ def error_bound_diagnostics(
         pa = pb @ (pb.T @ a)
         xi = 1.0 / _sv(np.vstack([pa, lam * l]))[-1]
         # the problem already validated the pair and checked its stack rank
-        x_all = _gsvd_core(a, l, check_rank=False).x
+        x_all = _gsvd_core([a, l], check_rank=False).x
         x1 = x_all[:, : max(n - approx.l1, 0)]
         gamma2 = _sv(x1)[0] / _sv(x_all)[-1]
         rhs = _C0 * eps2 * xi * pinv_norm * nu

@@ -16,8 +16,15 @@ Q1.T @ Q1 = S diag(psi) S.T (psi ascending in [0, 1]), the columns of
 X = R^-1 S simultaneously diagonalize both Gram matrices, alpha = sqrt(psi)
 on the branch's index window, and beta = sqrt(1 - psi) wherever psi < 1.
 
-The stack is factored in place in one F-ordered buffer, of which only Q1
-is copied out; numpy's QR of a stacked copy made about four more copies.
+The core keeps only what it still needs. It takes the pair in a list that
+it empties, so a pair formed for it alone (rgsvd's compressed pair) is
+freed once stacked. The stack is factored in place in one F-ordered
+buffer, of which only Q1 is copied out, and R is one n x n copy. dsyevd
+runs in the buffer of the Gram matrix Q1.T @ Q1, which numpy's syrk forms
+exactly symmetric. Q1 goes once U is formed, and U's column norms are
+taken a block of columns at a time. On a 1499 x 600 stack the core peaks
+at 2.21 copies of the stack, set by dsyevd's 2N^2 workspace beside Q1, R
+and the Gram matrix; numpy's QR of a stacked copy peaked at 3.45.
 
 GsvdFactors keeps U, X, alpha and beta, which every solve and selector
 reads. V1 is not formed: no routine needs it, and a caller that does gets
@@ -148,25 +155,45 @@ class GsvdFactors:
         return out
 
 
-def _gsvd_core(a: np.ndarray, l: np.ndarray, check_rank: bool) -> GsvdFactors:
-    """Shared GSVD workhorse of gsvd_full_rank, rgsvd's compressed pair and
-    the error bounds' ambient pair. Trusts its input: a and l are dense,
-    finite float64 arrays with matching column counts whose stack has at
-    least as many rows as columns; an exactly singular triangular factor
-    is refused by the diagonal-ratio check below."""
-    m, n = a.shape
+def _column_norms(u: np.ndarray, width: int = 256) -> np.ndarray:
+    """np.linalg.norm(u, axis=0), bit for bit, squaring width columns at a
+    time instead of all of u. numpy sums a block's rows in order, as it
+    does for the whole of u, but sums a lone column pairwise, so a lone
+    trailing column joins the block before it."""
+    n = u.shape[1]
+    edges = [*range(0, max(n - 1, 1), width), n]
+    return np.concatenate([np.linalg.norm(u[:, i:j], axis=0) for i, j in zip(edges, edges[1:])])
 
+
+def _gsvd_core(pair: list[np.ndarray], check_rank: bool) -> GsvdFactors:
+    """Shared GSVD workhorse of gsvd_full_rank, rgsvd's compressed pair and
+    the error bounds' ambient pair. Takes the pair as a list [a, l] and
+    empties it, so that a pair the caller formed for the core alone is
+    freed once it is stacked. Trusts its input: a and l are dense, finite
+    float64 arrays with matching column counts whose stack has at least
+    as many rows as columns; a numerically singular triangular factor is
+    refused by the diagonal-ratio check below."""
+    a, l = pair
+    pair.clear()
+    m, n = a.shape
+    rows = m + l.shape[0]
+    stack = np.concatenate((a, l), out=np.empty((rows, n), order="F"))
+    del a, l
     # the F-ordered stack becomes Q in place; only its top block is kept
-    q, tri = qr_reduced(np.concatenate((a, l), out=np.empty((m + l.shape[0], n), order="F")))
+    q, tri = qr_reduced(stack)
     q1 = np.ascontiguousarray(q[:m])
-    del q
+    del stack, q
     diag_r = np.abs(np.diag(tri))
-    if diag_r.size and diag_r.min() <= 1e-12 * max(1.0, diag_r.max()) * max(m + l.shape[0], n):
+    # relative to the largest diagonal entry, so the test does not depend on
+    # the pair's scale; an all-zero diagonal fails it too
+    if diag_r.size and diag_r.min() <= 1e-12 * diag_r.max() * max(rows, n):
         raise GmpViolationError(
             "stacked pair is numerically column rank deficient (triangular factor "
             f"diagonal ratio {diag_r.min() / max(diag_r.max(), 1e-300):.3e})"
         )
 
+    # the Gram matrix comes out of numpy's syrk exactly symmetric, and
+    # symmetric_eig consumes it
     psi, svecs = symmetric_eig(q1.T @ q1)
     psi = np.clip(psi, 0.0, 1.0)
 
@@ -188,7 +215,8 @@ def _gsvd_core(a: np.ndarray, l: np.ndarray, check_rank: bool) -> GsvdFactors:
     # holds rounding noise; normalizing by the computed norm keeps every
     # column at unit length instead of amplifying that noise.
     u = q1 @ svecs if tall else q1 @ svecs[:, k0:]
-    u /= np.maximum(np.linalg.norm(u, axis=0), np.finfo(float).tiny)
+    del q1
+    u /= np.maximum(_column_norms(u), np.finfo(float).tiny)
 
     beta = np.sqrt(1.0 - psi[: n - r])
     x = solve_upper_triangular(tri, svecs)
@@ -214,5 +242,5 @@ def gsvd_full_rank(pair: GmpPair, check_rank: bool = True) -> GsvdFactors:
     generalized values so small that any sensible regularizer filters them
     out, so the tolerant mode is what large-scale callers want.
     """
-    return _gsvd_core(pair.a, pair.l, check_rank)
+    return _gsvd_core([pair.a, pair.l], check_rank)
 

@@ -8,7 +8,13 @@ factorizations need it. The validators (as_matrix, as_operator,
 as_vector) run at the package's entry points only. The factorizations
 below serve the core GSVD, which hands them arrays it has just formed,
 so they check nothing: they are thin wrappers around LAPACK that pin down
-a nonnegative R diagonal in QR and ascending eigenvalues.
+a nonnegative R diagonal in QR and ascending eigenvalues. Both work in the
+buffer they are handed: QR turns an F-ordered input into Q and forms R as
+its one n x n copy, and the eigendecomposition overwrites its exactly
+symmetric input. With that, one tomography cell of the randomized GSVD
+(a 4848 x 2349 compressed stack, 86.9 MiB) peaks 309 MiB above its
+inputs under tracemalloc, set by dsyevd's 2n^2 workspace beside the
+sketch bases, Q1, R and the Gram matrix.
 """
 
 from __future__ import annotations
@@ -88,7 +94,8 @@ def qr_reduced(a) -> tuple[np.ndarray, np.ndarray]:
     qr, tau, _, _ = scipy.linalg.lapack.dgeqrf(a, lwork=lwork, overwrite_a=1)
     sign = np.sign(np.diag(qr))
     sign[sign == 0] = 1.0
-    r = np.triu(np.multiply(qr[:n], sign[:, None], order="C"))
+    r = np.multiply(qr[:n], sign[:, None], order="C")
+    r[np.tri(n, k=-1, dtype=bool)] = 0.0  # np.triu's +0.0, without its copy
     lwork = int(scipy.linalg.lapack.dorgqr(qr, tau, lwork=-1, overwrite_a=1)[1][0])
     q = scipy.linalg.lapack.dorgqr(qr, tau, lwork=lwork, overwrite_a=1)[0]
     q *= sign
@@ -96,16 +103,17 @@ def qr_reduced(a) -> tuple[np.ndarray, np.ndarray]:
 
 
 def symmetric_eig(s) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition (values, vectors) of a symmetric matrix,
-    values ascending and vectors C-ordered, one per column.
+    """Full eigendecomposition (values, vectors) of an exactly symmetric
+    C-ordered matrix, values ascending and vectors C-ordered, one per
+    column.
 
-    The input is symmetrized internally, so tiny asymmetries from rounding
-    in products like Q^T Q are harmless.
+    The input is consumed: dsyevd runs in its buffer and overwrites it. It
+    must be symmetric bit for bit, as numpy forms a Gram matrix q.T @ q (by
+    syrk, mirroring one triangle): dsyevd reads only one triangle, so an
+    asymmetry would pass unseen.
     """
-    t = s + s.T
-    t *= 0.5
-    # t is exactly symmetric, so its transpose is the same matrix, F-ordered
-    w, v = scipy.linalg.eigh(t.T, driver="evd", overwrite_a=True, check_finite=False)
+    # s is exactly symmetric, so its transpose is the same matrix, F-ordered
+    w, v = scipy.linalg.eigh(s.T, driver="evd", overwrite_a=True, check_finite=False)
     return w, np.ascontiguousarray(v)
 
 

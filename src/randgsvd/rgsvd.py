@@ -126,13 +126,15 @@ def rgsvd(a, l, epsilon: float, cfg: SamplerConfig) -> ApproxGsvd:
     l2 = basis2.shape[1]
     p, q = (basis1, basis2) if over else (basis2, basis1)
     if l2:
-        a_comp = s.T @ basis2 if over else basis2.T @ s
+        pair = [s.T @ basis2 if over else basis2.T @ s]
         del s  # A.T P or A Q, as large as A; the core needs only P.T A Q
+        pair.append(l @ q)
         # tolerant core: a tight epsilon can legitimately capture directions
         # the regularizer dominates (tiny alpha); the sketched stack stays
         # full rank, so the solve is well-posed and the filters damp those
-        # directions
-        inner = _gsvd_core(a_comp, l @ q, check_rank=False)
+        # directions. The core empties pair, which holds the only
+        # references to P.T A Q and L Q, so both go once they are stacked
+        inner = _gsvd_core(pair, check_rank=False)
     else:  # degenerate: no core to factor, and both counts read 0
         inner = None
         l1 = 0

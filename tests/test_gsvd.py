@@ -6,8 +6,8 @@ import scipy.sparse
 from numpy.testing import assert_allclose
 
 from oracle_gsvd import reconstruct, reference_gsvd, v1_factor
-from randgsvd.gsvd import GmpPair, GmpViolationError, _gsvd_core, gsvd_full_rank
-from randgsvd.linalg import RankDeficiencyError
+from randgsvd.gsvd import GmpPair, GmpViolationError, _column_norms, _gsvd_core, gsvd_full_rank
+from randgsvd.linalg import RankDeficiencyError, qr_reduced
 from randgsvd.problems import first_difference
 
 
@@ -151,17 +151,66 @@ def test_core_matches_numpy_reference_route(name, a, l):
     assert factors.x.flags.f_contiguous
 
 
-def test_core_peak_memory_stays_under_three_stacks():
+def test_core_peak_memory_stays_under_2_3_stacks():
     # the stack is factored in place and its Q dropped once the top block
-    # is copied out; numpy's own QR of a stacked copy peaked at 3.45 stacks
+    # is copied out, the Gram matrix is the eigensolver's buffer, q1 goes
+    # once U is formed and U's norms are taken a block of columns at a
+    # time: 2.21 stacks, set by dsyevd's 2N^2 workspace beside Q1, R and the
+    # Gram matrix (numpy's QR of a stacked copy peaked at 3.45 stacks, the
+    # core with a symmetrized Gram copy and a full squared U at 2.61)
     rng = np.random.default_rng(0)
     a = rng.standard_normal((900, 600))
     l = first_difference(600).toarray()
     stack_bytes = (a.shape[0] + l.shape[0]) * a.shape[1] * a.itemsize
     tracemalloc.start()
     try:
-        _gsvd_core(a, l, check_rank=False)
+        _gsvd_core([a, l], check_rank=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.0 * stack_bytes
+    assert peak <= 2.3 * stack_bytes
+
+
+def test_core_empties_the_pair_it_is_given(rng):
+    pair = [rng.standard_normal((12, 8)), np.eye(8)]
+    _gsvd_core(pair, check_rank=False)
+    assert pair == []
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-12, 1e6])
+def test_stack_rank_test_does_not_depend_on_scale(scale):
+    # the pair's scale cancels in the GSVD; the triangular factor's
+    # diagonal-ratio test must not refuse a small but well-conditioned pair
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((50, 20))
+    l = np.eye(20)
+    ref = gsvd_full_rank(GmpPair(a, l))
+    factors = gsvd_full_rank(GmpPair(scale * a, scale * l))
+    assert_allclose(factors.alpha, ref.alpha, rtol=1e-12, atol=0)
+
+
+def test_stack_rank_test_refuses_a_zero_pair():
+    with pytest.raises(GmpViolationError):
+        _gsvd_core([np.zeros((4, 3)), np.zeros((2, 3))], check_rank=False)
+
+
+@pytest.mark.parametrize(
+    "m, p, n", [(40, 35, 30), (600, 599, 600), (18, 30, 28), (2, 1, 2), (1, 3, 3), (1, 1, 1)],
+    ids=["tall", "tall-large", "wide", "tiny-tall", "tiny-wide", "one"],
+)
+def test_core_gram_matrix_is_exactly_symmetric(make_gmp, m, p, n):
+    # symmetric_eig consumes q1.T @ q1 as it comes, without symmetrizing it:
+    # numpy forms the product by syrk and mirrors one triangle into the other
+    a, l = make_gmp(m, p, n, seed=m + p + n)
+    q, _ = qr_reduced(np.concatenate((a, l), out=np.empty((m + p, n), order="F")))
+    q1 = np.ascontiguousarray(q[:m])
+    g = q1.T @ q1
+    assert np.array_equal(g, g.T)
+
+
+@pytest.mark.parametrize("n", [1, 2, 256, 257, 258, 513])
+def test_column_norms_match_numpy_bitwise(rng, n):
+    # u's norms are taken a block of columns at a time; 257 and 513 columns
+    # would leave a lone last column, which numpy would sum pairwise
+    u = rng.standard_normal((1001, n))
+    assert np.array_equal(_column_norms(u), np.linalg.norm(u, axis=0))

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from oracle_rgsvd import min_norm_lstsq
@@ -56,15 +59,35 @@ def test_qr_reduced_factors_f_ordered_input_in_place(rng):
     assert_allclose(q.T @ q, np.eye(12), atol=1e-12)
 
 
+def test_qr_reduced_forms_r_in_one_copy(rng):
+    # R is the only n x n array formed, and its strict lower triangle is
+    # +0.0, as np.triu leaves it
+    n = 300
+    a = np.asfortranarray(rng.standard_normal((2 * n, n)))
+    tracemalloc.start()
+    try:
+        _, r = qr_reduced(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * r.nbytes
+    lower = r[np.tril_indices(n, -1)]
+    assert np.all(lower == 0.0) and not np.signbit(lower).any()
+
+
 def test_symmetric_eig_orders_ascending(rng):
     s = rng.standard_normal((9, 9))
     s = s + s.T
     s0 = s.copy()
     values, vectors = symmetric_eig(s)
-    assert np.array_equal(s, s0)
+    # the input is consumed: dsyevd runs in its buffer, with the bits it
+    # gives on a copy
+    assert not np.array_equal(s, s0)
+    w0, v0 = scipy.linalg.eigh(s0, driver="evd")
+    assert np.array_equal(values, w0) and np.array_equal(vectors, v0)
     assert np.all(np.diff(values) >= 0)
     assert vectors.flags.c_contiguous
-    assert_allclose(vectors @ np.diag(values) @ vectors.T, s, atol=1e-11)
+    assert_allclose(vectors @ np.diag(values) @ vectors.T, s0, atol=1e-11)
     assert_allclose(vectors.T @ vectors, np.eye(9), atol=1e-12)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -251,3 +253,21 @@ def test_determinism_per_seed(rng):
     assert_array_equal(c1.inner.x, c2.inner.x)
     c3 = rgsvd(a, l, 1e-6, SamplerConfig(epsilon=1e-6, blocksize=4, seed=10))
     assert c1.l1 != c3.l1 or not np.array_equal(c1.p, c3.p)
+
+
+def test_compressed_pair_freed_once_stacked():
+    # l1 = l2 = 1000: the core's stack is (1000 + 999) x 1000. Besides p and
+    # q, the factorization peaks at 2.51 stacks when the core frees
+    # P.T A Q and L Q once stacked, and at 4.01 when they stay alive
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((1200, 1000))
+    l = first_difference(1000)
+    tracemalloc.start()
+    try:
+        approx = rgsvd(a, l, 1e-2, SamplerConfig(epsilon=1e-2, blocksize=64, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert approx.l1 == approx.l2 == 1000
+    stack_bytes = (approx.l1 + l.shape[0]) * approx.l2 * 8
+    assert peak - approx.p.nbytes - approx.q.nbytes <= 2.75 * stack_bytes
