@@ -22,9 +22,8 @@ freed once stacked. The stack is factored in place in one F-ordered
 buffer, of which only Q1 is copied out, and R is one n x n copy. dsyevd
 runs in the buffer of the Gram matrix Q1.T @ Q1, which numpy's syrk forms
 exactly symmetric. Q1 goes once U is formed, and U's column norms are
-taken a block of columns at a time. On a 1499 x 600 stack the core peaks
-at 2.21 copies of the stack, set by dsyevd's 2N^2 workspace beside Q1, R
-and the Gram matrix; numpy's QR of a stacked copy peaked at 3.45.
+taken a block of columns at a time. What remains at the peak is dsyevd's
+2N^2 workspace beside Q1, R and the Gram matrix.
 
 GsvdFactors keeps U, X, alpha and beta, which every solve and selector
 reads. V1 is not formed: no routine needs it, and a caller that does gets
@@ -155,13 +154,17 @@ class GsvdFactors:
         return out
 
 
-def _column_norms(u: np.ndarray, width: int = 256) -> np.ndarray:
-    """np.linalg.norm(u, axis=0), bit for bit, squaring width columns at a
-    time instead of all of u. numpy sums a block's rows in order, as it
-    does for the whole of u, but sums a lone column pairwise, so a lone
+# columns of U squared at a time by _column_norms
+NORM_BLOCK = 256
+
+
+def _column_norms(u: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(u, axis=0), bit for bit, squaring NORM_BLOCK columns
+    at a time instead of all of u. numpy sums a block's rows in order, as
+    it does for the whole of u, but sums a lone column pairwise, so a lone
     trailing column joins the block before it."""
     n = u.shape[1]
-    edges = [*range(0, max(n - 1, 1), width), n]
+    edges = [*range(0, max(n - 1, 1), NORM_BLOCK), n]
     return np.concatenate([np.linalg.norm(u[:, i:j], axis=0) for i, j in zip(edges, edges[1:])])
 
 

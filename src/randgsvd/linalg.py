@@ -10,11 +10,8 @@ below serve the core GSVD, which hands them arrays it has just formed,
 so they check nothing: they are thin wrappers around LAPACK that pin down
 a nonnegative R diagonal in QR and ascending eigenvalues. Both work in the
 buffer they are handed: QR turns an F-ordered input into Q and forms R as
-its one n x n copy, and the eigendecomposition overwrites its exactly
-symmetric input. With that, one tomography cell of the randomized GSVD
-(a 4848 x 2349 compressed stack, 86.9 MiB) peaks 309 MiB above its
-inputs under tracemalloc, set by dsyevd's 2n^2 workspace beside the
-sketch bases, Q1, R and the Gram matrix.
+its one n x n copy, and the eigendecomposition consumes its exactly
+symmetric input.
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ import scipy.sparse
 from numpy.testing import assert_allclose
 
 from oracle_gsvd import reconstruct, reference_gsvd, v1_factor
+from randgsvd import gsvd
 from randgsvd.gsvd import GmpPair, GmpViolationError, _column_norms, _gsvd_core, gsvd_full_rank
-from randgsvd.linalg import RankDeficiencyError, qr_reduced
+from randgsvd.linalg import RankDeficiencyError
 from randgsvd.problems import first_difference
 
 
@@ -155,9 +156,8 @@ def test_core_peak_memory_stays_under_2_3_stacks():
     # the stack is factored in place and its Q dropped once the top block
     # is copied out, the Gram matrix is the eigensolver's buffer, q1 goes
     # once U is formed and U's norms are taken a block of columns at a
-    # time: 2.21 stacks, set by dsyevd's 2N^2 workspace beside Q1, R and the
-    # Gram matrix (numpy's QR of a stacked copy peaked at 3.45 stacks, the
-    # core with a symmetrized Gram copy and a full squared U at 2.61)
+    # time: the peak is set by dsyevd's 2N^2 workspace beside Q1, R and the
+    # Gram matrix, about 2.2 stacks here, and 2.3 leaves a small margin
     rng = np.random.default_rng(0)
     a = rng.standard_normal((900, 600))
     l = first_difference(600).toarray()
@@ -198,19 +198,29 @@ def test_stack_rank_test_refuses_a_zero_pair():
     "m, p, n", [(40, 35, 30), (600, 599, 600), (18, 30, 28), (2, 1, 2), (1, 3, 3), (1, 1, 1)],
     ids=["tall", "tall-large", "wide", "tiny-tall", "tiny-wide", "one"],
 )
-def test_core_gram_matrix_is_exactly_symmetric(make_gmp, m, p, n):
-    # symmetric_eig consumes q1.T @ q1 as it comes, without symmetrizing it:
-    # numpy forms the product by syrk and mirrors one triangle into the other
+def test_core_gram_matrix_is_exactly_symmetric(make_gmp, monkeypatch, m, p, n):
+    # the core hands q1.T @ q1 to symmetric_eig as it comes, without
+    # symmetrizing it, and dsyevd reads only one triangle
+    eig = gsvd.symmetric_eig
+    seen = []
+
+    def spy(s):
+        seen.append(np.array_equal(s, s.T))
+        return eig(s)
+
+    monkeypatch.setattr(gsvd, "symmetric_eig", spy)
     a, l = make_gmp(m, p, n, seed=m + p + n)
-    q, _ = qr_reduced(np.concatenate((a, l), out=np.empty((m + p, n), order="F")))
-    q1 = np.ascontiguousarray(q[:m])
-    g = q1.T @ q1
-    assert np.array_equal(g, g.T)
+    _gsvd_core([a, l], check_rank=False)
+    assert seen == [True]
 
 
-@pytest.mark.parametrize("n", [1, 2, 256, 257, 258, 513])
+B = gsvd.NORM_BLOCK
+
+
+@pytest.mark.parametrize("n", [1, 2, B, B + 1, B + 2, 2 * B + 1])
 def test_column_norms_match_numpy_bitwise(rng, n):
-    # u's norms are taken a block of columns at a time; 257 and 513 columns
-    # would leave a lone last column, which numpy would sum pairwise
+    # u's norms are taken a block of columns at a time; one column past a
+    # whole number of blocks would be a lone last column, which numpy would
+    # sum pairwise
     u = rng.standard_normal((1001, n))
     assert np.array_equal(_column_norms(u), np.linalg.norm(u, axis=0))
