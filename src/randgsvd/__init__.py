@@ -12,7 +12,6 @@ from .linalg import DimensionError, RankDeficiencyError
 from .sampling import (
     RangeBasis,
     SamplerConfig,
-    SamplingError,
     adaptive_range_finder,
     uniform_test_matrix,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "RankDeficiencyError",
     "RegularizedSolution",
     "SamplerConfig",
-    "SamplingError",
     "SelectionError",
     "TestProblemSpec",
     "TikhonovProblem",

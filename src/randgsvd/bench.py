@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .gsvd import GsvdFactors, _gsvd_core
 from .linalg import dense
-from .problems import QUADRATURE_PROBLEMS, TestProblemSpec, add_noise, generate
+from .problems import PROBLEMS, QUADRATURE_PROBLEMS, TestProblemSpec, add_noise, generate
 from .rgsvd import rgsvd
 from .sampling import SamplerConfig
 from .selection import gcv_lambda, gcv_truncation, lcurve_lambda
@@ -31,7 +31,6 @@ from .tikhonov import (
     TikhonovProblem,
     solve_exact,
     solve_gsvd,
-    solve_rgsvd,
     solve_tgsvd,
 )
 
@@ -93,17 +92,17 @@ class BenchConfig:
         object.__setattr__(self, "problems", tuple(self.problems))
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        if not self.problems:
-            raise ValueError("problems list must be nonempty")
+        named = (("problem", self.problems, PROBLEMS), ("method", self.methods, METHODS))
+        for kind, names, known in named:
+            if not names:
+                raise ValueError(f"{kind}s list must be nonempty")
+            for name in names:
+                if name not in known:
+                    raise ValueError(f"unknown {kind} {name!r}")
         if not self.seeds:
             raise ValueError("seeds list must be nonempty")
         if min(self.seeds) < 0:
             raise ValueError(f"seeds must be nonnegative, got {min(self.seeds)}")
-        if not self.methods:
-            raise ValueError("methods list must be nonempty")
-        for name in self.methods:
-            if name not in METHODS:
-                raise ValueError(f"unknown method {name!r}")
         if self.selector not in SELECTORS:
             raise ValueError(f"unknown selector {self.selector!r}")
         if self.selector == "fixed" and self.fixed_value is None:
@@ -146,7 +145,7 @@ def _run_cell(
         param, _ = gcv_lambda(source, prob.b, rows=cfg.gcv_rows)
     else:
         param, _ = lcurve_lambda(source, prob.b)
-    solve = {"gsvd": solve_gsvd, "tgsvd": solve_tgsvd, "rgsvd": solve_rgsvd}[method]
+    solve = solve_tgsvd if method == "tgsvd" else solve_gsvd
     sol = solve(source, prob.b, param, x_true=prob.x_true)
     l1, l2 = (source.l1, source.l2) if method == "rgsvd" else (0, 0)
     return sol, factor_s + time.perf_counter() - t0, l1, l2
@@ -186,7 +185,7 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRecord]:
         # instance was validated, and its stack rank checked, when built
         prob = instance(name, cfg.seeds[0])
         t0 = time.perf_counter()
-        factors = _gsvd_core([prob.a, dense(prob.l)], check_rank=False)
+        factors = _gsvd_core([prob.a, dense(prob.l)])
         return factors, time.perf_counter() - t0
 
     records: list[BenchRecord] = []

@@ -2,10 +2,11 @@
 
 The diagnostics compare the sketched solve against the exact stacked-system
 solution and evaluate a fully computable right-hand side that provably
-dominates the relative error. Since single sketching runs can exceed the
-requested tolerance, the bound is evaluated at the *realized* stage
-deviations (or the requested epsilon, whichever is larger), which keeps the
-inequality deterministic instead of probabilistic.
+dominates the relative error. The requested tolerance eps is the one the
+factorization holds, approx.stage1.epsilon. Since single sketching runs
+can exceed it, the bound is evaluated at the *realized* stage deviations
+(or eps, whichever is larger), which keeps the inequality deterministic
+instead of probabilistic.
 
 Overdetermined branch (rows >= cols), with c0 = (1 + sqrt(5)) / 2,
 xi = |pinv([P P' A; lam L])|, nu = |b| / |x_lam|:
@@ -36,7 +37,7 @@ import numpy as np
 from .gsvd import _gsvd_core
 from .linalg import dense
 from .rgsvd import ApproxGsvd
-from .tikhonov import TikhonovProblem, solve_exact, solve_rgsvd
+from .tikhonov import TikhonovProblem, solve_exact, solve_gsvd
 
 SCALE_GUARD_MAX_N = 512
 _C0 = (1.0 + np.sqrt(5.0)) / 2.0
@@ -69,14 +70,11 @@ class ErrorBoundDiagnostics:
 
 
 def error_bound_diagnostics(
-    prob: TikhonovProblem, approx: ApproxGsvd, lam: float, epsilon: float
+    prob: TikhonovProblem, approx: ApproxGsvd, lam: float
 ) -> ErrorBoundDiagnostics:
-    """Evaluate the branch-appropriate bound (see module docstring).
-
-    epsilon is the tolerance the factorization was asked to honor; the
-    bound substitutes the realized stage deviations when they are larger,
-    so the certificate holds for the factorization actually in hand.
-    """
+    """Evaluate the branch-appropriate bound (see module docstring) at
+    approx.stage1.epsilon, or at the realized stage deviations where they
+    are larger, so the certificate holds for the factorization in hand."""
     m, p, n = prob.shape
     if n > SCALE_GUARD_MAX_N:
         raise ValueError(
@@ -93,7 +91,7 @@ def error_bound_diagnostics(
     x_norm = float(np.linalg.norm(x_exact))
     if x_norm == 0.0:
         raise ValueError("exact regularized solution is zero; relative error undefined")
-    sketchy = solve_rgsvd(approx, b, lam)
+    sketchy = solve_gsvd(approx, b, lam)
     lhs = float(np.linalg.norm(sketchy.x - x_exact) / x_norm)
     nu = float(np.linalg.norm(b)) / x_norm
 
@@ -108,7 +106,7 @@ def error_bound_diagnostics(
         eps1 = _sv(a - pa)[0]
         pta = pb.T @ a
         eps2 = _sv(pta - (pta @ q) @ q.T)[0]
-        eps_used = max(epsilon, eps1, eps2)
+        eps_used = max(approx.stage1.epsilon, eps1, eps2)
         xi = 1.0 / _sv(np.vstack([pa, lam * l]))[-1]
         rhs = eps_used * (_C0 * xi**2 * nu + np.sqrt(2.0) * xi * pinv_norm * nu)
         rhs += _C0 * lam * gamma1 * xi**2 * nu
@@ -117,11 +115,11 @@ def error_bound_diagnostics(
         aq = a @ q
         eps1 = _sv(a - aq @ q.T)[0]
         eps2 = _sv(aq - pb @ (pb.T @ aq))[0]
-        eps_used = max(epsilon, eps1, eps2)
+        eps_used = max(approx.stage1.epsilon, eps1, eps2)
         pa = pb @ (pb.T @ a)
         xi = 1.0 / _sv(np.vstack([pa, lam * l]))[-1]
         # the problem already validated the pair and checked its stack rank
-        x_all = _gsvd_core([a, l], check_rank=False).x
+        x_all = _gsvd_core([a, l]).x
         x1 = x_all[:, : max(n - approx.l1, 0)]
         gamma2 = _sv(x1)[0] / _sv(x_all)[-1]
         rhs = _C0 * eps2 * xi * pinv_norm * nu

@@ -97,11 +97,6 @@ class GmpPair:
             )
         check_stack_rank(a, l, "GmpPair")
 
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        """(m, p, n) row counts of both members and the shared column count."""
-        return self.a.shape[0], self.l.shape[0], self.a.shape[1]
-
 
 @dataclass(frozen=True)
 class GsvdFactors:
@@ -168,13 +163,15 @@ def _column_norms(u: np.ndarray) -> np.ndarray:
     return np.concatenate([np.linalg.norm(u[:, i:j], axis=0) for i, j in zip(edges, edges[1:])])
 
 
-def _gsvd_core(pair: list[np.ndarray], check_rank: bool) -> GsvdFactors:
-    """Shared GSVD workhorse of gsvd_full_rank, rgsvd's compressed pair and
-    the error bounds' ambient pair. Takes the pair as a list [a, l] and
-    empties it, so that a pair the caller formed for the core alone is
+def _gsvd_core(pair: list[np.ndarray]) -> GsvdFactors:
+    """Shared GSVD workhorse of gsvd_full_rank, rgsvd's compressed pair,
+    bench's dense factors and the error bounds' ambient pair. It has one,
+    tolerant mode: a first member numerically rank deficient on the branch
+    gets near-zero alphas, not a refusal. Takes the pair as a list [a, l]
+    and empties it, so that a pair the caller formed for the core alone is
     freed once it is stacked. Trusts its input: a and l are dense, finite
-    float64 arrays with matching column counts whose stack has at least
-    as many rows as columns; a numerically singular triangular factor is
+    float64 arrays with matching column counts whose stack has at least as
+    many rows as columns; a numerically singular triangular factor is
     refused by the diagonal-ratio check below."""
     a, l = pair
     pair.clear()
@@ -200,23 +197,14 @@ def _gsvd_core(pair: list[np.ndarray], check_rank: bool) -> GsvdFactors:
     psi, svecs = symmetric_eig(q1.T @ q1)
     psi = np.clip(psi, 0.0, 1.0)
 
-    tol = 1e-12 * n
-    r = int(np.count_nonzero(psi > 1.0 - tol))
+    r = int(np.count_nonzero(psi > 1.0 - 1e-12 * n))
     tall = n <= m
     k0 = 0 if tall else n - m
-    needed = psi[k0:]
-
-    if check_rank and needed.size and needed.min() <= tol:
-        raise RankDeficiencyError(
-            "first pair member is numerically rank deficient on the requested "
-            f"branch (smallest required psi = {needed.min():.3e})"
-        )
-
-    alpha = np.sqrt(needed)
-    # Columns of q1 @ svecs carry norm sqrt(psi) in exact arithmetic, but for
-    # the tolerant path psi can round to zero while the computed column still
-    # holds rounding noise; normalizing by the computed norm keeps every
-    # column at unit length instead of amplifying that noise.
+    alpha = np.sqrt(psi[k0:])
+    # Columns of q1 @ svecs carry norm sqrt(psi) in exact arithmetic, but
+    # psi can round to zero while the computed column still holds rounding
+    # noise; normalizing by the computed norm keeps every column at unit
+    # length instead of amplifying that noise.
     u = q1 @ svecs if tall else q1 @ svecs[:, k0:]
     del q1
     u /= np.maximum(_column_norms(u), np.finfo(float).tiny)
@@ -239,11 +227,18 @@ def gsvd_full_rank(pair: GmpPair, check_rank: bool = True) -> GsvdFactors:
 
     With check_rank=True (default) the routine refuses pairs whose first
     member is numerically rank deficient on the branch it would need
-    (required psi values at or below 1e-12 * n). check_rank=False instead
-    floors the offending divisors; discretized ill-posed operators are
-    numerically rank deficient by nature, and their noise directions carry
-    generalized values so small that any sensible regularizer filters them
-    out, so the tolerant mode is what large-scale callers want.
+    (required psi = alpha^2 at or below 1e-12 * n). check_rank=False
+    returns the core's tolerant factors; discretized ill-posed operators
+    are numerically rank deficient by nature, and their noise directions
+    carry generalized values so small that any sensible regularizer
+    filters them out, so the tolerant mode is what large-scale callers want.
     """
-    return _gsvd_core([pair.a, pair.l], check_rank)
+    factors = _gsvd_core([pair.a, pair.l])
+    alpha = factors.alpha
+    if check_rank and alpha.size and alpha.min() <= np.sqrt(1e-12 * factors.n):
+        raise RankDeficiencyError(
+            "first pair member is numerically rank deficient on the requested "
+            f"branch (smallest required psi = {alpha.min() ** 2:.3e})"
+        )
+    return factors
 

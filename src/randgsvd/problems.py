@@ -26,6 +26,8 @@ from .sampling import _philox
 from .tikhonov import TikhonovProblem
 
 QUADRATURE_PROBLEMS = ("shaw", "baart", "deriv2", "foxgood", "gravity", "heat", "phillips")
+# every name TestProblemSpec, and so the benchmark, accepts
+PROBLEMS = QUADRATURE_PROBLEMS + ("tomo",)
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,7 @@ class TestProblemSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.name not in QUADRATURE_PROBLEMS + ("tomo",):
+        if self.name not in PROBLEMS:
             raise ValueError(f"unknown problem name {self.name!r}")
         if self.name != "tomo" and self.n < 8:
             raise ValueError(f"n must be at least 8, got {self.n}")
@@ -345,15 +347,15 @@ def parallel_tomo(
     return op, phantom(n_grid, phantom_seed)
 
 
-def phantom(n_grid: int, seed: int = 0, shapes: int = 8) -> np.ndarray:
-    """Seeded synthetic test image: a mixture of axis-aligned rectangles and
-    disks with intensities in [0,1], max-blended, flattened like the
-    tomography pixel order."""
+def phantom(n_grid: int, seed: int = 0) -> np.ndarray:
+    """Seeded synthetic test image: a mixture of eight axis-aligned
+    rectangles and disks with intensities in [0,1], max-blended, flattened
+    like the tomography pixel order."""
     gen = _philox(seed)
     xs = (np.arange(n_grid) + 0.5) / n_grid
     gx, gy = np.meshgrid(xs, xs)  # gy rows follow iy (bottom-up)
     img = np.zeros((n_grid, n_grid))
-    for _ in range(shapes):
+    for _ in range(8):
         kind = gen.random()
         cx, cy = gen.uniform(0.2, 0.8, size=2)
         size = gen.uniform(0.08, 0.25)

@@ -134,7 +134,7 @@ def rgsvd(a, l, epsilon: float, cfg: SamplerConfig) -> ApproxGsvd:
         # full rank, so the solve is well-posed and the filters damp those
         # directions. The core empties pair, which holds the only
         # references to P.T A Q and L Q, so both go once they are stacked
-        inner = _gsvd_core(pair, check_rank=False)
+        inner = _gsvd_core(pair)
     else:  # degenerate: no core to factor, and both counts read 0
         inner = None
         l1 = 0

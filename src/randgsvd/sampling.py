@@ -66,10 +66,6 @@ _WINDOW_MIN_BYTES = 8 * 2**20
 _WINDOW_ROW_MULTIPLE = 8
 
 
-class SamplingError(RuntimeError):
-    """Adaptive sampling exceeded its configured column budget."""
-
-
 def _philox(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed & _MASK64))
 
@@ -102,7 +98,6 @@ class SamplerConfig:
                       epsilon * c to stop at the same column
     blocksize      -- columns sketched per adaptive step
     seed           -- 64-bit base seed; block i uses seed XOR i
-    max_columns    -- optional hard cap on collected columns
     stage2_epsilon -- optional override for the second stage of the
                       two-sided factorization (defaults to the stage-one
                       tolerance)
@@ -111,7 +106,6 @@ class SamplerConfig:
     epsilon: float
     blocksize: int = 4
     seed: int = 0
-    max_columns: int | None = None
     stage2_epsilon: float | None = None
 
     def __post_init__(self):
@@ -121,8 +115,6 @@ class SamplerConfig:
             raise ValueError(f"blocksize must be >= 1, got {self.blocksize}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.max_columns is not None and self.max_columns < 0:
-            raise ValueError("max_columns must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -137,7 +129,7 @@ class RangeBasis:
                        may form several blocks, and blocks it formed past
                        the stopping block are discarded
     triggered_diag  -- |R_ll| value that fired the stopping rule, or None
-                       when the full column budget was used
+                       when the basis reached min(rows, cols) columns
     seed            -- base seed of the run
     """
 
@@ -281,12 +273,6 @@ def adaptive_range_finder(a, cfg: SamplerConfig) -> RangeBasis:
             q = np.hstack([q, p[:, :keep]])
             break
         q = np.hstack([q, p])
-        if cfg.max_columns is not None and q.shape[1] > cfg.max_columns:
-            raise SamplingError(
-                f"adaptive sampling exceeded max_columns={cfg.max_columns} "
-                f"(deflated column norms still above epsilon={cfg.epsilon}; "
-                f"last diagonal {diag.min():.3e})"
-            )
         if q.shape[1] >= min(m, n):
             break
 

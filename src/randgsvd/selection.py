@@ -11,8 +11,8 @@ criteria see the sketched operator -- the one the factorization actually
 retains. GCV counts projected rows by default; the "ambient" mode counts
 the full row count of the original operator and, to match it, takes the
 ambient residual floor, the energy of b outside the sketched operator's
-range, which is the residual solve_rgsvd reports. The two modes agree on
-exact factors.
+range, which is the residual solve_gsvd reports on a sketch. The two
+modes agree on exact factors.
 """
 
 from __future__ import annotations
@@ -76,15 +76,11 @@ def _gcv_grid(ctx: _Projection, grid: np.ndarray, m_hat: int, floor: float) -> n
         return np.where(dof > 0.0, _residual_sq(ctx.eta, f, floor) / dof**2, np.inf)
 
 
-def _log_grid(lam_range, size) -> np.ndarray:
-    lo, hi = lam_range
-    if not (0.0 < lo < hi):
-        raise ValueError(f"invalid lambda range {lam_range}")
-    if size < 3:
-        # the fewest points an L-curve curvature, or a GCV minimum with a
-        # neighbor on each side, can use
-        raise ValueError(f"grid_size must be at least 3, got {size}")
-    return np.logspace(np.log10(lo), np.log10(hi), size)
+def _log_grid() -> np.ndarray:
+    """GRID_SIZE lambdas log-spaced across LAMBDA_RANGE, both read at call
+    time, so a test can monkeypatch them."""
+    lo, hi = LAMBDA_RANGE
+    return np.logspace(np.log10(lo), np.log10(hi), GRID_SIZE)
 
 
 def _golden_refine(fun: Callable[[float], float], lo: float, hi: float) -> float:
@@ -108,28 +104,22 @@ def _golden_refine(fun: Callable[[float], float], lo: float, hi: float) -> float
     return 10.0 ** (0.5 * (a + b))
 
 
-def gcv_lambda(
-    source,
-    b,
-    *,
-    rows: str = "projected",
-    lam_range: tuple[float, float] = LAMBDA_RANGE,
-    grid_size: int = GRID_SIZE,
-) -> tuple[float, float]:
+def gcv_lambda(source, b, *, rows: str = "projected") -> tuple[float, float]:
     """Minimize the GCV functional
 
         G(lam) = |residual(lam)|^2 / (m_hat - sum_i f_i(lam))^2
 
-    over a log grid, then sharpen the grid minimum by golden section.
-    ``source`` is either exact GsvdFactors or an ApproxGsvd; ``rows``
-    chooses m_hat and the residual's floor (projected by default; see the
-    module docstring). Returns (lam, G(lam)).
+    over the lambda grid (GRID_SIZE points log-spaced across LAMBDA_RANGE),
+    then sharpen the grid minimum by golden section. ``source`` is either
+    exact GsvdFactors or an ApproxGsvd; ``rows`` chooses m_hat and the
+    residual's floor (projected by default; see the module docstring).
+    Returns (lam, G(lam)).
     """
     ctx = _make_context(source, b)
     if ctx.factors.beta.shape[0] == 0:
         raise SelectionError("all filters are unity (regularizer sees nothing); GCV is flat")
     m_hat, floor = _rows(ctx, rows)
-    grid = _log_grid(lam_range, grid_size)
+    grid = _log_grid()
     vals = _gcv_grid(ctx, grid, m_hat, floor)
     if not np.isfinite(vals).any():
         raise SelectionError("GCV denominator vanished on the whole grid")
@@ -181,15 +171,10 @@ def _lcurve_points(ctx: _Projection, grid: np.ndarray) -> tuple[np.ndarray, np.n
     return np.sqrt(_residual_sq(ctx.eta, f, ctx.perp_sq)), _seminorm(ctx.factors, y)
 
 
-def lcurve_lambda(
-    source,
-    b,
-    *,
-    lam_range: tuple[float, float] = LAMBDA_RANGE,
-    grid_size: int = GRID_SIZE,
-) -> tuple[float, tuple[float, float]]:
-    """L-curve corner: the grid point maximizing the signed discrete
-    curvature of (log residual, log seminorm) as lambda increases.
+def lcurve_lambda(source, b) -> tuple[float, tuple[float, float]]:
+    """L-curve corner: the point of gcv_lambda's lambda grid maximizing the
+    signed discrete curvature of (log residual, log seminorm) as lambda
+    increases.
 
     Returns (lam, (log10 residual, log10 seminorm)) at the corner. Raises
     SelectionError when the curve has no positively curved interior point
@@ -198,7 +183,7 @@ def lcurve_lambda(
     ctx = _make_context(source, b)
     if ctx.factors.beta.shape[0] == 0:
         raise SelectionError("regularizer seminorm is identically zero; L-curve is flat")
-    grid = _log_grid(lam_range, grid_size)
+    grid = _log_grid()
     rho, sem = _lcurve_points(ctx, grid)
     tiny = 1e-300
     x = np.log(np.maximum(rho, tiny))

@@ -7,12 +7,13 @@ All solvers target
 for a pair {a, l} whose stack has full column rank, so the minimizer is
 unique for lam > 0. ``solve_exact`` works from the stacked augmented system
 and is the reference the factored paths are tested against. ``solve_gsvd``
-and ``solve_tgsvd`` expand the solution in exact GSVD coordinates with
-Tikhonov respectively truncation filters, and ``solve_rgsvd`` does the same
-inside the sketched subspace pair produced by the two-sided randomized
-factorization. How data enter factor coordinates (``_project``), the
-residual and seminorm of a filter, and the truncation rule are each coded
-once here, and ``selection`` reads the same helpers.
+expands the solution in GSVD coordinates with Tikhonov filters, of exact
+factors or inside the sketched subspace pair produced by the two-sided
+randomized factorization (``solve_rgsvd`` is the same function), and
+``solve_tgsvd`` does so in exact coordinates with truncation filters.
+How data enter factor coordinates (``_project``), the residual and
+seminorm of a filter, and the truncation rule are each coded once here,
+and ``selection`` reads the same helpers.
 """
 
 from __future__ import annotations
@@ -248,20 +249,26 @@ def _filtered_solution(
     return _with_rel_error(sol, x_true)
 
 
-def solve_gsvd(
-    factors: GsvdFactors, b, lam: float, x_true=None
-) -> RegularizedSolution:
-    """Tikhonov solve in exact GSVD coordinates.
+def solve_gsvd(source, b, lam: float, x_true=None) -> RegularizedSolution:
+    """Tikhonov solve in the GSVD coordinates of exact GsvdFactors
+    (method "gsvd") or of an ApproxGsvd's compressed pair ("rgsvd").
 
-    eta = U.T b, each retained direction is damped by its filter factor,
-    and the solution is assembled from the aligned X columns. Residual and
-    seminorm come from the same expansion, so no operator matrices are
-    touched.
+    eta = U.T c for c = b (P.T b for a sketch), each direction is damped
+    by its filter factor, and x is assembled from the aligned X columns
+    (lifted by Q for a sketch); residual and seminorm come from the same
+    expansion. A sketch's residual is against the sketched operator, so
+    it includes the energy of b outside range(P), and a degenerate sketch
+    gives x = 0 with residual |b|.
     """
     if not (lam > 0.0):
         raise ValueError(f"lam must be positive, got {lam}")
-    proj = _project(factors, b)
-    return _filtered_solution(proj, tikhonov_filters(proj.factors, lam), lam, "gsvd", x_true)
+    proj = _project(source, b)
+    method = "gsvd" if proj.lift is None else "rgsvd"
+    if proj.factors is None:
+        x, res = np.zeros(proj.lift.shape[0]), float(np.sqrt(proj.perp_sq_ambient))
+        sol = RegularizedSolution(x=x, lam=lam, method=method, residual_norm=res, seminorm=0.0)
+        return _with_rel_error(sol, x_true)
+    return _filtered_solution(proj, tikhonov_filters(proj.factors, lam), lam, method, x_true)
 
 
 def solve_tgsvd(
@@ -286,19 +293,5 @@ def solve_tgsvd(
     return _filtered_solution(proj, filters, float(k), "tgsvd", x_true)
 
 
-def solve_rgsvd(approx: ApproxGsvd, b, lam: float, x_true=None) -> RegularizedSolution:
-    """Tikhonov solve through a two-sided randomized factorization,
-    expanded inside the compressed pair's GSVD coordinates.
-
-    residual_norm is measured against the sketched operator (the only one
-    the factorization retains), so it includes the energy of b outside
-    range(P); seminorm |L x| is exact because x lies in range(Q).
-    """
-    if not (lam > 0.0):
-        raise ValueError(f"lam must be positive, got {lam}")
-    proj = _project(approx, b)
-    if proj.factors is None:
-        x, res = np.zeros(approx.q.shape[0]), float(np.sqrt(proj.perp_sq_ambient))
-        sol = RegularizedSolution(x=x, lam=lam, method="rgsvd", residual_norm=res, seminorm=0.0)
-        return _with_rel_error(sol, x_true)
-    return _filtered_solution(proj, tikhonov_filters(proj.factors, lam), lam, "rgsvd", x_true)
+# the sketched solve's earlier name, kept for callers that bind it
+solve_rgsvd = solve_gsvd

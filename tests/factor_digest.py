@@ -8,6 +8,7 @@ bit for bit with diff:
     PYTHONPATH=src python tests/factor_digest.py under > under.txt
     PYTHONPATH=src python tests/factor_digest.py problems > problems.txt
     PYTHONPATH=src python tests/factor_digest.py bench > bench.txt
+    PYTHONPATH=src python tests/factor_digest.py bounds > bounds.txt
 
 An optional second argument sets the BLAS thread count in place of the
 mode's default given below, e.g. ``factor_digest.py kernels 2``.
@@ -51,6 +52,13 @@ phillips row-truncated to n = 32, m = 16 under GCV with ambient rows.
 Each grid prints its report rows without the wall_time_s column, each
 record's error, and the digest of every dump file.
 
+"bounds" evaluates error_bound_diagnostics, at 1 BLAS thread, on the
+grid of criterion 08 (30 random pairs, lambda in {1e-3, 1e-1, 1}) and on
+the cases of test_bounds.py, and prints the repr of every field of each
+result. The tolerance is the one the sketch holds, approx.stage1.epsilon;
+a tree whose error_bound_diagnostics still takes it as an argument is
+handed that value.
+
 The row-truncated cases keep the first m rows of the clean square problem
 and cut b from the full product A x_true, rather than building them with
 generate(TestProblemSpec(..., m=m)), which forms A[:m] x_true. The two
@@ -69,13 +77,23 @@ Only names present in the package since the factorization kept its inner
 GSVD are read, so an older tree can be digested with this file as well.
 """
 
+import dataclasses
 import hashlib
+import inspect
 import os
 import sys
 import tempfile
 from pathlib import Path
 
-THREADS = {"kernels": "1", "tomo": "2", "dense": "1", "under": "1", "problems": "1", "bench": "1"}
+THREADS = {
+    "kernels": "1",
+    "tomo": "2",
+    "dense": "1",
+    "under": "1",
+    "problems": "1",
+    "bench": "1",
+    "bounds": "1",
+}
 
 if __name__ == "__main__":
     args = sys.argv[1:]
@@ -89,11 +107,13 @@ import numpy as np  # noqa: E402  (after the thread pinning above)
 from bench_records import report_rows  # noqa: E402
 
 from randgsvd.bench import BenchConfig, run_benchmark  # noqa: E402
+from randgsvd.bounds import error_bound_diagnostics  # noqa: E402
 from randgsvd.gsvd import GmpPair, gsvd_full_rank  # noqa: E402
 from randgsvd.problems import (  # noqa: E402
     QUADRATURE_PROBLEMS,
     TestProblemSpec,
     add_noise,
+    first_difference,
     generate,
     parallel_tomo,
 )
@@ -249,6 +269,58 @@ def bench() -> None:
                 print(tag, "dump", path.relative_to(out / "dump").as_posix(), digest)
 
 
+def _print_bounds(key: str, prob, approx, lam: float) -> None:
+    if "epsilon" in inspect.signature(error_bound_diagnostics).parameters:
+        diag = error_bound_diagnostics(prob, approx, lam, approx.stage1.epsilon)
+    else:
+        diag = error_bound_diagnostics(prob, approx, lam)
+    fields = (f"{f.name}={getattr(diag, f.name)!r}" for f in dataclasses.fields(diag))
+    print(key, "bounds", *fields)
+
+
+def _gmp(m: int, p: int, n: int, seed: int):
+    """tests/conftest.py's make_gmp pair."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((m, n)), rng.standard_normal((p, n))
+
+
+def bounds() -> None:
+    rng = np.random.default_rng(808)  # criterion 08's grid
+    for trial in range(30):
+        if trial % 2 == 0:
+            m = int(rng.integers(40, 120))
+            n = int(rng.integers(20, min(m, 100)))
+        else:
+            n = int(rng.integers(30, 120))
+            m = int(rng.integers(15, n))
+        k = min(m, n)
+        u, _ = np.linalg.qr(rng.standard_normal((m, k)))
+        v, _ = np.linalg.qr(rng.standard_normal((n, k)))
+        a = u @ np.diag(np.exp(-0.4 * np.arange(k))) @ v.T
+        l = first_difference(n)
+        b = a @ rng.standard_normal(n) + 1e-4 * rng.standard_normal(m)
+        prob = TikhonovProblem(a=a, l=l, b=b, x_true=None, delta=0.0)
+        approx = rgsvd(a, l, 1e-2, SamplerConfig(epsilon=1e-2, blocksize=4, seed=trial))
+        for lam in (1e-3, 1e-1, 1.0):
+            _print_bounds(f"c08/t{trial}/lam{lam}", prob, approx, lam)
+    # test_bounds.py's cases, each with the rng fixture of tests/conftest.py
+    for tag, shape, seed, epsilon, sketch_seed in (
+        ("over", (40, 29, 30), 21, 1e-4, 0),
+        ("under", (20, 34, 35), 22, 1e-4, 1),
+    ):
+        a, l = _gmp(*shape, seed=seed)
+        b = np.random.default_rng(20240817).standard_normal(shape[0])
+        prob = TikhonovProblem(a=a, l=l, b=b)
+        approx = rgsvd(a, l, epsilon, SamplerConfig(epsilon=epsilon, blocksize=4, seed=sketch_seed))
+        for lam in (1e-2, 1e-1, 1.0):
+            _print_bounds(f"test_bounds/{tag}/lam{lam}", prob, approx, lam)
+    prob = generate(TestProblemSpec(name="gravity", n=96, delta=1e-3, seed=7))
+    approx = rgsvd(prob.a, prob.l, 1e-2, SamplerConfig(epsilon=1e-2, blocksize=4, seed=7))
+    as_dense = TikhonovProblem(a=prob.a, l=prob.l.toarray(), b=prob.b, x_true=prob.x_true)
+    for tag, p in (("sparse-l", prob), ("dense-l", as_dense)):
+        _print_bounds(f"test_bounds/gravity/{tag}", p, approx, 1e-1)
+
+
 if __name__ == "__main__":
     modes = {
         "kernels": kernels,
@@ -257,5 +329,6 @@ if __name__ == "__main__":
         "under": under,
         "problems": problems,
         "bench": bench,
+        "bounds": bounds,
     }
     modes[sys.argv[1]]()

@@ -18,7 +18,6 @@ from randgsvd.sampling import (
     _SQRT3,
     _STREAM_SALT,
     SamplerConfig,
-    SamplingError,
     _block_widths,
     _philox,
     uniform_test_matrix,
@@ -28,9 +27,7 @@ from randgsvd.sampling import (
 def per_block_range_finder(a, cfg: SamplerConfig) -> tuple[np.ndarray, int, float | None]:
     """Adaptive range finder forming a @ Omega_i once per test block.
 
-    Returns (q, blocks_consumed, triggered_diag). Past cfg.max_columns it
-    raises SamplingError with the library's message, whose last diagonal
-    names the block that crossed the budget.
+    Returns (q, blocks_consumed, triggered_diag).
     """
     m, n = a.shape
     q = np.empty((m, 0))
@@ -51,12 +48,6 @@ def per_block_range_finder(a, cfg: SamplerConfig) -> tuple[np.ndarray, int, floa
             q = np.hstack([q, p[:, :keep]])
             break
         q = np.hstack([q, p])
-        if cfg.max_columns is not None and q.shape[1] > cfg.max_columns:
-            raise SamplingError(
-                f"adaptive sampling exceeded max_columns={cfg.max_columns} "
-                f"(deflated column norms still above epsilon={cfg.epsilon}; "
-                f"last diagonal {diag.min():.3e})"
-            )
         if q.shape[1] >= min(m, n):
             break
     return q, blocks, triggered

@@ -277,7 +277,7 @@ def test_criterion_08_error_bounds_hold():
         prob = TikhonovProblem(a=a, l=l, b=b, x_true=None, delta=0.0)
         approx = rgsvd(a, l, 1e-2, SamplerConfig(epsilon=1e-2, blocksize=4, seed=trial))
         for lam in (1e-3, 1e-1, 1.0):
-            d = error_bound_diagnostics(prob, approx, lam, 1e-2)
+            d = error_bound_diagnostics(prob, approx, lam)
             checks += 1
             violations += d.lhs > d.rhs
             worst_ratio = max(worst_ratio, d.lhs / d.rhs)

@@ -100,7 +100,7 @@ def test_instances_and_factors_built_once(monkeypatch):
     real_generate, real_core = bench.generate, bench._gsvd_core
     monkeypatch.setattr(bench, "generate", lambda spec: generated.append(spec) or real_generate(spec))
     monkeypatch.setattr(
-        bench, "_gsvd_core", lambda pair, **kw: factored.append(pair[0].shape) or real_core(pair, **kw)
+        bench, "_gsvd_core", lambda pair: factored.append(pair[0].shape) or real_core(pair)
     )
     cfg = BenchConfig(
         problems=("shaw", "tomo"), methods=("gsvd", "tgsvd", "rgsvd"), seeds=(0, 1, 2), **dict(FAST, n=8)
@@ -210,6 +210,8 @@ def test_records_equal_nan_and_mismatch():
 def test_config_validation():
     with pytest.raises(ValueError):
         BenchConfig(problems=())
+    with pytest.raises(ValueError, match="unknown problem 'shawx'"):
+        BenchConfig(problems=("shaw", "shawx"))
     with pytest.raises(ValueError):
         BenchConfig(seeds=())
     with pytest.raises(ValueError, match="seeds must be nonnegative"):
@@ -302,6 +304,10 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "FAIL" in out and "error=ValueError: tgsvd supports selectors" in out
     assert main(["--method", "rgsvd_alg3", "--n", "32"]) == 2
     assert "unknown method 'rgsvd_alg3'" in capsys.readouterr().err
+    # an unknown problem is a configuration error, refused before any row runs
+    assert main(["--problems", "shawx", "--n", "32"]) == 2
+    captured = capsys.readouterr()
+    assert "unknown problem 'shawx'" in captured.err and captured.out == ""
     assert main(["--selector", "huh", "--n", "32"]) == 2
     capsys.readouterr()
     assert main(["--seeds=-1", "--n", "32"]) == 2

@@ -13,7 +13,6 @@ from randgsvd.problems import first_difference
 
 
 def _check_identities(pair, factors, tol=1e-10):
-    m, p, n = pair.shape
     scale = max(np.linalg.norm(pair.a), np.linalg.norm(pair.l), 1.0)
     d1 = factors.u.T @ pair.a @ factors.x[:, factors.offset :]
     assert np.linalg.norm(d1 - np.diag(factors.alpha)) <= tol * scale
@@ -164,7 +163,7 @@ def test_core_peak_memory_stays_under_2_3_stacks():
     stack_bytes = (a.shape[0] + l.shape[0]) * a.shape[1] * a.itemsize
     tracemalloc.start()
     try:
-        _gsvd_core([a, l], check_rank=False)
+        _gsvd_core([a, l])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -173,7 +172,7 @@ def test_core_peak_memory_stays_under_2_3_stacks():
 
 def test_core_empties_the_pair_it_is_given(rng):
     pair = [rng.standard_normal((12, 8)), np.eye(8)]
-    _gsvd_core(pair, check_rank=False)
+    _gsvd_core(pair)
     assert pair == []
 
 
@@ -191,7 +190,7 @@ def test_stack_rank_test_does_not_depend_on_scale(scale):
 
 def test_stack_rank_test_refuses_a_zero_pair():
     with pytest.raises(GmpViolationError):
-        _gsvd_core([np.zeros((4, 3)), np.zeros((2, 3))], check_rank=False)
+        _gsvd_core([np.zeros((4, 3)), np.zeros((2, 3))])
 
 
 @pytest.mark.parametrize(
@@ -210,7 +209,7 @@ def test_core_gram_matrix_is_exactly_symmetric(make_gmp, monkeypatch, m, p, n):
 
     monkeypatch.setattr(gsvd, "symmetric_eig", spy)
     a, l = make_gmp(m, p, n, seed=m + p + n)
-    _gsvd_core([a, l], check_rank=False)
+    _gsvd_core([a, l])
     assert seen == [True]
 
 

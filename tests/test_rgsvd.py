@@ -10,7 +10,7 @@ from randgsvd.linalg import DimensionError
 from randgsvd.problems import TestProblemSpec, first_difference, generate, shaw_matrix
 from randgsvd.rgsvd import rgsvd
 from randgsvd.sampling import SamplerConfig
-from randgsvd.tikhonov import solve_exact, solve_rgsvd, TikhonovProblem
+from randgsvd.tikhonov import solve_exact, solve_gsvd, solve_rgsvd, TikhonovProblem
 
 
 def _decaying(rng, m, n, rate=0.5):
@@ -197,6 +197,25 @@ def test_degenerate_zero_operator():
     sol = solve_rgsvd(approx, b, 0.5)
     assert_array_equal(sol.x, np.zeros(10))
     assert sol.residual_norm == pytest.approx(np.linalg.norm(b))
+
+
+@pytest.mark.parametrize("solve", [solve_gsvd, solve_rgsvd], ids=["solve_gsvd", "solve_rgsvd"])
+def test_either_solve_name_takes_a_sketch(rng, solve):
+    # one Tikhonov solve serves exact factors and sketches alike: a
+    # degenerate sketch gives x = 0 and the residual |b|, and a sketch's
+    # result is labelled "rgsvd" whichever name it was solved under
+    l = first_difference(10)
+    b = np.ones(12)
+    cfg = SamplerConfig(epsilon=1e-4, blocksize=3, seed=0)
+    zero = rgsvd(np.zeros((12, 10)), l, 1e-4, cfg)
+    assert zero.is_degenerate
+    sol = solve(zero, b, 0.5)
+    assert_array_equal(sol.x, np.zeros(10))
+    assert sol.residual_norm == pytest.approx(np.linalg.norm(b), rel=1e-15)
+    assert (sol.method, sol.seminorm) == ("rgsvd", 0.0)
+    approx = rgsvd(_decaying(rng, 12, 10), l, 1e-4, cfg)
+    assert not approx.is_degenerate
+    assert solve(approx, b, 0.5).method == "rgsvd"
 
 
 def test_stage_metadata_kept_on_row_space_branch():

@@ -8,7 +8,6 @@ from randgsvd.sampling import (
     _WINDOW_MIN_BYTES,
     _WINDOW_ROW_MULTIPLE,
     SamplerConfig,
-    SamplingError,
     adaptive_range_finder,
     derive_stage_seed,
     stage_config,
@@ -88,13 +87,6 @@ def test_determinism_and_seed_sensitivity(rng):
     assert b1.ncols != b3.ncols or not np.array_equal(b1.q, b3.q)
 
 
-def test_max_columns_raises(rng):
-    a = rng.standard_normal((30, 30))  # no decay: wants all 30 columns
-    cfg = SamplerConfig(epsilon=1e-10, blocksize=4, seed=0, max_columns=8)
-    with pytest.raises(SamplingError):
-        adaptive_range_finder(a, cfg)
-
-
 def test_blocksize_must_fit():
     with pytest.raises(ValueError):
         adaptive_range_finder(np.eye(4), SamplerConfig(epsilon=1e-2, blocksize=4, seed=0))
@@ -136,22 +128,14 @@ def _transposed_view(a):
 # pass); "transposed-18000" drops three, which makes the view qualify
 @pytest.mark.parametrize("layout", ["C", "transposed", "transposed-18000"])
 @pytest.mark.parametrize("blocksize", [2, 3, 4, 5])
-@pytest.mark.parametrize("run", ["to_last_block", "stop_in_first_window", "max_columns"])
+@pytest.mark.parametrize("run", ["to_last_block", "stop_in_first_window"])
 def test_windowed_passes_match_per_block_oracle(window_target, layout, blocksize, run):
     rows = 18000 if layout == "transposed-18000" else 18003
     a = window_target if layout == "C" else _transposed_view(window_target[:rows])
     assert a.nbytes >= _WINDOW_MIN_BYTES
     assert (a.shape[0] % _WINDOW_ROW_MULTIPLE == 0) == (layout == "transposed-18000")
     epsilon = 0.3 if run == "stop_in_first_window" else 1e-11
-    max_columns = 5 if run == "max_columns" else None
-    cfg = SamplerConfig(epsilon=epsilon, blocksize=blocksize, seed=3, max_columns=max_columns)
-    if run == "max_columns":
-        with pytest.raises(SamplingError) as expected:
-            per_block_range_finder(a, cfg)
-        with pytest.raises(SamplingError) as got:
-            adaptive_range_finder(a, cfg)
-        assert str(got.value) == str(expected.value)
-        return
+    cfg = SamplerConfig(epsilon=epsilon, blocksize=blocksize, seed=3)
     q, blocks, triggered = per_block_range_finder(a, cfg)
     basis = adaptive_range_finder(a, cfg)
     assert_array_equal(basis.q, q)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from randgsvd import selection
 from randgsvd.gsvd import GmpPair, GsvdFactors, gsvd_full_rank
 from randgsvd.linalg import DimensionError
 from randgsvd.problems import TestProblemSpec, add_noise, generate
@@ -43,19 +44,13 @@ def test_gcv_beats_nearby_lambdas(shaw_instance):
         assert g <= _gcv_value(ctx, lam * factor, *_rows(ctx, "projected")) * (1 + 1e-9)
 
 
-def test_gcv_grid_refinement_stability(shaw_instance):
+def test_gcv_grid_refinement_stability(shaw_instance, monkeypatch):
     prob, factors = shaw_instance
-    lam1, _ = gcv_lambda(factors, prob.b, grid_size=100)
-    lam2, _ = gcv_lambda(factors, prob.b, grid_size=400)
-    assert lam1 == pytest.approx(lam2, rel=0.05)
-
-
-@pytest.mark.parametrize("size", [0, 1, 2])
-@pytest.mark.parametrize("selector", [gcv_lambda, lcurve_lambda], ids=["gcv", "lcurve"])
-def test_grid_size_below_three_rejected(shaw_instance, selector, size):
-    prob, factors = shaw_instance
-    with pytest.raises(ValueError, match="grid_size must be at least 3"):
-        selector(factors, prob.b, grid_size=size)
+    lams = []
+    for size in (100, 400):
+        monkeypatch.setattr(selection, "GRID_SIZE", size)
+        lams.append(gcv_lambda(factors, prob.b)[0])
+    assert lams[0] == pytest.approx(lams[1], rel=0.05)
 
 
 def test_gcv_rows_modes_differ_only_for_sketched(shaw_instance):
@@ -95,9 +90,10 @@ def test_gcv_through_sketched_factors(shaw_instance):
     assert sol.rel_error < 0.25
 
 
-def test_gcv_custom_range_respected(shaw_instance):
+def test_gcv_custom_range_respected(shaw_instance, monkeypatch):
     prob, factors = shaw_instance
-    lam, _ = gcv_lambda(factors, prob.b, lam_range=(1e-2, 1e0))
+    monkeypatch.setattr(selection, "LAMBDA_RANGE", (1e-2, 1e0))
+    lam, _ = gcv_lambda(factors, prob.b)
     assert 1e-2 <= lam <= 1e0
 
 

@@ -39,7 +39,7 @@ def test_grid_values_and_lambdas_match_per_lambda_loops(name, m, monkeypatch):
     # m = N runs the column-space branch (and the exact factors), m = N/2
     # the row-space branch
     sources, datas = _sources(name, m)
-    grid = selection._log_grid(selection.LAMBDA_RANGE, selection.GRID_SIZE)
+    grid = selection._log_grid()
     for source in sources:
         for b in datas:
             ctx = selection._make_context(source, b)
@@ -58,7 +58,7 @@ def test_grid_values_and_lambdas_match_per_lambda_loops(name, m, monkeypatch):
     assert picked == _select_all(sources, datas)
 
 
-def test_gcv_denominator_vanishing_on_whole_grid_raises():
+def test_gcv_denominator_vanishing_on_whole_grid_raises(monkeypatch):
     # two beta = 0 directions pass unfiltered, and on this range the third
     # filter rounds to 1 as well: every dof is 3 - 3 = 0 and the residual 0
     factors = GsvdFactors(
@@ -69,6 +69,7 @@ def test_gcv_denominator_vanishing_on_whole_grid_raises():
         r=2,
         branch="tall",
     )
+    monkeypatch.setattr(selection, "LAMBDA_RANGE", (1e-10, 1e-9))
     with pytest.raises(selection.SelectionError, match="vanished"):
-        selection.gcv_lambda(factors, np.ones(3), lam_range=(1e-10, 1e-9))
+        selection.gcv_lambda(factors, np.ones(3))
 
