@@ -47,8 +47,8 @@ from .linalg import (
     symmetric_eig,
 )
 
-# stack-rank check is O(n^3); trust larger inputs (callers pay for a full
-# factorization anyway, which surfaces rank trouble on its own)
+# GmpPair's stack-rank check is O(n^3); larger pairs are trusted (the core's
+# diagonal-ratio test still refuses a numerically singular triangular factor)
 GMP_CHECK_MAX_N = 512
 
 
@@ -56,28 +56,22 @@ class GmpViolationError(RankDeficiencyError):
     """The stacked pair [A; L] is (numerically) column rank deficient."""
 
 
-def check_stack_rank(a: np.ndarray, l, context: str = "matrix pair") -> None:
-    """Raise GmpViolationError when [A; L] is numerically rank deficient.
-
-    Only runs the O(n^3) check for n <= GMP_CHECK_MAX_N; a sparse L is
-    densified only then.
-    """
-    n = a.shape[1]
-    if n > GMP_CHECK_MAX_N:
-        return
-    sigma = np.linalg.svd(np.vstack([a, dense(l)]), compute_uv=False)
-    if sigma.size < n or sigma[0] == 0.0 or sigma[n - 1] <= 1e-10 * sigma[0]:
-        raise GmpViolationError(
-            f"{context}: stacked matrix is numerically column rank deficient "
-            f"(sigma_min/sigma_max = {0.0 if sigma[0] == 0 else sigma[n-1]/sigma[0]:.3e})"
-        )
+def check_stack_rows(rows: int, n: int) -> None:
+    """Refuse a stack [A; L] with fewer rows than columns: it cannot have
+    full column rank."""
+    if rows < n:
+        raise GmpViolationError(f"stack has fewer rows ({rows}) than columns ({n})")
 
 
 @dataclass(frozen=True)
 class GmpPair:
     """A matrix pair {a, l} acting on the same solution space, with the
     vertical stack [a; l] required to have full column rank. Both members
-    are stored dense; a scipy.sparse l is densified."""
+    are stored dense; a scipy.sparse l is densified.
+
+    This is the dense route's one stack-rank refusal: for n <=
+    GMP_CHECK_MAX_N the SVD of the stack must have
+    sigma_min > 1e-10 * sigma_max."""
 
     a: np.ndarray
     l: np.ndarray
@@ -87,15 +81,20 @@ class GmpPair:
         l = as_matrix(dense(self.l), "pair member l")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "l", l)
-        if a.shape[1] != l.shape[1]:
+        n = a.shape[1]
+        if l.shape[1] != n:
             raise DimensionError(
                 f"pair members need matching column counts, got {a.shape} and {l.shape}"
             )
-        if a.shape[0] + l.shape[0] < a.shape[1]:
+        check_stack_rows(a.shape[0] + l.shape[0], n)
+        if n > GMP_CHECK_MAX_N:
+            return
+        sigma = np.linalg.svd(np.vstack([a, l]), compute_uv=False)
+        if sigma[0] == 0.0 or sigma[n - 1] <= 1e-10 * sigma[0]:
             raise GmpViolationError(
-                f"stack has fewer rows ({a.shape[0] + l.shape[0]}) than columns ({a.shape[1]})"
+                "GmpPair: stacked matrix is numerically column rank deficient "
+                f"(sigma_min/sigma_max = {0.0 if sigma[0] == 0 else sigma[n-1]/sigma[0]:.3e})"
             )
-        check_stack_rank(a, l, "GmpPair")
 
 
 @dataclass(frozen=True)
@@ -164,15 +163,15 @@ def _column_norms(u: np.ndarray) -> np.ndarray:
 
 
 def _gsvd_core(pair: list[np.ndarray]) -> GsvdFactors:
-    """Shared GSVD workhorse of gsvd_full_rank, rgsvd's compressed pair,
-    bench's dense factors and the error bounds' ambient pair. It has one,
-    tolerant mode: a first member numerically rank deficient on the branch
-    gets near-zero alphas, not a refusal. Takes the pair as a list [a, l]
-    and empties it, so that a pair the caller formed for the core alone is
-    freed once it is stacked. Trusts its input: a and l are dense, finite
-    float64 arrays with matching column counts whose stack has at least as
-    many rows as columns; a numerically singular triangular factor is
-    refused by the diagonal-ratio check below."""
+    """Shared GSVD workhorse of gsvd_full_rank (which bench's dense factors
+    go through), rgsvd's compressed pair and the error bounds' ambient pair.
+    It has one, tolerant mode: a first member numerically rank deficient on
+    the branch gets near-zero alphas, not a refusal. Takes the pair as a
+    list [a, l] and empties it, so that a pair the caller formed for the
+    core alone is freed once it is stacked. Trusts its input: a and l are
+    dense, finite float64 arrays with matching column counts whose stack
+    has at least as many rows as columns; a numerically singular
+    triangular factor is refused by the diagonal-ratio check below."""
     a, l = pair
     pair.clear()
     m, n = a.shape

@@ -264,14 +264,10 @@ def generate(spec: TestProblemSpec) -> TikhonovProblem:
     if spec.name == "tomo":
         return _generate_tomo(spec)
     a, x_true = _GENERATORS[spec.name](spec.n)
-    l = first_difference(spec.n)
-    meta = {"name": spec.name, "n": spec.n, "seed": spec.seed}
-    m = spec.n if spec.m is None else spec.m
-    if m < spec.n:
-        a = a[:m]
-        meta.update({"construction": "row-truncation", "m": m})
+    if spec.m is not None and spec.m < spec.n:
+        a = a[: spec.m]
     b = add_noise(a @ x_true, spec.delta, spec.seed)
-    return TikhonovProblem(a=a, l=l, b=b, x_true=x_true, delta=spec.delta, meta=meta)
+    return TikhonovProblem(a=a, l=first_difference(spec.n), b=b, x_true=x_true)
 
 
 def _trace_rays(p0: np.ndarray, direction: np.ndarray, n_grid: int):
@@ -371,23 +367,7 @@ def phantom(n_grid: int, seed: int = 0) -> np.ndarray:
 def _generate_tomo(spec: TestProblemSpec) -> TikhonovProblem:
     n_grid = spec.n
     angles = np.arange(0.0, 180.0, 12.0)
-    rays = 4 * n_grid
-    op, x_true = parallel_tomo(n_grid, angles, rays, phantom_seed=spec.seed)
+    op, x_true = parallel_tomo(n_grid, angles, 4 * n_grid, phantom_seed=spec.seed)
     a = op.toarray()
     b = add_noise(a @ x_true, spec.delta, spec.seed)
-    meta = {
-        "name": "tomo",
-        "n_grid": n_grid,
-        "angles": angles.tolist(),
-        "rays": rays,
-        "seed": spec.seed,
-    }
-    return TikhonovProblem(
-        a=a,
-        l=first_difference(n_grid * n_grid),
-        b=b,
-        x_true=x_true,
-        delta=spec.delta,
-        meta=meta,
-    )
-
+    return TikhonovProblem(a=a, l=first_difference(n_grid * n_grid), b=b, x_true=x_true)

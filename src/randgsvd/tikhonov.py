@@ -22,30 +22,29 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gsvd import GmpViolationError, GsvdFactors, check_stack_rank
+from .gsvd import GmpViolationError, GsvdFactors, check_stack_rows
 from .linalg import CsrMatrix, DimensionError, as_matrix, as_operator, as_vector, dense
 from .rgsvd import ApproxGsvd
 
 
 @dataclass(frozen=True)
 class TikhonovProblem:
-    """A discrete ill-posed instance: operator, regularizer, data.
+    """A discrete ill-posed instance: operator, regularizer, data, and the
+    solution b was synthesized from (None for real data).
 
+    Construction checks shapes, finiteness and that the stack [a; l] has
+    at least as many rows as columns, all O(size of the inputs). The
+    stack's column rank is refused where a dense route needs it: by
+    GmpPair, the GSVD core's diagonal-ratio test and solve_exact's cutoff.
     l may be a scipy.sparse matrix; it is kept sparse (as a CsrMatrix,
     with its stored values checked) and only the dense routes densify it:
-    the stack-rank check (n <= GMP_CHECK_MAX_N), GmpPair, solve_exact
-    and the error bounds. x_true may be None for real data;
-    delta records the relative noise level used to synthesize b (0.0
-    means b is clean). meta carries free-form provenance notes (problem
-    name, truncation, ...).
+    GmpPair, solve_exact and the error bounds.
     """
 
     a: np.ndarray
     l: np.ndarray | CsrMatrix
     b: np.ndarray
     x_true: np.ndarray | None = None
-    delta: float = 0.0
-    meta: dict | None = None
 
     def __post_init__(self):
         a = as_matrix(self.a, "operator")
@@ -65,9 +64,7 @@ class TikhonovProblem:
             object.__setattr__(self, "x_true", xt)
             if xt.shape[0] != a.shape[1]:
                 raise DimensionError("x_true length does not match operator columns")
-        if self.delta < 0.0:
-            raise ValueError("delta must be nonnegative")
-        check_stack_rank(a, l, "TikhonovProblem")
+        check_stack_rows(a.shape[0] + l.shape[0], a.shape[1])
 
     @property
     def shape(self) -> tuple[int, int, int]:

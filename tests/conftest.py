@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from randgsvd.tikhonov import TikhonovProblem
+
 
 @pytest.fixture
 def make_gmp():
@@ -21,3 +23,16 @@ def make_gmp():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def kahan_problem():
+    """A = Kahan(theta = 1.2) at n = 100 over L = zeros(1, n). The QR
+    diagonal of [A; L] decays only to sin(1.2)^99 ~ 9e-4 of its largest
+    entry, which passes the GSVD core's diagonal-ratio test, but the
+    stack's sigma_min / sigma_max is ~1e-17: a rank-deficient pair that
+    only an SVD-based check catches."""
+    n, theta = 100, 1.2
+    upper = np.eye(n) - np.cos(theta) * np.triu(np.ones((n, n)), 1)
+    a = np.sin(theta) ** np.arange(n)[:, None] * upper
+    return TikhonovProblem(a=a, l=np.zeros((1, n)), b=np.ones(n), x_true=np.ones(n))

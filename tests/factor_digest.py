@@ -299,7 +299,7 @@ def bounds() -> None:
         a = u @ np.diag(np.exp(-0.4 * np.arange(k))) @ v.T
         l = first_difference(n)
         b = a @ rng.standard_normal(n) + 1e-4 * rng.standard_normal(m)
-        prob = TikhonovProblem(a=a, l=l, b=b, x_true=None, delta=0.0)
+        prob = TikhonovProblem(a=a, l=l, b=b, x_true=None)
         approx = rgsvd(a, l, 1e-2, SamplerConfig(epsilon=1e-2, blocksize=4, seed=trial))
         for lam in (1e-3, 1e-1, 1.0):
             _print_bounds(f"c08/t{trial}/lam{lam}", prob, approx, lam)

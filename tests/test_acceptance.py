@@ -104,17 +104,13 @@ def test_criterion_02_oracle_equivalence():
     for m, n in ((150, 120), (80, 80)):
         a = rng.standard_normal((m, n))
         l = first_difference(n)
-        instances.append(
-            TikhonovProblem(a=a, l=l, b=rng.standard_normal(m), x_true=None, delta=0.0)
-        )
+        instances.append(TikhonovProblem(a=a, l=l, b=rng.standard_normal(m), x_true=None))
     m, n = 180, 150
     u, _ = np.linalg.qr(rng.standard_normal((m, n)))
     v, _ = np.linalg.qr(rng.standard_normal((n, n)))
     graded = u @ np.diag(np.logspace(0, -6, n)) @ v.T
     instances.append(
-        TikhonovProblem(
-            a=graded, l=first_difference(n), b=rng.standard_normal(m), x_true=None, delta=0.0
-        )
+        TikhonovProblem(a=graded, l=first_difference(n), b=rng.standard_normal(m), x_true=None)
     )
     worst = 0.0
     for prob in instances:
@@ -274,7 +270,7 @@ def test_criterion_08_error_bounds_hold():
         a = u @ np.diag(np.exp(-0.4 * np.arange(k))) @ v.T
         l = first_difference(n)
         b = a @ rng.standard_normal(n) + 1e-4 * rng.standard_normal(m)
-        prob = TikhonovProblem(a=a, l=l, b=b, x_true=None, delta=0.0)
+        prob = TikhonovProblem(a=a, l=l, b=b, x_true=None)
         approx = rgsvd(a, l, 1e-2, SamplerConfig(epsilon=1e-2, blocksize=4, seed=trial))
         for lam in (1e-3, 1e-1, 1.0):
             d = error_bound_diagnostics(prob, approx, lam)

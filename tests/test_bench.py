@@ -96,11 +96,17 @@ def test_problem_without_x_true_is_not_a_failure(monkeypatch):
 
 
 def test_instances_and_factors_built_once(monkeypatch):
-    generated, factored = [], []
-    real_generate, real_core = bench.generate, bench._gsvd_core
+    generated, factored, svds = [], [], []
+    real_generate, real_factor, real_svd = bench.generate, bench.gsvd_full_rank, np.linalg.svd
     monkeypatch.setattr(bench, "generate", lambda spec: generated.append(spec) or real_generate(spec))
     monkeypatch.setattr(
-        bench, "_gsvd_core", lambda pair: factored.append(pair[0].shape) or real_core(pair)
+        bench,
+        "gsvd_full_rank",
+        lambda pair, **kw: factored.append(pair.a.shape) or real_factor(pair, **kw),
+    )
+    # the stack-rank check is the only SVD the gsvd, tgsvd and rgsvd rows run
+    monkeypatch.setattr(
+        np.linalg, "svd", lambda x, *args, **kw: svds.append(x.shape) or real_svd(x, *args, **kw)
     )
     cfg = BenchConfig(
         problems=("shaw", "tomo"), methods=("gsvd", "tgsvd", "rgsvd"), seeds=(0, 1, 2), **dict(FAST, n=8)
@@ -109,6 +115,17 @@ def test_instances_and_factors_built_once(monkeypatch):
     # one clean shaw instance, one tomography instance per seed
     assert [(s.name, s.seed) for s in generated] == [("shaw", 0), ("tomo", 0), ("tomo", 1), ("tomo", 2)]
     assert factored == [(8, 8), (4 * 8 * 15, 64)]
+    # one stack-rank check per problem, on the pair that is factored
+    assert svds == [(8 + 7, 8), (4 * 8 * 15 + 63, 64)]
+
+
+def test_rank_deficient_stack_is_an_error_row(monkeypatch, kahan_problem):
+    monkeypatch.setattr(bench, "generate", lambda spec: kahan_problem)
+    cfg = BenchConfig(problems=("shaw",), methods=("gsvd", "tgsvd"), seeds=(0, 1), **dict(FAST, n=100))
+    records = run_benchmark(cfg)
+    assert len(records) == 4
+    for rec in records:
+        assert rec.failed and rec.error.startswith("GmpViolationError: GmpPair")
 
 
 def test_underdetermined_route():

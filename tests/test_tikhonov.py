@@ -24,10 +24,33 @@ def test_problem_validation(make_gmp, rng):
     a, l = make_gmp(10, 5, 8, seed=0)
     with pytest.raises(Exception):
         TikhonovProblem(a=a, l=l, b=np.zeros(9))  # wrong data length
-    with pytest.raises(GmpViolationError):
-        TikhonovProblem(a=np.ones((4, 3)), l=np.ones((2, 3)), b=np.ones(4))
     prob = TikhonovProblem(a=a, l=l, b=rng.standard_normal(10))
     assert prob.shape == (10, 5, 8)
+    # construction checks no rank: the dense routes refuse a deficient stack
+    deficient = TikhonovProblem(a=np.ones((4, 3)), l=np.ones((2, 3)), b=np.ones(4))
+    with pytest.raises(GmpViolationError):
+        solve_exact(deficient, 1.0)
+    with pytest.raises(GmpViolationError):
+        gsvd_full_rank(GmpPair(deficient.a, deficient.l))
+
+
+@pytest.mark.parametrize("n", [60, 600])
+def test_stack_with_fewer_rows_than_columns_refused(n):
+    # [A; L] with n/2 + n/3 rows cannot have full column rank, at any size
+    rng = np.random.default_rng(n)
+    a, l = rng.standard_normal((n // 2, n)), rng.standard_normal((n // 3, n))
+    msg = rf"stack has fewer rows \({n // 2 + n // 3}\) than columns \({n}\)"
+    with pytest.raises(GmpViolationError, match=msg):
+        TikhonovProblem(a=a, l=l, b=rng.standard_normal(n // 2))
+
+
+def test_rank_deficient_stack_refused_on_dense_routes(kahan_problem):
+    prob = kahan_problem
+    with pytest.raises(GmpViolationError, match="GmpPair"):
+        GmpPair(prob.a, prob.l)
+    for lam in (1e-3, 1.0):
+        with pytest.raises(GmpViolationError, match="numerically singular"):
+            solve_exact(prob, lam)
 
 
 def test_solve_exact_matches_normal_equations(small_problem):
