@@ -20,8 +20,9 @@ import os
 import time
 from dataclasses import dataclass, replace
 
-from .gsvd import GmpPair, GsvdFactors, gsvd_full_rank
-from .problems import PROBLEMS, QUADRATURE_PROBLEMS, TestProblemSpec, add_noise, generate
+from .gsvd import GsvdFactors, _gsvd_core
+from .linalg import dense
+from .problems import QUADRATURE_PROBLEMS, TestProblemSpec, add_noise, generate
 from .rgsvd import rgsvd
 from .sampling import SamplerConfig
 from .selection import gcv_lambda, gcv_truncation, lcurve_lambda
@@ -71,7 +72,8 @@ class BenchConfig:
     """Everything one benchmark run needs. n is the column dimension
     (grid side for 'tomo'); m < n triggers the row-truncated variant and
     m = None keeps the square shape. fixed_value carries the lambda (or
-    truncation index for tgsvd) when selector='fixed'."""
+    truncation index for tgsvd) when selector='fixed'. Construction runs
+    each problem's TestProblemSpec checks and, for rgsvd, SamplerConfig's."""
 
     problems: tuple = QUADRATURE_PROBLEMS
     methods: tuple = ("rgsvd",)
@@ -91,15 +93,15 @@ class BenchConfig:
         object.__setattr__(self, "problems", tuple(self.problems))
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        named = (("problem", self.problems, PROBLEMS), ("method", self.methods, METHODS))
-        for kind, names, known in named:
-            if not names:
-                raise ValueError(f"{kind}s list must be nonempty")
-            for name in names:
-                if name not in known:
-                    raise ValueError(f"unknown {kind} {name!r}")
-        if not self.seeds:
-            raise ValueError("seeds list must be nonempty")
+        if not (self.problems and self.methods and self.seeds):
+            raise ValueError("problems, methods and seeds lists must be nonempty")
+        for name in self.problems:
+            TestProblemSpec(name=name, n=self.n, m=self.m, delta=self.delta)
+        for method in self.methods:
+            if method not in METHODS:
+                raise ValueError(f"unknown method {method!r}")
+        if "rgsvd" in self.methods:
+            SamplerConfig(epsilon=self.epsilon, blocksize=self.blocksize)
         if min(self.seeds) < 0:
             raise ValueError(f"seeds must be nonnegative, got {min(self.seeds)}")
         if self.selector not in SELECTORS:
@@ -173,12 +175,13 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRecord]:
 
     @functools.cache
     def factored(name: str) -> tuple[GsvdFactors, float]:
-        # A and L do not depend on the seed, tomography's included; the pair
-        # is built, and its stack rank checked, outside the timer
+        # A and L do not depend on the seed, tomography's included; the
+        # core refuses a rank-deficient stack and frees the dense L once
+        # stacked
         prob = instance(name, cfg.seeds[0])
-        pair = GmpPair(prob.a, prob.l)
+        pair = [prob.a, dense(prob.l)]
         t0 = time.perf_counter()
-        factors = gsvd_full_rank(pair, check_rank=False)
+        factors = _gsvd_core(pair)
         return factors, time.perf_counter() - t0
 
     records: list[BenchRecord] = []

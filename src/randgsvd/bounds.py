@@ -118,7 +118,7 @@ def error_bound_diagnostics(
         eps_used = max(approx.stage1.epsilon, eps1, eps2)
         pa = pb @ (pb.T @ a)
         xi = 1.0 / _sv(np.vstack([pa, lam * l]))[-1]
-        # solve_exact above already refused a rank-deficient stack
+        # solve_exact above, and the core itself, refuse a rank-deficient stack
         x_all = _gsvd_core([a, l]).x
         x1 = x_all[:, : max(n - approx.l1, 0)]
         gamma2 = _sv(x1)[0] / _sv(x_all)[-1]

@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .linalg import (
     DimensionError,
@@ -47,18 +48,15 @@ from .linalg import (
     symmetric_eig,
 )
 
-# GmpPair's stack-rank check is O(n^3); larger pairs are trusted (the core's
-# diagonal-ratio test still refuses a numerically singular triangular factor)
-GMP_CHECK_MAX_N = 512
-
-
 class GmpViolationError(RankDeficiencyError):
     """The stacked pair [A; L] is (numerically) column rank deficient."""
 
 
 def check_stack_rows(rows: int, n: int) -> None:
-    """Refuse a stack [A; L] with fewer rows than columns: it cannot have
-    full column rank."""
+    """Refuse a stack [A; L] with no columns, or with fewer rows than
+    columns: the latter cannot have full column rank."""
+    if n < 1:
+        raise DimensionError(f"stack needs at least one column, got {n}")
     if rows < n:
         raise GmpViolationError(f"stack has fewer rows ({rows}) than columns ({n})")
 
@@ -69,9 +67,8 @@ class GmpPair:
     vertical stack [a; l] required to have full column rank. Both members
     are stored dense; a scipy.sparse l is densified.
 
-    This is the dense route's one stack-rank refusal: for n <=
-    GMP_CHECK_MAX_N the SVD of the stack must have
-    sigma_min > 1e-10 * sigma_max."""
+    Construction checks entries and shapes only; the stack's column rank
+    is refused by the GSVD core that factors it, at any size."""
 
     a: np.ndarray
     l: np.ndarray
@@ -87,14 +84,6 @@ class GmpPair:
                 f"pair members need matching column counts, got {a.shape} and {l.shape}"
             )
         check_stack_rows(a.shape[0] + l.shape[0], n)
-        if n > GMP_CHECK_MAX_N:
-            return
-        sigma = np.linalg.svd(np.vstack([a, l]), compute_uv=False)
-        if sigma[0] == 0.0 or sigma[n - 1] <= 1e-10 * sigma[0]:
-            raise GmpViolationError(
-                "GmpPair: stacked matrix is numerically column rank deficient "
-                f"(sigma_min/sigma_max = {0.0 if sigma[0] == 0 else sigma[n-1]/sigma[0]:.3e})"
-            )
 
 
 @dataclass(frozen=True)
@@ -163,15 +152,15 @@ def _column_norms(u: np.ndarray) -> np.ndarray:
 
 
 def _gsvd_core(pair: list[np.ndarray]) -> GsvdFactors:
-    """Shared GSVD workhorse of gsvd_full_rank (which bench's dense factors
-    go through), rgsvd's compressed pair and the error bounds' ambient pair.
+    """Shared GSVD workhorse of gsvd_full_rank, the benchmark's dense
+    factors, rgsvd's compressed pair and the error bounds' ambient pair.
     It has one, tolerant mode: a first member numerically rank deficient on
     the branch gets near-zero alphas, not a refusal. Takes the pair as a
     list [a, l] and empties it, so that a pair the caller formed for the
     core alone is freed once it is stacked. Trusts its input: a and l are
     dense, finite float64 arrays with matching column counts whose stack
-    has at least as many rows as columns; a numerically singular
-    triangular factor is refused by the diagonal-ratio check below."""
+    has at least one column and at least as many rows as columns. It is
+    the one stack-rank refusal, on every route and at every size."""
     a, l = pair
     pair.clear()
     m, n = a.shape
@@ -182,13 +171,14 @@ def _gsvd_core(pair: list[np.ndarray]) -> GsvdFactors:
     q, tri = qr_reduced(stack)
     q1 = np.ascontiguousarray(q[:m])
     del stack, q
-    diag_r = np.abs(np.diag(tri))
-    # relative to the largest diagonal entry, so the test does not depend on
-    # the pair's scale; an all-zero diagonal fails it too
-    if diag_r.size and diag_r.min() <= 1e-12 * diag_r.max() * max(rows, n):
+    # R has the singular values of [A; L]; dtrcon estimates R's reciprocal
+    # 1-norm condition from its F-ordered transpose, so R is not copied. The
+    # estimate is scale-free, and 0 for an all-zero R
+    rcond = scipy.linalg.lapack.dtrcon(tri.T, norm="I", uplo="L")[0]
+    if rcond <= 1e-12 * max(rows, n):
         raise GmpViolationError(
-            "stacked pair is numerically column rank deficient (triangular factor "
-            f"diagonal ratio {diag_r.min() / max(diag_r.max(), 1e-300):.3e})"
+            "stacked pair is numerically column rank deficient (reciprocal "
+            f"condition estimate of its triangular factor {rcond:.3e})"
         )
 
     # the Gram matrix comes out of numpy's syrk exactly symmetric, and

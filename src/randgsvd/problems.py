@@ -51,11 +51,11 @@ class TestProblemSpec:
 
     def __post_init__(self):
         if self.name not in PROBLEMS:
-            raise ValueError(f"unknown problem name {self.name!r}")
+            raise ValueError(f"unknown problem {self.name!r}")
         if self.name != "tomo" and self.n < 8:
             raise ValueError(f"n must be at least 8, got {self.n}")
-        if self.delta < 0.0:
-            raise ValueError("delta must be nonnegative")
+        if not (0.0 <= self.delta < np.inf):  # NaN fails every comparison
+            raise ValueError(f"delta must be finite and nonnegative, got {self.delta}")
         if self.m is not None:
             if self.name == "tomo":
                 raise ValueError("'tomo' has a fixed row count and takes no m")
@@ -240,8 +240,8 @@ def add_noise(b, delta: float, seed: int) -> np.ndarray:
     """Perturb b by a seeded Gaussian direction scaled so that
     |out - b| = delta * |b| exactly."""
     b = as_vector(b, "data")
-    if delta < 0.0:
-        raise ValueError("delta must be nonnegative")
+    if not (0.0 <= delta < np.inf):
+        raise ValueError(f"delta must be finite and nonnegative, got {delta}")
     if delta == 0.0:
         return b.copy()
     gen = _philox(seed)

@@ -33,12 +33,13 @@ class TikhonovProblem:
     solution b was synthesized from (None for real data).
 
     Construction checks shapes, finiteness and that the stack [a; l] has
-    at least as many rows as columns, all O(size of the inputs). The
-    stack's column rank is refused where a dense route needs it: by
-    GmpPair, the GSVD core's diagonal-ratio test and solve_exact's cutoff.
-    l may be a scipy.sparse matrix; it is kept sparse (as a CsrMatrix,
-    with its stored values checked) and only the dense routes densify it:
-    GmpPair, solve_exact and the error bounds.
+    at least one column and at least as many rows as columns, all O(size
+    of the inputs). The stack's column rank is refused where a route
+    needs it: by the GSVD core's condition estimate, which every GSVD
+    route runs, and by solve_exact's cutoff. l may be a scipy.sparse
+    matrix; it is kept sparse (as a CsrMatrix, with its stored values
+    checked) and only the dense routes densify it: GmpPair, the
+    benchmark's dense factors, solve_exact and the error bounds.
     """
 
     a: np.ndarray

@@ -26,13 +26,24 @@ def rng():
 
 
 @pytest.fixture
-def kahan_problem():
-    """A = Kahan(theta = 1.2) at n = 100 over L = zeros(1, n). The QR
-    diagonal of [A; L] decays only to sin(1.2)^99 ~ 9e-4 of its largest
-    entry, which passes the GSVD core's diagonal-ratio test, but the
-    stack's sigma_min / sigma_max is ~1e-17: a rank-deficient pair that
-    only an SVD-based check catches."""
-    n, theta = 100, 1.2
-    upper = np.eye(n) - np.cos(theta) * np.triu(np.ones((n, n)), 1)
-    a = np.sin(theta) ** np.arange(n)[:, None] * upper
-    return TikhonovProblem(a=a, l=np.zeros((1, n)), b=np.ones(n), x_true=np.ones(n))
+def make_kahan():
+    """Factory for A = Kahan(theta) over L = zeros(1, n). The QR diagonal
+    of [A; L] decays only to sin(theta)^(n-1) of its largest entry
+    (~9e-4 for theta = 1.2 at n = 100, ~1e-3 for theta = 1.42 at
+    n = 600), so a test on the diagonal's ratio passes it, but the
+    stack's sigma_min / sigma_max is ~1e-17 at n = 100 and far below
+    working precision at n = 600: rank-deficient pairs that only a
+    condition estimate or an SVD catches."""
+
+    def build(n=100, theta=1.2):
+        upper = np.eye(n) - np.cos(theta) * np.triu(np.ones((n, n)), 1)
+        a = np.sin(theta) ** np.arange(n)[:, None] * upper
+        return TikhonovProblem(a=a, l=np.zeros((1, n)), b=np.ones(n), x_true=np.ones(n))
+
+    return build
+
+
+@pytest.fixture
+def kahan_problem(make_kahan):
+    """The Kahan pair at theta = 1.2, n = 100 (see make_kahan)."""
+    return make_kahan()

@@ -97,14 +97,13 @@ def test_problem_without_x_true_is_not_a_failure(monkeypatch):
 
 def test_instances_and_factors_built_once(monkeypatch):
     generated, factored, svds = [], [], []
-    real_generate, real_factor, real_svd = bench.generate, bench.gsvd_full_rank, np.linalg.svd
+    real_generate, real_core, real_svd = bench.generate, bench._gsvd_core, np.linalg.svd
     monkeypatch.setattr(bench, "generate", lambda spec: generated.append(spec) or real_generate(spec))
     monkeypatch.setattr(
-        bench,
-        "gsvd_full_rank",
-        lambda pair, **kw: factored.append(pair.a.shape) or real_factor(pair, **kw),
+        bench, "_gsvd_core", lambda pair: factored.append(pair[0].shape) or real_core(pair)
     )
-    # the stack-rank check is the only SVD the gsvd, tgsvd and rgsvd rows run
+    # the core's condition estimate refuses a rank-deficient stack, so the
+    # gsvd, tgsvd and rgsvd rows run no SVD at all
     monkeypatch.setattr(
         np.linalg, "svd", lambda x, *args, **kw: svds.append(x.shape) or real_svd(x, *args, **kw)
     )
@@ -115,8 +114,10 @@ def test_instances_and_factors_built_once(monkeypatch):
     # one clean shaw instance, one tomography instance per seed
     assert [(s.name, s.seed) for s in generated] == [("shaw", 0), ("tomo", 0), ("tomo", 1), ("tomo", 2)]
     assert factored == [(8, 8), (4 * 8 * 15, 64)]
-    # one stack-rank check per problem, on the pair that is factored
-    assert svds == [(8 + 7, 8), (4 * 8 * 15 + 63, 64)]
+    assert svds == []
+
+
+REFUSED = "GmpViolationError: stacked pair is numerically column rank deficient"
 
 
 def test_rank_deficient_stack_is_an_error_row(monkeypatch, kahan_problem):
@@ -125,7 +126,31 @@ def test_rank_deficient_stack_is_an_error_row(monkeypatch, kahan_problem):
     records = run_benchmark(cfg)
     assert len(records) == 4
     for rec in records:
-        assert rec.failed and rec.error.startswith("GmpViolationError: GmpPair")
+        assert rec.failed and rec.error.startswith(REFUSED)
+
+
+@pytest.mark.parametrize(
+    "selector, fixed_value", [("fixed", 1e-2), ("gcv", None)], ids=["fixed", "gcv"]
+)
+def test_rank_deficient_stack_above_pilot_size_is_an_error_row(
+    monkeypatch, make_kahan, selector, fixed_value
+):
+    # at n = 600 the stack's rank is refused as at n = 100, under every
+    # selector; a fixed lambda used to report a solution of norm ~1e38
+    monkeypatch.setattr(bench, "generate", lambda spec: make_kahan(600, 1.42))
+    cfg = BenchConfig(
+        problems=("shaw",),
+        methods=("gsvd", "tgsvd"),
+        selector=selector,
+        fixed_value=fixed_value,
+        seeds=(0,),
+        **dict(FAST, n=600),
+    )
+    records = run_benchmark(cfg)
+    assert [r.method for r in records] == ["gsvd", "tgsvd"]
+    for rec in records:
+        assert rec.failed and rec.error.startswith(REFUSED)
+        assert math.isnan(rec.lam) and math.isnan(rec.rel_error)
 
 
 def test_underdetermined_route():
@@ -171,10 +196,11 @@ def test_tgsvd_fractional_truncation_fails():
 
 
 def test_tomo_rejects_row_count():
-    cfg = BenchConfig(problems=("tomo", "shaw"), methods=("gsvd",), seeds=(0,), **dict(FAST, n=8), m=4)
-    by_problem = {r.problem: r for r in run_benchmark(cfg)}
-    assert by_problem["tomo"].error == "ValueError: 'tomo' has a fixed row count and takes no m"
-    assert not by_problem["shaw"].failed
+    # a configuration error, refused before any row runs
+    with pytest.raises(ValueError, match="'tomo' has a fixed row count and takes no m"):
+        BenchConfig(problems=("tomo", "shaw"), methods=("gsvd",), seeds=(0,), **dict(FAST, n=8), m=4)
+    cfg = BenchConfig(problems=("shaw",), methods=("gsvd",), seeds=(0,), **dict(FAST, n=8), m=4)
+    assert not run_benchmark(cfg)[0].failed
 
 
 def test_dump_dir_reuse_overwrites_x_true(tmp_path):
@@ -331,3 +357,19 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "seeds must be nonnegative" in capsys.readouterr().err
     assert main(["--bogus"]) == 2
     assert "error: unrecognized arguments: --bogus" in capsys.readouterr().err
+    # settings no row could run are configuration errors too: each problem's
+    # and the sampler's own checks run before any row
+    bad_settings = {
+        "--n=4": "n must be at least 8",
+        "--delta=-1": "delta must be finite and nonnegative",
+        "--delta=nan": "delta must be finite and nonnegative",
+        "--epsilon=0": "epsilon must be positive",
+        "--blocksize=0": "blocksize must be >= 1",
+    }
+    for flag, msg in bad_settings.items():
+        assert main(["--problems", "shaw", "--method", "rgsvd", "--seeds", "0", "--n", "32", flag]) == 2
+        captured = capsys.readouterr()
+        assert msg in captured.err and captured.out == ""
+    # the sampler is checked only where a row sketches
+    assert main(["--problems", "shaw", "--method", "gsvd", "--seeds", "0", "--n", "32", "--epsilon=0"]) == 0
+    capsys.readouterr()

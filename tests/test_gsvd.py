@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from oracle_gsvd import reconstruct, reference_gsvd, v1_factor
 from randgsvd import gsvd
 from randgsvd.gsvd import GmpPair, GmpViolationError, _column_norms, _gsvd_core, gsvd_full_rank
-from randgsvd.linalg import RankDeficiencyError
+from randgsvd.linalg import DimensionError, RankDeficiencyError
 from randgsvd.problems import first_difference
 
 
@@ -85,10 +85,27 @@ def test_beta_zero_block_from_regularizer_null_space(rng):
 
 
 def test_gmp_violation_detected():
-    a = np.ones((4, 3))
-    l = np.ones((2, 3))
-    with pytest.raises(GmpViolationError):
-        GmpPair(a, l)
+    # the pair is well formed; the core that factors it refuses its rank
+    pair = GmpPair(np.ones((4, 3)), np.ones((2, 3)))
+    with pytest.raises(GmpViolationError, match="column rank deficient"):
+        gsvd_full_rank(pair)
+
+
+@pytest.mark.parametrize("n, theta", [(100, 1.2), (600, 1.42)], ids=["n100", "n600"])
+def test_kahan_stack_refused_by_the_core_at_any_size(make_kahan, n, theta):
+    # the QR diagonal decays only to ~1e-3 of its largest entry, but the
+    # stack is numerically singular: refused by the core, on its own and
+    # through the tolerant public entry
+    prob = make_kahan(n, theta)
+    with pytest.raises(GmpViolationError, match="column rank deficient"):
+        _gsvd_core([prob.a, prob.l])
+    with pytest.raises(GmpViolationError, match="column rank deficient"):
+        gsvd_full_rank(GmpPair(prob.a, prob.l), check_rank=False)
+
+
+def test_pair_without_columns_rejected():
+    with pytest.raises(DimensionError, match="at least one column"):
+        GmpPair(np.zeros((3, 0)), np.zeros((2, 0)))
 
 
 def test_too_few_stack_rows_rejected(rng):
@@ -178,8 +195,9 @@ def test_core_empties_the_pair_it_is_given(rng):
 
 @pytest.mark.parametrize("scale", [1e-6, 1e-12, 1e6])
 def test_stack_rank_test_does_not_depend_on_scale(scale):
-    # the pair's scale cancels in the GSVD; the triangular factor's
-    # diagonal-ratio test must not refuse a small but well-conditioned pair
+    # the pair's scale cancels in the GSVD; the core's condition estimate
+    # of the triangular factor must not refuse a small but well-conditioned
+    # pair
     rng = np.random.default_rng(3)
     a = rng.standard_normal((50, 20))
     l = np.eye(20)

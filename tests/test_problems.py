@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from randgsvd import problems
-from randgsvd.gsvd import GmpPair
+from randgsvd.gsvd import GmpPair, gsvd_full_rank
 from randgsvd.problems import (
     QUADRATURE_PROBLEMS,
     TestProblemSpec,
@@ -91,7 +91,7 @@ def test_generate_clean_data_is_consistent(name):
 @pytest.mark.parametrize("name", QUADRATURE_PROBLEMS)
 def test_pair_has_full_column_rank_at_pilot_size(name):
     prob = generate(TestProblemSpec(name=name, n=64, delta=0.0))
-    GmpPair(prob.a, prob.l)  # raises on violation
+    gsvd_full_rank(GmpPair(prob.a, prob.l), check_rank=False)  # the core raises on violation
 
 
 def test_picard_projections_bounded():
@@ -114,6 +114,14 @@ def test_noise_norm_identity(rng):
     assert same is not b
     assert_array_equal(add_noise(b, 1e-2, 5), add_noise(b, 1e-2, 5))
     assert not np.array_equal(add_noise(b, 1e-2, 5), add_noise(b, 1e-2, 6))
+
+
+@pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf, -1e-3])
+def test_noise_level_must_be_finite_and_nonnegative(rng, delta):
+    with pytest.raises(ValueError, match="delta must be finite and nonnegative"):
+        add_noise(rng.standard_normal(20), delta, 0)
+    with pytest.raises(ValueError, match="delta must be finite and nonnegative"):
+        TestProblemSpec(name="shaw", n=32, delta=delta)
 
 
 def test_spec_validation():

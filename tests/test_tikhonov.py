@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from randgsvd.gsvd import GmpPair, GmpViolationError, GsvdFactors, gsvd_full_rank
+from randgsvd.linalg import DimensionError
 from randgsvd.problems import TestProblemSpec, first_difference, generate
 from randgsvd.tikhonov import (
     TikhonovProblem,
@@ -44,10 +45,15 @@ def test_stack_with_fewer_rows_than_columns_refused(n):
         TikhonovProblem(a=a, l=l, b=rng.standard_normal(n // 2))
 
 
+def test_problem_without_columns_rejected():
+    with pytest.raises(DimensionError, match="at least one column"):
+        TikhonovProblem(a=np.zeros((3, 0)), l=np.zeros((2, 0)), b=np.ones(3))
+
+
 def test_rank_deficient_stack_refused_on_dense_routes(kahan_problem):
     prob = kahan_problem
-    with pytest.raises(GmpViolationError, match="GmpPair"):
-        GmpPair(prob.a, prob.l)
+    with pytest.raises(GmpViolationError, match="column rank deficient"):
+        gsvd_full_rank(GmpPair(prob.a, prob.l), check_rank=False)
     for lam in (1e-3, 1.0):
         with pytest.raises(GmpViolationError, match="numerically singular"):
             solve_exact(prob, lam)
