@@ -72,8 +72,9 @@ class BenchConfig:
     """Everything one benchmark run needs. n is the column dimension
     (grid side for 'tomo'); m < n triggers the row-truncated variant and
     m = None keeps the square shape. fixed_value carries the lambda (or
-    truncation index for tgsvd) when selector='fixed'. Construction runs
-    each problem's TestProblemSpec checks and, for rgsvd, SamplerConfig's."""
+    the whole truncation index for tgsvd) when selector='fixed'.
+    Construction runs each problem's TestProblemSpec checks and, for
+    rgsvd, SamplerConfig's."""
 
     problems: tuple = QUADRATURE_PROBLEMS
     methods: tuple = ("rgsvd",)
@@ -106,8 +107,12 @@ class BenchConfig:
             raise ValueError(f"seeds must be nonnegative, got {min(self.seeds)}")
         if self.selector not in SELECTORS:
             raise ValueError(f"unknown selector {self.selector!r}")
-        if self.selector == "fixed" and self.fixed_value is None:
-            raise ValueError("selector 'fixed' needs fixed_value")
+        if self.selector == "fixed":
+            value = self.fixed_value
+            if value is None or not (0.0 < value < float("inf")):  # NaN fails both
+                raise ValueError(f"selector 'fixed' needs a positive, finite fixed_value, got {value}")
+            if "tgsvd" in self.methods and not float(value).is_integer():
+                raise ValueError(f"tgsvd's fixed_value is a depth and must be an integer, got {value}")
         if self.gcv_rows not in ("projected", "ambient"):
             raise ValueError(f"unknown gcv_rows {self.gcv_rows!r}")
 

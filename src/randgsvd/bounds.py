@@ -2,23 +2,26 @@
 
 The diagnostics compare the sketched solve against the exact stacked-system
 solution and evaluate a fully computable right-hand side that provably
-dominates the relative error. The requested tolerance eps is the one the
-factorization holds, approx.stage1.epsilon. Since single sketching runs
-can exceed it, the bound is evaluated at the *realized* stage deviations
-(or eps, whichever is larger), which keeps the inequality deterministic
-instead of probabilistic.
+dominates the relative error. Single sketching runs can exceed their
+tolerance, so the bound is evaluated at the *realized* stage deviations,
+eps1 = |A - P P' A| and eps2 = |P' A (I - Q Q')| on branch "over", and
+eps1 = |A (I - Q Q')| and eps2 = |(I - P P') A Q| on branch "under". This
+keeps the inequality deterministic instead of probabilistic. Both branches
+share c0 = (1 + sqrt(5)) / 2, xi = |pinv([P P' A; lam L])|,
+nu = |b| / |x_lam| and gamma1 = |L (Q Q' - I)|.
 
-Overdetermined branch (rows >= cols), with c0 = (1 + sqrt(5)) / 2,
-xi = |pinv([P P' A; lam L])|, nu = |b| / |x_lam|:
+Overdetermined branch (rows >= cols), with eps the largest of eps1, eps2
+and the tolerance the factorization holds, approx.stage1.epsilon:
 
     rhs = eps * (c0 * xi^2 * nu + sqrt(2) * xi * |pinv([A; lam L])| * nu)
-          + c0 * lam * gamma1 * xi^2 * nu,         gamma1 = |L (Q Q' - I)|
+          + c0 * lam * gamma1 * xi^2 * nu
 
 Underdetermined branch (rows < cols): the tightest known constants are not
 computable from the factors alone, so the bound evaluates the computable
-mid-chain inequality instead, with gamma2 = |X1| * |X^-1| measuring how far
-the dropped exact-GSVD directions reach (X from the exact factorization of
-the ambient pair, X1 its leading n - l1 columns):
+mid-chain inequality instead, at eps1 and eps2 as realized, with
+gamma2 = |X1| * |X^-1| measuring how far the dropped exact-GSVD directions
+reach (X from the exact factorization of the ambient pair, X1 its leading
+n - l1 columns):
 
     rhs = c0 * eps2 * xi * |pinv(S)| * nu
           + c0 * (eps1 + lam * gamma1 + gamma2 * |S|) * |pinv(S)|^2 * nu
@@ -72,9 +75,9 @@ class ErrorBoundDiagnostics:
 def error_bound_diagnostics(
     prob: TikhonovProblem, approx: ApproxGsvd, lam: float
 ) -> ErrorBoundDiagnostics:
-    """Evaluate the branch-appropriate bound (see module docstring) at
-    approx.stage1.epsilon, or at the realized stage deviations where they
-    are larger, so the certificate holds for the factorization in hand."""
+    """Evaluate the branch-appropriate bound (see module docstring) at the
+    realized stage deviations, on branch "over" at approx.stage1.epsilon
+    where it is larger, so the certificate holds for the factorization."""
     m, p, n = prob.shape
     if n > SCALE_GUARD_MAX_N:
         raise ValueError(
@@ -100,14 +103,14 @@ def error_bound_diagnostics(
     gamma1 = _sv(l - (l @ q) @ q.T)[0]
     stacked_sv = _sv(np.vstack([a, lam * l]))
     pinv_norm = 1.0 / stacked_sv[-1]
+    pta = pb.T @ a
+    pa = pb @ pta
+    xi = 1.0 / _sv(np.vstack([pa, lam * l]))[-1]
 
     if approx.branch == "over":
-        pa = pb @ (pb.T @ a)
         eps1 = _sv(a - pa)[0]
-        pta = pb.T @ a
         eps2 = _sv(pta - (pta @ q) @ q.T)[0]
         eps_used = max(approx.stage1.epsilon, eps1, eps2)
-        xi = 1.0 / _sv(np.vstack([pa, lam * l]))[-1]
         rhs = eps_used * (_C0 * xi**2 * nu + np.sqrt(2.0) * xi * pinv_norm * nu)
         rhs += _C0 * lam * gamma1 * xi**2 * nu
         gamma2 = 0.0
@@ -115,9 +118,6 @@ def error_bound_diagnostics(
         aq = a @ q
         eps1 = _sv(a - aq @ q.T)[0]
         eps2 = _sv(aq - pb @ (pb.T @ aq))[0]
-        eps_used = max(approx.stage1.epsilon, eps1, eps2)
-        pa = pb @ (pb.T @ a)
-        xi = 1.0 / _sv(np.vstack([pa, lam * l]))[-1]
         # solve_exact above, and the core itself, refuse a rank-deficient stack
         x_all = _gsvd_core([a, l]).x
         x1 = x_all[:, : max(n - approx.l1, 0)]

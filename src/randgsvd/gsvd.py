@@ -91,20 +91,20 @@ class GsvdFactors:
     """Generalized SVD factors of a pair (see module docstring for the
     identities each branch satisfies).
 
-    u      -- m x n (tall) or m x m (wide), orthonormal columns
-    alpha  -- ascending, in [0, 1]
-    beta   -- descending, in (0, 1]; length n - r
-    x      -- n x n nonsingular
-    r      -- number of generalized values with beta = 0
-    branch -- "tall" or "wide"
+    u     -- m x n (tall) or m x m (wide), orthonormal columns
+    alpha -- ascending, in [0, 1]; length min(m, n)
+    beta  -- descending, in (0, 1]; length n - r, where r counts the
+             generalized values with beta = 0
+    x     -- n x n nonsingular
+
+    The lengths give the branch and r: offset = n - len(alpha) is 0 on
+    the tall branch and n - m on the wide one, and r = n - len(beta).
     """
 
     u: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
     x: np.ndarray
-    r: int
-    branch: str
 
     @property
     def n(self) -> int:
@@ -112,10 +112,10 @@ class GsvdFactors:
 
     @property
     def offset(self) -> int:
-        """Index of alpha[0] within the global spectrum 1..n (0 for the tall
-        branch, n - m for the wide branch whose leading directions have
-        alpha = 0)."""
-        return 0 if self.branch == "tall" else self.n - self.u.shape[0]
+        """Index of alpha[0] within the global spectrum 1..n: the count of
+        leading directions that have no alpha, because A has fewer rows
+        than columns (0 on the tall branch, n - m on the wide branch)."""
+        return self.n - self.alpha.shape[0]
 
     def gamma(self) -> np.ndarray:
         """Generalized values alpha_i / beta_i aligned with alpha
@@ -187,28 +187,20 @@ def _gsvd_core(pair: list[np.ndarray]) -> GsvdFactors:
     psi = np.clip(psi, 0.0, 1.0)
 
     r = int(np.count_nonzero(psi > 1.0 - 1e-12 * n))
-    tall = n <= m
-    k0 = 0 if tall else n - m
+    k0 = max(n - m, 0)  # the wide branch's leading directions have no alpha
     alpha = np.sqrt(psi[k0:])
     # Columns of q1 @ svecs carry norm sqrt(psi) in exact arithmetic, but
     # psi can round to zero while the computed column still holds rounding
     # noise; normalizing by the computed norm keeps every column at unit
     # length instead of amplifying that noise.
-    u = q1 @ svecs if tall else q1 @ svecs[:, k0:]
+    u = q1 @ svecs[:, k0:]
     del q1
     u /= np.maximum(_column_norms(u), np.finfo(float).tiny)
 
     beta = np.sqrt(1.0 - psi[: n - r])
     x = solve_upper_triangular(tri, svecs)
 
-    return GsvdFactors(
-        u=u,
-        alpha=alpha,
-        beta=beta,
-        x=x,
-        r=r,
-        branch="tall" if tall else "wide",
-    )
+    return GsvdFactors(u=u, alpha=alpha, beta=beta, x=x)
 
 
 def gsvd_full_rank(pair: GmpPair, check_rank: bool = True) -> GsvdFactors:

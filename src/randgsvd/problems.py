@@ -38,7 +38,9 @@ class TestProblemSpec:
     built from the noiseless square problem, then noised at level delta).
     The 'tomo' name interprets n as the grid side N and builds the
     parallel-beam operator with angles 0:12:179 and 4N rays per angle
-    (no m).
+    (no m). Sizes the generators need are checked here: n >= 8 for the
+    quadrature kernels, even for deriv2 and heat, a multiple of 4 for
+    phillips, and N >= 2 for tomo.
     """
 
     __test__ = False  # keep pytest from collecting this as a test class
@@ -52,8 +54,12 @@ class TestProblemSpec:
     def __post_init__(self):
         if self.name not in PROBLEMS:
             raise ValueError(f"unknown problem {self.name!r}")
-        if self.name != "tomo" and self.n < 8:
-            raise ValueError(f"n must be at least 8, got {self.n}")
+        least = 2 if self.name == "tomo" else 8
+        if self.n < least:
+            raise ValueError(f"n must be at least {least}, got {self.n}")
+        step = {"deriv2": 2, "heat": 2, "phillips": 4}.get(self.name, 1)
+        if self.n % step:
+            raise ValueError(f"{self.name} requires n divisible by {step}, got {self.n}")
         if not (0.0 <= self.delta < np.inf):  # NaN fails every comparison
             raise ValueError(f"delta must be finite and nonnegative, got {self.delta}")
         if self.m is not None:
@@ -91,8 +97,6 @@ def deriv2_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
     sine coefficients decay quadratically, so it stays representable in the
     few-column sketches this operator admits). Requires even n so the peak
     falls on a cell boundary."""
-    if n % 2:
-        raise ValueError(f"deriv2 requires even n, got {n}")
     h = 1.0 / n
     idx = np.arange(1, n + 1, dtype=float)
     ii = idx[:, None]
@@ -128,8 +132,6 @@ def heat_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Volterra heat-conduction kernel (unit conductivity): lower-triangular
     Toeplitz with first column c t^(-3/2) exp(-1/(4t)) at midpoints.
     Requires even n; the solution ramp lives on the first half."""
-    if n % 2:
-        raise ValueError(f"heat requires even n, got {n}")
     h = 1.0 / n
     t = (np.arange(1, n + 1) - 0.5) * h
     c = h / (2.0 * np.sqrt(np.pi))
@@ -153,8 +155,6 @@ def phillips_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
     1 + cos(pi (s-t)/3) (support |s-t| < 3) on [-6,6]^2; requires n
     divisible by 4. The solution is the cell-integrated hat
     1 + cos(pi t/3) on |t| < 3."""
-    if n % 4:
-        raise ValueError(f"phillips requires n divisible by 4, got {n}")
     h = 12.0 / n
     n4 = n // 4
     r = np.zeros(n)

@@ -22,19 +22,13 @@ which is what makes solves and error bounds through this object honest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .gsvd import GsvdFactors, _gsvd_core
 from .linalg import DimensionError, as_operator, matmul
-from .sampling import (
-    RangeBasis,
-    SamplerConfig,
-    adaptive_range_finder,
-    derive_stage_seed,
-    stage_config,
-)
+from .sampling import RangeBasis, SamplerConfig, adaptive_range_finder, derive_stage_seed
 
 
 @dataclass(frozen=True)
@@ -106,8 +100,7 @@ def rgsvd(a, l, epsilon: float, cfg: SamplerConfig) -> ApproxGsvd:
     branch = "over" if over else "under"
 
     t = a if over else a.T
-    st1 = stage_config(cfg, epsilon=epsilon, seed=cfg.seed, ncols=t.shape[1])
-    stage1 = adaptive_range_finder(t, st1)
+    stage1 = adaptive_range_finder(t, cfg)
     stage2 = None
     basis1 = stage1.q
     basis2 = np.empty((t.shape[1], 0))
@@ -115,12 +108,8 @@ def rgsvd(a, l, epsilon: float, cfg: SamplerConfig) -> ApproxGsvd:
     if l1:
         # stage two needs its target C-ordered to keep its own bits
         s = np.ascontiguousarray(matmul(t.T, basis1))
-        st2 = stage_config(
-            cfg,
-            epsilon=cfg.stage2_epsilon if cfg.stage2_epsilon is not None else epsilon,
-            seed=derive_stage_seed(cfg.seed),
-            ncols=l1,
-        )
+        # a set stage2_epsilon is > 0, so "or" falls back only when it is None
+        st2 = replace(cfg, epsilon=cfg.stage2_epsilon or cfg.epsilon, seed=derive_stage_seed(cfg.seed))
         stage2 = adaptive_range_finder(s, st2)
         basis2 = stage2.q
     l2 = basis2.shape[1]

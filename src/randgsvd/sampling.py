@@ -28,7 +28,8 @@ refused by the same check instead of yielding NaN basis columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,12 +93,12 @@ def uniform_test_matrix(n: int, l: int, seed: int) -> np.ndarray:
 class SamplerConfig:
     """Knobs for adaptive sketching.
 
-    epsilon        -- deflated-column-norm stopping tolerance (> 0); it is
-                      absolute, in the units of the target's entries, not
-                      relative to |A|, so rescaling A by c calls for
-                      epsilon * c to stop at the same column
-    blocksize      -- columns sketched per adaptive step
-    seed           -- 64-bit base seed; block i uses seed XOR i
+    epsilon        -- deflated-column-norm stopping tolerance, finite and
+                      > 0; it is absolute, in the units of the target's
+                      entries, not relative to |A|, so rescaling A by c
+                      calls for epsilon * c to stop at the same column
+    blocksize      -- columns sketched per adaptive step, an integer
+    seed           -- 64-bit base seed, an integer; block i uses seed XOR i
     stage2_epsilon -- optional override for the second stage of the
                       two-sided factorization (defaults to the stage-one
                       tolerance)
@@ -109,12 +110,16 @@ class SamplerConfig:
     stage2_epsilon: float | None = None
 
     def __post_init__(self):
-        if not (self.epsilon > 0.0):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.blocksize < 1:
-            raise ValueError(f"blocksize must be >= 1, got {self.blocksize}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        for name in ("epsilon", "stage2_epsilon"):
+            value = getattr(self, name)
+            if value is not None and not (0.0 < value < np.inf):  # NaN fails both
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        for name, least in (("blocksize", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= least):
+                raise ValueError(f"{name} must be >= {least} and an integer, got {value!r}")
+            # a numpy integer would overflow in the seed arithmetic
+            object.__setattr__(self, name, int(value))
 
 
 @dataclass(frozen=True)
@@ -151,7 +156,7 @@ def _block_widths(n: int, blocksize: int) -> list[int]:
     return [w for w in widths if w > 0]
 
 
-def _sample_blocks(a, cfg: SamplerConfig):
+def _sample_blocks(a, blocksize: int, seed: int):
     """Yield (pass number, a @ Omega_i) for every test block in order.
 
     On a target of at least _WINDOW_MIN_BYTES that is C-ordered, or a
@@ -171,12 +176,12 @@ def _sample_blocks(a, cfg: SamplerConfig):
     state is left before each yield, since numpy keeps it per context.
     """
     n = a.shape[1]
-    widths = _block_widths(n, cfg.blocksize)
+    widths = _block_widths(n, blocksize)
     per_pass = 1
     if a.nbytes >= _WINDOW_MIN_BYTES and (
         a.flags.c_contiguous or (a.flags.f_contiguous and a.shape[0] % _WINDOW_ROW_MULTIPLE == 0)
     ):
-        per_pass = max(1, _WINDOW_COLUMNS // cfg.blocksize)
+        per_pass = max(1, _WINDOW_COLUMNS // blocksize)
     start = passes = 0
     while start < len(widths):
         stop = start + 1
@@ -184,7 +189,7 @@ def _sample_blocks(a, cfg: SamplerConfig):
             while stop < min(start + per_pass, len(widths)) and widths[stop] > 1:
                 stop += 1
         omegas = [
-            uniform_test_matrix(n, w, cfg.seed ^ (i + 1))
+            uniform_test_matrix(n, w, seed ^ (i + 1))
             for i, w in enumerate(widths[start:stop], start=start)
         ]
         passes += 1
@@ -213,6 +218,10 @@ def adaptive_range_finder(a, cfg: SamplerConfig) -> RangeBasis:
     above cfg.epsilon the whole block joins the basis, and the first entry
     at or below the tolerance stops the run, keeping only the columns in
     front of it.
+
+    Blocks are min(cfg.blocksize, max(n - 1, 1)) columns wide on a target
+    of n columns, so a block never spans the whole target unless it has
+    one column; the last block takes what is left.
 
     The products are formed in passes over a: on a target of at least
     8 MiB that is C-ordered, or a transposed view whose row count is a
@@ -243,16 +252,13 @@ def adaptive_range_finder(a, cfg: SamplerConfig) -> RangeBasis:
     m, n = a.shape
     if n == 0:
         raise DimensionError("range finder target must have at least one column")
-    if cfg.blocksize >= n and not (n == 1 and cfg.blocksize == 1):
-        raise ValueError(
-            f"blocksize must satisfy 1 <= b < n, got b={cfg.blocksize} for n={n}"
-        )
+    blocksize = min(cfg.blocksize, max(n - 1, 1))
 
     q = np.empty((m, 0))
     blocks_consumed = passes = 0
     triggered: float | None = None
 
-    for passes, y in _sample_blocks(a, cfg):
+    for passes, y in _sample_blocks(a, blocksize, cfg.seed):
         if not np.isfinite(y).all():
             raise ValueError(
                 f"range finder target gives a non-finite sketch in block {blocks_consumed + 1}: "
@@ -285,9 +291,3 @@ def adaptive_range_finder(a, cfg: SamplerConfig) -> RangeBasis:
         seed=cfg.seed,
     )
 
-
-def stage_config(cfg: SamplerConfig, *, epsilon: float, seed: int, ncols: int) -> SamplerConfig:
-    """Clone a SamplerConfig for a dependent sketching stage, clamping the
-    block size to stay valid for a target with ``ncols`` columns."""
-    blocksize = min(cfg.blocksize, max(1, ncols - 1)) if ncols > 1 else 1
-    return replace(cfg, epsilon=epsilon, seed=seed, blocksize=blocksize)

@@ -49,8 +49,7 @@ def reference_gsvd(a, l) -> GsvdFactors:
     psi = np.clip(psi, 0.0, 1.0)
     tol = 1e-12 * n
     n_inf = int(np.count_nonzero(psi > 1.0 - tol))
-    tall = n <= m
-    k0 = 0 if tall else n - m
+    k0 = max(n - m, 0)
     u = q1 @ svecs[:, k0:]
     u = u / np.maximum(np.linalg.norm(u, axis=0), np.finfo(float).tiny)
     return GsvdFactors(
@@ -58,6 +57,4 @@ def reference_gsvd(a, l) -> GsvdFactors:
         alpha=np.sqrt(psi[k0:]),
         beta=np.sqrt(1.0 - psi[: n - n_inf]),
         x=scipy.linalg.solve_triangular(r, svecs),
-        r=n_inf,
-        branch="tall" if tall else "wide",
     )

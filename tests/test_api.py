@@ -14,6 +14,7 @@ pins that every public entry point still makes its check.
 
 import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from randgsvd.selection import gcv_lambda, gcv_truncation, lcurve_lambda
 from randgsvd.tikhonov import TikhonovProblem, solve_gsvd, solve_rgsvd, solve_tgsvd
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _load(monkeypatch, name):
@@ -44,6 +46,20 @@ def _load(monkeypatch, name):
 def test_public_names_resolve():
     for name in randgsvd.__all__:
         assert getattr(randgsvd, name, None) is not None, name
+
+
+def test_readme_examples_run():
+    # the quickstart, then the lifted factors on its result with l = prob.l;
+    # each block's comments are its claims
+    quickstart, lifted = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    env = {}
+    exec(quickstart, env)
+    env.update(np=np, l=env["prob"].l)
+    exec(lifted, env)
+    u2, v1, z = env["u2"], env["v1"], env["z"]
+    for f in (u2, v1):
+        assert np.abs(f.T @ f - np.eye(f.shape[1])).max() <= 1e-6
+    assert np.linalg.matrix_rank(z) == z.shape[0] == env["approx"].l2
 
 
 def test_traced_bindings_resolve(monkeypatch):

@@ -130,7 +130,8 @@ def test_rank_deficient_stack_is_an_error_row(monkeypatch, kahan_problem):
 
 
 @pytest.mark.parametrize(
-    "selector, fixed_value", [("fixed", 1e-2), ("gcv", None)], ids=["fixed", "gcv"]
+    # one fixed value is gsvd's lambda and tgsvd's depth, so it is whole
+    "selector, fixed_value", [("fixed", 2.0), ("gcv", None)], ids=["fixed", "gcv"]
 )
 def test_rank_deficient_stack_above_pilot_size_is_an_error_row(
     monkeypatch, make_kahan, selector, fixed_value
@@ -186,13 +187,18 @@ def test_tgsvd_fixed_truncation():
 
 
 def test_tgsvd_fractional_truncation_fails():
-    # the depth is not floored to 2: the row fails and reports no lambda
+    # the depth is not floored to 2: the configuration is refused before
+    # any row runs, where it used to give one failed row per cell
+    with pytest.raises(ValueError, match="fixed_value is a depth and must be an integer, got 2.5"):
+        BenchConfig(
+            problems=("shaw",), methods=("tgsvd",), selector="fixed", fixed_value=2.5, seeds=(0,), **FAST
+        )
+    # a whole depth given as a float runs
     cfg = BenchConfig(
-        problems=("shaw",), methods=("tgsvd",), selector="fixed", fixed_value=2.5, seeds=(0,), **FAST
+        problems=("shaw",), methods=("tgsvd",), selector="fixed", fixed_value=2.0, seeds=(0,), **FAST
     )
     rec = run_benchmark(cfg)[0]
-    assert rec.failed and rec.error.startswith("ValueError: truncation depth must be an integer")
-    assert math.isnan(rec.lam)
+    assert not rec.failed and rec.lam == 2.0
 
 
 def test_tomo_rejects_row_count():
@@ -365,11 +371,25 @@ def test_main_exit_codes(tmp_path, capsys):
         "--delta=nan": "delta must be finite and nonnegative",
         "--epsilon=0": "epsilon must be positive",
         "--blocksize=0": "blocksize must be >= 1",
+        "--epsilon=inf": "epsilon must be positive and finite",
+        "--selector=fixed:nan": "needs a positive, finite fixed_value, got nan",
+        "--selector=fixed:0": "needs a positive, finite fixed_value, got 0.0",
     }
     for flag, msg in bad_settings.items():
         assert main(["--problems", "shaw", "--method", "rgsvd", "--seeds", "0", "--n", "32", flag]) == 2
         captured = capsys.readouterr()
         assert msg in captured.err and captured.out == ""
+    # a tgsvd depth must be whole, and a problem size one its generator builds
+    for args, msg in [
+        (["--method", "tgsvd", "--selector", "fixed:2.5"], "must be an integer"),
+        (["--problems", "phillips", "--n", "10"], "phillips requires n divisible by 4"),
+        (["--problems", "tomo", "--n", "1"], "n must be at least 2, got 1"),
+    ]:
+        assert main(["--problems", "shaw", "--n", "32", "--seeds", "0", *args]) == 2
+        captured = capsys.readouterr()
+        assert msg in captured.err and captured.out == ""
+    assert main(["--problems", "shaw", "--method", "tgsvd", "--selector", "fixed:3.0", "--n", "32"]) == 0
+    capsys.readouterr()
     # the sampler is checked only where a row sketches
     assert main(["--problems", "shaw", "--method", "gsvd", "--seeds", "0", "--n", "32", "--epsilon=0"]) == 0
     capsys.readouterr()

@@ -139,12 +139,23 @@ def test_spec_validation():
             TestProblemSpec(name="tomo", n=6, m=m)
     with pytest.raises(ValueError):
         TestProblemSpec(name="shaw", n=32, delta=-0.1)
-    with pytest.raises(ValueError):
-        generate(TestProblemSpec(name="heat", n=33))
-    with pytest.raises(ValueError):
-        generate(TestProblemSpec(name="deriv2", n=33))
-    with pytest.raises(ValueError):
-        generate(TestProblemSpec(name="phillips", n=34))
+
+
+@pytest.mark.parametrize(
+    "name, n, msg",
+    [
+        ("heat", 33, "heat requires n divisible by 2"),
+        ("deriv2", 33, "deriv2 requires n divisible by 2"),
+        ("phillips", 10, "phillips requires n divisible by 4"),
+        ("phillips", 34, "phillips requires n divisible by 4"),
+        ("tomo", 1, "n must be at least 2, got 1"),
+    ],
+)
+def test_spec_refuses_sizes_its_generator_cannot_build(name, n, msg):
+    # refused where the size enters, so the benchmark exits 2 for it
+    # instead of running a row that fails
+    with pytest.raises(ValueError, match=msg):
+        TestProblemSpec(name=name, n=n)
 
 
 def test_generate_underdetermined_truncates_clean_rows():

@@ -9,7 +9,7 @@ from randgsvd.gsvd import GmpPair, gsvd_full_rank
 from randgsvd.linalg import DimensionError
 from randgsvd.problems import TestProblemSpec, first_difference, generate, shaw_matrix
 from randgsvd.rgsvd import rgsvd
-from randgsvd.sampling import SamplerConfig
+from randgsvd.sampling import SamplerConfig, derive_stage_seed
 from randgsvd.tikhonov import solve_exact, solve_gsvd, solve_rgsvd, TikhonovProblem
 
 
@@ -222,9 +222,13 @@ def test_stage_metadata_kept_on_row_space_branch():
     # stage one sketches the 2048-row transposed view of the row-truncated
     # shaw kernel, where one pass forms several blocks
     prob = generate(TestProblemSpec(name="shaw", n=2048, m=1024))
-    approx = rgsvd(prob.a, prob.l, 1e-2, SamplerConfig(epsilon=1e-2, blocksize=4, seed=5))
+    cfg = SamplerConfig(epsilon=1e-2, blocksize=4, seed=5, stage2_epsilon=1e-3)
+    approx = rgsvd(prob.a, prob.l, 1e-2, cfg)
     assert approx.branch == "under"
     assert approx.stage1.q is approx.q and approx.stage2.q is approx.p
+    # stage one runs on cfg itself, stage two on its tolerance and seed
+    assert (approx.stage1.epsilon, approx.stage1.seed) == (1e-2, 5)
+    assert (approx.stage2.epsilon, approx.stage2.seed) == (1e-3, derive_stage_seed(5))
     assert (approx.stage1.ncols, approx.stage2.ncols) == (approx.l1, approx.l2)
     assert approx.stage1.passes < approx.stage1.blocks_consumed
     assert approx.stage1.triggered_diag <= 1e-2
@@ -237,7 +241,7 @@ def test_under_branch_alignment(rng):
     assert approx.branch == "under"
     assert approx.inner is not None
     # the inner pair is l2 x l1: wide exactly when stage 2 dropped columns
-    assert approx.inner.branch == ("wide" if approx.l2 < approx.l1 else "tall")
+    assert approx.inner.offset == approx.l1 - approx.l2
     assert approx.q.shape == (60, approx.inner.n)
     err_a, err_l = sketched_identities(approx, a, l)
     scale = max(np.linalg.norm(a), np.linalg.norm(l))
@@ -253,8 +257,7 @@ def test_under_branch_wide_inner_via_loose_stage2(rng):
     approx = rgsvd(a, l, 1e-10, cfg)
     assert approx.branch == "under"
     assert approx.l2 < approx.l1
-    assert approx.inner.branch == "wide"
-    assert approx.inner.offset == approx.l1 - approx.l2
+    assert approx.inner.offset == approx.l1 - approx.l2 > 0
     b = rng.standard_normal(25)
     for lam in (1e-2, 1.0):
         s1 = solve_rgsvd(approx, b, lam)

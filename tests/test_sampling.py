@@ -9,8 +9,6 @@ from randgsvd.sampling import (
     _WINDOW_ROW_MULTIPLE,
     SamplerConfig,
     adaptive_range_finder,
-    derive_stage_seed,
-    stage_config,
     uniform_test_matrix,
 )
 
@@ -36,6 +34,31 @@ def test_sampler_config_validation():
         SamplerConfig(epsilon=1e-2, seed=-1)
     cfg = SamplerConfig(epsilon=1e-2)
     assert cfg.blocksize == 4 and cfg.seed == 0
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("epsilon", np.inf),
+        ("stage2_epsilon", -1.0),
+        ("stage2_epsilon", 0.0),
+        ("stage2_epsilon", np.nan),
+        ("stage2_epsilon", np.inf),
+        ("blocksize", 2.5),
+        ("seed", 1.5),
+    ],
+)
+def test_sampler_config_refuses_what_no_run_honors(field, value):
+    # each used to be accepted, and then gave NaN rows, a refusal that
+    # named epsilon for stage two, or a TypeError deep inside rgsvd
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        SamplerConfig(**{"epsilon": 1e-2, field: value})
+
+
+def test_sampler_config_takes_numpy_integers():
+    cfg = SamplerConfig(epsilon=1e-2, blocksize=np.int64(3), seed=np.int64(5))
+    assert type(cfg.blocksize) is int and type(cfg.seed) is int
+    assert cfg == SamplerConfig(epsilon=1e-2, blocksize=3, seed=5)
 
 
 def test_identity_is_captured_completely():
@@ -88,10 +111,15 @@ def test_determinism_and_seed_sensitivity(rng):
 
 
 def test_blocksize_must_fit():
-    with pytest.raises(ValueError):
-        adaptive_range_finder(np.eye(4), SamplerConfig(epsilon=1e-2, blocksize=4, seed=0))
-    # n == 1 allows the single-column block
-    basis = adaptive_range_finder(np.ones((3, 1)), SamplerConfig(epsilon=1e-2, blocksize=1))
+    # a block as wide as the target or wider is narrowed to n - 1 columns:
+    # on 6 columns, blocksize 64 draws the blocks of blocksize 5
+    a = np.random.default_rng(3).standard_normal((20, 6))
+    wide = adaptive_range_finder(a, SamplerConfig(epsilon=1e-12, blocksize=64, seed=2))
+    fit = adaptive_range_finder(a, SamplerConfig(epsilon=1e-12, blocksize=5, seed=2))
+    assert_array_equal(wide.q, fit.q)
+    assert wide.blocks_consumed == fit.blocks_consumed == 2
+    # a one-column target takes a single-column block
+    basis = adaptive_range_finder(np.ones((3, 1)), SamplerConfig(epsilon=1e-2, blocksize=4))
     assert basis.ncols == 1
 
 
@@ -206,14 +234,6 @@ def test_sketch_overflow_raises_with_reason(seed, block):
     cfg = SamplerConfig(epsilon=1e-6, blocksize=4, seed=0)
     with pytest.raises(ValueError, match=f"non-finite sketch in block {block}:.*overflows"):
         adaptive_range_finder(a, cfg)
-
-
-def test_stage_config_clamps_blocksize():
-    cfg = SamplerConfig(epsilon=1e-2, blocksize=64, seed=9)
-    stage2 = stage_config(cfg, epsilon=1e-3, seed=derive_stage_seed(9), ncols=5)
-    assert stage2.epsilon == 1e-3
-    assert stage2.blocksize == 4  # min(64, ncols - 1)
-    assert stage2.seed == derive_stage_seed(9)
 
 
 def test_expectation_identity_monte_carlo(rng):

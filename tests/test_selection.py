@@ -124,8 +124,6 @@ def _tall_factors(rng, alpha, beta, m=40):
         alpha=alpha,
         beta=beta,
         x=np.eye(n),
-        r=0,
-        branch="tall",
     )
 
 

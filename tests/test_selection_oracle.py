@@ -66,8 +66,6 @@ def test_gcv_denominator_vanishing_on_whole_grid_raises(monkeypatch):
         alpha=np.array([0.6, 1.0, 1.0]),
         beta=np.array([0.8]),
         x=np.eye(3),
-        r=2,
-        branch="tall",
     )
     monkeypatch.setattr(selection, "LAMBDA_RANGE", (1e-10, 1e-9))
     with pytest.raises(selection.SelectionError, match="vanished"):

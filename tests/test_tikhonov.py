@@ -92,8 +92,9 @@ def test_filters_shape_and_limits(small_problem):
     assert np.all(f_small >= f_large)
     assert_allclose(f_small, 1.0, atol=1e-10)  # lam -> 0 passes everything
     # beta = 0 directions stay unfiltered at any lam
-    if factors.r:
-        assert_allclose(f_large[-factors.r :], 1.0)
+    r = factors.n - factors.beta.size
+    if r:
+        assert_allclose(f_large[-r:], 1.0)
 
 
 def test_beta_zero_direction_survives_strong_regularization(rng):
@@ -102,7 +103,7 @@ def test_beta_zero_direction_survives_strong_regularization(rng):
     n = 16
     prob = generate(TestProblemSpec(name="gravity", n=n, delta=0.0))
     factors = gsvd_full_rank(GmpPair(prob.a, prob.l))
-    assert factors.r == 1
+    assert factors.n - factors.beta.size == 1
     sol = solve_gsvd(factors, prob.b, 1e6)
     # x must retain the data's mean component instead of collapsing to zero
     assert abs(sol.x.mean()) > 0.1 * abs(prob.x_true.mean())
@@ -143,8 +144,6 @@ def test_tgsvd_residual_keeps_alpha_zero_energy(rng):
         alpha=np.array([0.0, 0.6, 1.0]),
         beta=np.array([1.0, 0.8]),
         x=np.eye(3),
-        r=1,
-        branch="tall",
     )
     a = u * factors.alpha  # U.T a X = diag(alpha) with X = I
     b = u @ np.array([3.0, 2.0, 1.0])
