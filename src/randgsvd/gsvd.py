@@ -39,9 +39,11 @@ import numpy as np
 import scipy.linalg
 
 from .linalg import (
+    CsrMatrix,
     DimensionError,
     RankDeficiencyError,
     as_matrix,
+    as_operator,
     dense,
     qr_reduced,
     solve_upper_triangular,
@@ -64,18 +66,19 @@ def check_stack_rows(rows: int, n: int) -> None:
 @dataclass(frozen=True)
 class GmpPair:
     """A matrix pair {a, l} acting on the same solution space, with the
-    vertical stack [a; l] required to have full column rank. Both members
-    are stored dense; a scipy.sparse l is densified.
+    vertical stack [a; l] required to have full column rank. a is stored
+    dense; a scipy.sparse l stays sparse, as a CsrMatrix, and is densified
+    only for the core, which frees that copy once stacked.
 
     Construction checks entries and shapes only; the stack's column rank
     is refused by the GSVD core that factors it, at any size."""
 
     a: np.ndarray
-    l: np.ndarray
+    l: np.ndarray | CsrMatrix
 
     def __post_init__(self):
         a = as_matrix(self.a, "pair member a")
-        l = as_matrix(dense(self.l), "pair member l")
+        l = as_operator(self.l, "pair member l")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "l", l)
         n = a.shape[1]
@@ -214,7 +217,7 @@ def gsvd_full_rank(pair: GmpPair, check_rank: bool = True) -> GsvdFactors:
     carry generalized values so small that any sensible regularizer
     filters them out, so the tolerant mode is what large-scale callers want.
     """
-    factors = _gsvd_core([pair.a, pair.l])
+    factors = _gsvd_core([pair.a, dense(pair.l)])
     alpha = factors.alpha
     if check_rank and alpha.size and alpha.min() <= np.sqrt(1e-12 * factors.n):
         raise RankDeficiencyError(

@@ -8,8 +8,9 @@ discretizations: midpoint quadrature for the kernels evaluated pointwise
 (shaw, foxgood, gravity, heat) and Galerkin with orthonormal box functions
 for the rest (deriv2, phillips, baart; baart's cell integrals are done with
 a fixed-order Gauss rule since its kernel has no convenient closed form).
-Entry-level fidelity is pinned in the tests against an independent
-quadrature oracle. In every case the clean data is synthesized as
+The kernels other than heat and phillips (Toeplitz, built by scipy) fill
+A a block of rows at a time, with no whole-matrix temporaries. Entry-level
+fidelity is pinned in the tests against an independent quadrature oracle. In every case the clean data is synthesized as
 b = A @ x_true exactly, so solvers can be scored against a consistent
 discrete ground truth.
 """
@@ -74,17 +75,44 @@ def _midpoints(lo: float, hi: float, n: int) -> np.ndarray:
     return lo + (np.arange(n) + 0.5) * h
 
 
+# rows of A formed at a time by the generators that fill it by blocks; at
+# n = 2048 a block and each scratch buffer take 512 kB
+_BLOCK_ROWS = 32
+
+
+def _row_blocks(a: np.ndarray, scratch: int):
+    """Walk the rows of a, _BLOCK_ROWS at a time (the last block may be
+    shorter). Yields the block's row slice, the block of a, and `scratch`
+    buffers of the block's shape, the same ones for every block."""
+    rows, cols = a.shape
+    height = min(_BLOCK_ROWS, rows)
+    buffers = np.empty((scratch, height, cols))
+    for start in range(0, rows, height):
+        stop = min(start + height, rows)
+        yield slice(start, stop), a[start:stop], *buffers[:, : stop - start]
+
+
 def shaw_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Midpoint quadrature of the kernel (cos s + cos t)^2 (sin u / u)^2,
     u = pi (sin s + sin t), on [-pi/2, pi/2]^2; two-Gaussian-bump solution."""
     h = np.pi / n
     g = _midpoints(-np.pi / 2, np.pi / 2, n)
-    s = g[:, None]
-    t = g[None, :]
-    u = np.pi * (np.sin(s) + np.sin(t))
-    safe = np.where(u == 0.0, 1.0, u)
-    sinc = np.where(u == 0.0, 1.0, np.sin(safe) / safe)
-    a = h * (np.cos(s) + np.cos(t)) ** 2 * sinc**2
+    sin_g, cos_g = np.sin(g), np.cos(g)
+    a = np.empty((n, n))
+    for rows, out, u, sinc in _row_blocks(a, 2):
+        np.add(sin_g[rows, None], sin_g, out=u)
+        u *= np.pi
+        zero = u == 0.0  # where sin u / u is taken as 1
+        u[zero] = 1.0
+        np.sin(u, out=sinc)
+        sinc /= u
+        sinc[zero] = 1.0
+        np.square(sinc, out=sinc)
+        # h (cos s + cos t)^2, then times sinc^2
+        np.add(cos_g[rows, None], cos_g, out=out)
+        np.square(out, out=out)
+        out *= h
+        out *= sinc
     x = 2.0 * np.exp(-6.0 * (g - 0.8) ** 2) + np.exp(-2.0 * (g + 0.5) ** 2)
     return a, x
 
@@ -99,11 +127,14 @@ def deriv2_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
     falls on a cell boundary."""
     h = 1.0 / n
     idx = np.arange(1, n + 1, dtype=float)
-    ii = idx[:, None]
-    jj = idx[None, :]
-    lower = h**2 * (jj - 0.5) * ((ii - 0.5) * h - 1.0)
-    a = np.where(jj < ii, lower, 0.0)
-    a = a + a.T
+    # entry (i, j) below the diagonal is left[j] * right[i], and A is symmetric
+    left = h**2 * (idx - 0.5)
+    right = (idx - 0.5) * h - 1.0
+    a = np.empty((n, n))
+    for rows, out, upper in _row_blocks(a, 1):
+        np.multiply(left, right[rows, None], out=out)
+        np.multiply(left[rows, None], right, out=upper)
+        np.copyto(out, upper, where=idx > idx[rows, None])
     np.fill_diagonal(a, h**2 * ((idx**2 - idx + 0.25) * h - (idx - 2.0 / 3.0)))
     x = h**1.5 * np.minimum(idx - 0.5, n - idx + 0.5)
     return a, x
@@ -113,7 +144,12 @@ def foxgood_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Midpoint quadrature of sqrt(s^2 + t^2) on [0,1]^2; solution t."""
     h = 1.0 / n
     g = _midpoints(0.0, 1.0, n)
-    a = h * np.sqrt(g[:, None] ** 2 + g[None, :] ** 2)
+    g_sq = g**2
+    a = np.empty((n, n))
+    for rows, out in _row_blocks(a, 0):
+        np.add(g_sq[rows, None], g_sq, out=out)
+        np.sqrt(out, out=out)
+        out *= h
     return a, g.copy()
 
 
@@ -123,7 +159,13 @@ def gravity_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
     h = 1.0 / n
     d = 0.25
     g = _midpoints(0.0, 1.0, n)
-    a = h * d * (d**2 + (g[:, None] - g[None, :]) ** 2) ** (-1.5)
+    a = np.empty((n, n))
+    for rows, out in _row_blocks(a, 0):
+        np.subtract(g[rows, None], g, out=out)
+        np.square(out, out=out)
+        out += d**2
+        np.power(out, -1.5, out=out)
+        out *= h * d
     x = np.sin(np.pi * g) + 0.5 * np.sin(2.0 * np.pi * g)
     return a, x
 
@@ -175,17 +217,14 @@ def phillips_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(4)
-# bytes of one chunk of baart's (rows, 4, n, 4) node-pair block; each row
-# sums over its own (4, n, 4) slab, so the chunk size leaves A unchanged
-_BAART_CHUNK_BYTES = 16 << 20
 
 
 def _cell_rule(lo: float, width: float, cells: int):
-    """Gauss nodes/weights for `cells` equal subintervals of [lo, lo+cells*width]."""
+    """Gauss nodes of `cells` equal subintervals of [lo, lo+cells*width],
+    one row per cell, and the weights every cell shares."""
     left = lo + width * np.arange(cells)[:, None]
     nodes = left + width * (0.5 * (_GAUSS_NODES[None, :] + 1.0))
-    weights = np.broadcast_to(0.5 * width * _GAUSS_WEIGHTS, nodes.shape)
-    return nodes, weights
+    return nodes, 0.5 * width * _GAUSS_WEIGHTS
 
 
 def baart_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -193,21 +232,35 @@ def baart_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
     exp(s cos t) for s in [0, pi/2], t in [0, pi]; solution sin t.
 
     Cell integrals use a fixed 4-point Gauss product rule, far below
-    rounding error for this analytic kernel at any usable n.
+    rounding error for this analytic kernel at any usable n. Each entry
+    sums its 16 node pairs as the t sum inside the s sum, each in node
+    order: the order numpy's sum over both node axes of the (n, 4, n, 4)
+    array of weighted values takes.
     """
     hs = np.pi / (2 * n)
     ht = np.pi / n
     s_nodes, s_weights = _cell_rule(0.0, hs, n)
     t_nodes, t_weights = _cell_rule(0.0, ht, n)
-    cos_t = np.cos(t_nodes)
+    cos_t = np.cos(t_nodes).T.copy()  # one row per t node
     scale = 1.0 / np.sqrt(hs * ht)
     a = np.empty((n, n))
-    chunk = max(1, _BAART_CHUNK_BYTES // (16 * n * 8))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        block = np.exp(s_nodes[start:stop, :, None, None] * cos_t[None, None, :, :])
-        block = block * s_weights[start:stop, :, None, None] * t_weights[None, None, :, :]
-        a[start:stop] = scale * block.sum(axis=(1, 3))
+    for rows, out, inner, term in _row_blocks(a, 2):
+        # value is the weighted exp(s cos t) at node pair (p, q); the sum
+        # over q is formed in inner (in out itself for p = 0), and the first
+        # term of each sum in that sum's own buffer
+        for p, s_weight in enumerate(s_weights):
+            t_sum = out if p == 0 else inner
+            for q, t_weight in enumerate(t_weights):
+                value = t_sum if q == 0 else term
+                np.multiply(s_nodes[rows, p, None], cos_t[q], out=value)
+                np.exp(value, out=value)
+                value *= s_weight
+                value *= t_weight
+                if q:
+                    t_sum += term
+            if p:
+                out += inner
+        out *= scale
     t_left = ht * np.arange(n)
     x = (np.cos(t_left) - np.cos(t_left + ht)) / np.sqrt(ht)
     return a, x
@@ -258,15 +311,16 @@ def generate(spec: TestProblemSpec) -> TikhonovProblem:
     Quadrature problems: A and x_true from the discretization, then
     b = A x_true + noise at level spec.delta (seeded). Underdetermined
     variants truncate the noiseless rows first so the noise level is exact
-    for the rows that remain. 'tomo' builds the parallel-beam operator on
+    for the rows that remain, and keep only those rows. 'tomo' builds the parallel-beam operator on
     an n x n pixel grid with the phantom as ground truth.
     """
     if spec.name == "tomo":
         return _generate_tomo(spec)
     a, x_true = _GENERATORS[spec.name](spec.n)
-    if spec.m is not None and spec.m < spec.n:
-        a = a[: spec.m]
-    b = add_noise(a @ x_true, spec.delta, spec.seed)
+    m = spec.n if spec.m is None else spec.m
+    b = add_noise(a[:m] @ x_true, spec.delta, spec.seed)
+    if m < spec.n:
+        a = a[:m].copy()  # a view of the kept rows would hold all n alive
     return TikhonovProblem(a=a, l=first_difference(spec.n), b=b, x_true=x_true)
 
 

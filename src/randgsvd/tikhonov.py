@@ -38,7 +38,7 @@ class TikhonovProblem:
     needs it: by the GSVD core's condition estimate, which every GSVD
     route runs, and by solve_exact's cutoff. l may be a scipy.sparse
     matrix; it is kept sparse (as a CsrMatrix, with its stored values
-    checked) and only the dense routes densify it: GmpPair, the
+    checked) and only the dense routes densify it: gsvd_full_rank, the
     benchmark's dense factors, solve_exact and the error bounds.
     """
 

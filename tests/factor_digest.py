@@ -39,8 +39,10 @@ one factors line (digests of u, x, alpha and beta), and each of its noise
 seeds 0-2 prints the lambdas, solves and residuals lines above, with
 solve_gsvd and solve_tgsvd on the exact factors and the data b itself.
 
-"problems" digests the test problems themselves, at 1 BLAS thread: A and
-x_true of the seven kernels at n in {512, 2048}, one line each; indptr,
+"problems" digests the test problems themselves, at 1 BLAS thread. For
+each of the seven kernels at n in {512, 2048, 2052} it prints three
+lines: A and x_true at delta = 0; b at delta = 1e-3, seed 0; and A and b
+of the same instance row-truncated to m = n/2 by generate. Then indptr,
 indices and data of parallel_tomo(50, 0:12:179, 200), the operator the
 "tomo" mode densifies; and b of that mode's n = 50 instance.
 
@@ -232,9 +234,13 @@ def dense() -> None:
 
 def problems() -> None:
     for name in QUADRATURE_PROBLEMS:
-        for n in (512, 2048):
+        for n in (512, 2048, 2052):
             prob = generate(TestProblemSpec(name=name, n=n, delta=0.0))
             print(f"{name}/n{n}", "problem", _digest(prob.a), _digest(prob.x_true))
+            prob = generate(TestProblemSpec(name=name, n=n, delta=DELTA, seed=0))
+            print(f"{name}/n{n}/s0", "data", _digest(prob.b))
+            prob = generate(TestProblemSpec(name=name, n=n, m=n // 2, delta=DELTA, seed=0))
+            print(f"{name}/n{n}/m{n // 2}/s0", "problem", _digest(prob.a), _digest(prob.b))
     op, x_true = parallel_tomo(50, np.arange(0.0, 180.0, 12.0), 200)
     print("tomo/n50", "operator", *(_digest(f) for f in (op.indptr, op.indices, op.data, x_true)))
     prob = generate(TestProblemSpec(name="tomo", n=50, delta=DELTA, seed=0))

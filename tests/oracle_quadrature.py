@@ -10,10 +10,15 @@ cell integrals — with no code shared with randgsvd.problems. Run manually:
 The printed table is frozen into test_problems.py; the tests then compare
 the generators against those constants, so a regression in either the
 formulas or the vectorization shows up as a mismatch.
+
+The *_whole functions are the other reference: the whole-matrix numpy
+formulas of the kernels whose generators now fill A a block of rows at a
+time. The tests hold those generators to them bit for bit.
 """
 
 import math
 
+import numpy as np
 from scipy.integrate import dblquad, quad
 
 N = 16
@@ -145,6 +150,80 @@ def baart_x(n, i):
     ht = math.pi / n
     val, _ = quad(math.sin, i * ht, (i + 1) * ht, epsabs=1e-13)
     return val / math.sqrt(ht)
+
+
+def shaw_whole(n):
+    """shaw's A and x_true, every entry of A formed at once."""
+    h = np.pi / n
+    g = -np.pi / 2 + (np.arange(n) + 0.5) * h
+    s = g[:, None]
+    t = g[None, :]
+    u = np.pi * (np.sin(s) + np.sin(t))
+    safe = np.where(u == 0.0, 1.0, u)
+    sinc = np.where(u == 0.0, 1.0, np.sin(safe) / safe)
+    a = h * (np.cos(s) + np.cos(t)) ** 2 * sinc**2
+    x = 2.0 * np.exp(-6.0 * (g - 0.8) ** 2) + np.exp(-2.0 * (g + 0.5) ** 2)
+    return a, x
+
+
+def deriv2_whole(n):
+    """deriv2's A and x_true: the lower triangle, mirrored, then the
+    diagonal."""
+    h = 1.0 / n
+    idx = np.arange(1, n + 1, dtype=float)
+    ii = idx[:, None]
+    jj = idx[None, :]
+    lower = h**2 * (jj - 0.5) * ((ii - 0.5) * h - 1.0)
+    a = np.where(jj < ii, lower, 0.0)
+    a = a + a.T
+    np.fill_diagonal(a, h**2 * ((idx**2 - idx + 0.25) * h - (idx - 2.0 / 3.0)))
+    x = h**1.5 * np.minimum(idx - 0.5, n - idx + 0.5)
+    return a, x
+
+
+def foxgood_whole(n):
+    h = 1.0 / n
+    g = (np.arange(n) + 0.5) * h
+    return h * np.sqrt(g[:, None] ** 2 + g[None, :] ** 2), g
+
+
+def gravity_whole(n):
+    h = 1.0 / n
+    d = 0.25
+    g = (np.arange(n) + 0.5) * h
+    a = h * d * (d**2 + (g[:, None] - g[None, :]) ** 2) ** (-1.5)
+    return a, np.sin(np.pi * g) + 0.5 * np.sin(2.0 * np.pi * g)
+
+
+def baart_whole(n):
+    """baart's A and x_true from the (n, 4, n, 4) array of weighted
+    values exp(s cos t) at every pair of Gauss nodes, summed over both node
+    axes. The array is formed a few rows at a time, at most 16 MiB: each
+    row of A sums its own (4, n, 4) slab, so the split leaves A unchanged.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(4)
+
+    def cell_rule(width):
+        left = width * np.arange(n)[:, None]
+        points = left + width * (0.5 * (nodes[None, :] + 1.0))
+        return points, np.broadcast_to(0.5 * width * weights, points.shape)
+
+    hs = np.pi / (2 * n)
+    ht = np.pi / n
+    s_nodes, s_weights = cell_rule(hs)
+    t_nodes, t_weights = cell_rule(ht)
+    cos_t = np.cos(t_nodes)
+    scale = 1.0 / np.sqrt(hs * ht)
+    a = np.empty((n, n))
+    chunk = max(1, (16 << 20) // (16 * n * 8))
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        block = np.exp(s_nodes[start:stop, :, None, None] * cos_t[None, None, :, :])
+        block = block * s_weights[start:stop, :, None, None] * t_weights[None, None, :, :]
+        a[start:stop] = scale * block.sum(axis=(1, 3))
+    t_left = ht * np.arange(n)
+    x = (np.cos(t_left) - np.cos(t_left + ht)) / np.sqrt(ht)
+    return a, x
 
 
 ORACLES = {

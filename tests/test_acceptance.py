@@ -6,11 +6,9 @@ asserts both the quality targets and its wall-clock budget. Seeds are fixed,
 so every run is bit-reproducible.
 """
 
-import math
 import time
 
 import numpy as np
-import pytest
 
 from bench_records import records_equal, report_rows, strip_timings
 from oracle_gsvd import reconstruct

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from oracle_gsvd import reconstruct, reference_gsvd, v1_factor
 from randgsvd import gsvd
 from randgsvd.gsvd import GmpPair, GmpViolationError, _column_norms, _gsvd_core, gsvd_full_rank
-from randgsvd.linalg import DimensionError, RankDeficiencyError
+from randgsvd.linalg import DimensionError, RankDeficiencyError, dense
 from randgsvd.problems import first_difference
 
 
@@ -151,7 +151,7 @@ def _reference_pairs():
 def test_core_matches_numpy_reference_route(name, a, l):
     pair = GmpPair(a, l)
     factors = gsvd_full_rank(pair, check_rank=False)
-    ref = reference_gsvd(pair.a, pair.l)
+    ref = reference_gsvd(pair.a, dense(pair.l))
     assert factors.offset == ref.offset
     assert (factors.beta.size < factors.n) == (name == "r>0")
     for field in ("u", "x", "alpha", "beta"):
@@ -182,6 +182,22 @@ def test_core_peak_memory_stays_under_2_3_stacks():
     finally:
         tracemalloc.stop()
     assert peak <= 2.3 * stack_bytes
+
+
+def test_dense_route_frees_its_densified_regularizer():
+    # the pair keeps a sparse L sparse, and the core frees the dense copy
+    # it is handed once stacked: the route's peak is then about 5 n x n
+    # arrays, and a dense L held beside them would make it 6
+    n = 256
+    a = np.random.default_rng(0).standard_normal((n, n))
+    l = first_difference(n)
+    tracemalloc.start()
+    try:
+        gsvd_full_rank(GmpPair(a, l), check_rank=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * a.nbytes
 
 
 def test_core_empties_the_pair_it_is_given(rng):

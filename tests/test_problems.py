@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from oracle_quadrature import baart_whole, deriv2_whole, foxgood_whole, gravity_whole, shaw_whole
 from randgsvd import problems
 from randgsvd.gsvd import GmpPair, gsvd_full_rank
 from randgsvd.problems import (
@@ -65,12 +68,46 @@ def test_symmetry_structure(name):
         assert not np.allclose(a, a.T)
 
 
+BLOCK_BUILT = {
+    "shaw": shaw_whole,
+    "baart": baart_whole,
+    "deriv2": deriv2_whole,
+    "foxgood": foxgood_whole,
+    "gravity": gravity_whole,
+}
+# below one block of rows, one block, one block and one row, and two sizes
+# whose last block is ragged
+BLOCK_SIZES = (8, problems._BLOCK_ROWS, problems._BLOCK_ROWS + 1, 1000, 2052)
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+@pytest.mark.parametrize("name", sorted(BLOCK_BUILT))
+def test_row_blocks_match_whole_matrix_formulas(name, n):
+    a, x = GENERATORS[name](n)
+    want_a, want_x = BLOCK_BUILT[name](n)
+    assert_array_equal(a, want_a)
+    assert_array_equal(x, want_x)
+
+
 def test_baart_chunks_build_the_same_matrix(monkeypatch):
-    whole, _ = baart_matrix(96)  # one chunk under the default budget
-    # 7-row chunks: several full ones and a ragged last one
-    monkeypatch.setattr(problems, "_BAART_CHUNK_BYTES", 7 * 16 * 96 * 8)
-    chunked, _ = baart_matrix(96)
-    assert_array_equal(chunked, whole)
+    # 7-row blocks: several full ones and a ragged last one
+    monkeypatch.setattr(problems, "_BLOCK_ROWS", 7)
+    a, _ = baart_matrix(96)
+    assert_array_equal(a, baart_whole(96)[0])
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_BUILT))
+def test_generation_peak_is_about_one_matrix(name):
+    # the blocks and their scratch buffers are a few rows of A; the
+    # whole-matrix formulas held several n x n temporaries at once
+    n = 1024
+    tracemalloc.start()
+    try:
+        prob = generate(TestProblemSpec(name=name, n=n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * prob.a.nbytes
 
 
 def test_heat_is_lower_triangular():
@@ -168,6 +205,13 @@ def test_generate_underdetermined_truncates_clean_rows():
     noisy = generate(TestProblemSpec(name="gravity", n=40, m=25, delta=1e-2, seed=4))
     rel = np.linalg.norm(noisy.b - trunc.b) / np.linalg.norm(trunc.b)
     assert rel == pytest.approx(1e-2, rel=1e-12)
+
+
+def test_generate_underdetermined_holds_only_its_rows():
+    prob = generate(TestProblemSpec(name="shaw", n=64, m=24, delta=1e-3))
+    # A owns its buffer, so the n x n matrix its rows were cut from is freed
+    assert prob.a.base is None
+    assert prob.a.nbytes == 24 * 64 * 8
 
 
 def test_first_difference_operator():

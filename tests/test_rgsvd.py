@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from oracle_rgsvd import sketched_identities, solve_rgsvd_pinv
-from randgsvd.gsvd import GmpPair, gsvd_full_rank
 from randgsvd.linalg import DimensionError
 from randgsvd.problems import TestProblemSpec, first_difference, generate, shaw_matrix
 from randgsvd.rgsvd import rgsvd

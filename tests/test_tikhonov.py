@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from randgsvd.gsvd import GmpPair, GmpViolationError, GsvdFactors, gsvd_full_rank
 from randgsvd.linalg import DimensionError
-from randgsvd.problems import TestProblemSpec, first_difference, generate
+from randgsvd.problems import TestProblemSpec, generate
 from randgsvd.tikhonov import (
     TikhonovProblem,
     filtered_coordinates,
@@ -188,7 +188,13 @@ def test_dense_routes_accept_sparse_regularizer():
     prob = generate(TestProblemSpec(name="shaw", n=32, delta=1e-3, seed=1))
     dense_l = prob.l.toarray()
     as_dense = TikhonovProblem(a=prob.a, l=dense_l, b=prob.b, x_true=prob.x_true)
-    assert_array_equal(GmpPair(prob.a, prob.l).l, dense_l)
+    # the exact GSVD route keeps L sparse and densifies it for the core
+    pair = GmpPair(prob.a, prob.l)
+    assert pair.l is prob.l
+    factors = gsvd_full_rank(pair, check_rank=False)
+    from_dense = gsvd_full_rank(GmpPair(prob.a, dense_l), check_rank=False)
+    for field in ("u", "x", "alpha", "beta"):
+        assert_array_equal(getattr(factors, field), getattr(from_dense, field))
     for lam in (1e-2, 1.0):
         s_sparse, s_dense = solve_exact(prob, lam), solve_exact(as_dense, lam)
         assert_array_equal(s_sparse.x, s_dense.x)
