@@ -40,7 +40,7 @@ import numpy as np
 from .gsvd import _gsvd_core
 from .linalg import dense
 from .rgsvd import ApproxGsvd
-from .tikhonov import TikhonovProblem, solve_exact, solve_gsvd
+from .tikhonov import TikhonovProblem, check_lambda, solve_exact, solve_gsvd
 
 SCALE_GUARD_MAX_N = 512
 _C0 = (1.0 + np.sqrt(5.0)) / 2.0
@@ -83,8 +83,7 @@ def error_bound_diagnostics(
         raise ValueError(
             f"error bounds form dense pseudo-inverses; refusing n={n} > {SCALE_GUARD_MAX_N}"
         )
-    if not (lam > 0.0):
-        raise ValueError(f"lam must be positive, got {lam}")
+    check_lambda(lam)
     if approx.is_degenerate:
         raise ValueError("degenerate factorization: no bound to certify")
 

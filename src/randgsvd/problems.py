@@ -17,6 +17,7 @@ discrete ground truth.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,8 @@ class TestProblemSpec:
     built from the noiseless square problem, then noised at level delta).
     The 'tomo' name interprets n as the grid side N and builds the
     parallel-beam operator with angles 0:12:179 and 4N rays per angle
-    (no m). Sizes the generators need are checked here: n >= 8 for the
+    (no m). n, m and seed must be integers, and a numpy integer is stored
+    as an int. Sizes the generators need are checked here: n >= 8 for the
     quadrature kernels, even for deriv2 and heat, a multiple of 4 for
     phillips, and N >= 2 for tomo.
     """
@@ -55,6 +57,14 @@ class TestProblemSpec:
     def __post_init__(self):
         if self.name not in PROBLEMS:
             raise ValueError(f"unknown problem {self.name!r}")
+        for name in ("n", "m", "seed"):
+            value = getattr(self, name)
+            if value is None and name == "m":
+                continue
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            # as in SamplerConfig: a numpy integer would overflow in the seed arithmetic
+            object.__setattr__(self, name, int(value))
         least = 2 if self.name == "tomo" else 8
         if self.n < least:
             raise ValueError(f"n must be at least {least}, got {self.n}")

@@ -29,6 +29,7 @@ refused by the same check instead of yielding NaN basis columns.
 from __future__ import annotations
 
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +69,8 @@ _WINDOW_ROW_MULTIPLE = 8
 
 
 def _philox(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed & _MASK64))
+    # a numpy integer seed would overflow in the mask
+    return np.random.Generator(np.random.Philox(key=operator.index(seed) & _MASK64))
 
 
 def derive_stage_seed(seed: int) -> int:

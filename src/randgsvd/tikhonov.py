@@ -102,12 +102,18 @@ def _with_rel_error(sol: RegularizedSolution, x_true) -> RegularizedSolution:
     return replace(sol, rel_error=float(np.linalg.norm(sol.x - x_true) / denom))
 
 
+def check_lambda(lam: float) -> None:
+    """Refuse a Tikhonov lambda that is not positive and finite (NaN fails
+    both comparisons)."""
+    if not (0.0 < lam < np.inf):
+        raise ValueError(f"lam must be positive and finite, got {lam}")
+
+
 def solve_exact(prob: TikhonovProblem, lam: float) -> RegularizedSolution:
     """Reference solver: least squares on the stacked system
     [a; lam * l] @ x = [b; 0] by its thin SVD, refused when the smallest
     singular value is at or below the cutoff 1e-12 * max(m + p, n) * sigma_0."""
-    if not (lam > 0.0):
-        raise ValueError(f"lam must be positive, got {lam}")
+    check_lambda(lam)
     a, l, b = prob.a, dense(prob.l), prob.b
     m, p, n = prob.shape
     stacked = np.vstack([a, lam * l])
@@ -258,8 +264,7 @@ def solve_gsvd(source, b, lam: float, x_true=None) -> RegularizedSolution:
     it includes the energy of b outside range(P), and a degenerate sketch
     gives x = 0 with residual |b|.
     """
-    if not (lam > 0.0):
-        raise ValueError(f"lam must be positive, got {lam}")
+    check_lambda(lam)
     proj = _project(source, b)
     method = "gsvd" if proj.lift is None else "rgsvd"
     if proj.factors is None:

@@ -34,10 +34,13 @@ Each case of these two prints five lines, keyed by its name and a kind:
     residuals  the same solves' residual norms, as repr floats
 
 "dense" takes the exact route instead: gsvd_full_rank(check_rank=False) of
-the seven square kernels at n = 512, at 1 BLAS thread. Each kernel prints
-one factors line (digests of u, x, alpha and beta), and each of its noise
-seeds 0-2 prints the lambdas, solves and residuals lines above, with
-solve_gsvd and solve_tgsvd on the exact factors and the data b itself.
+the seven square kernels at n = 512, then of shaw at n = 2048, the pair
+perfbench's dense workload factors, at 1 BLAS thread. At n = 2048 blocked
+dgeqrf/dorgqr and dsyevd's divide and conquer run at full size, so run
+this mode at 2 threads as well. Each pair prints one factors line
+(digests of u, x, alpha and beta), and each of its noise seeds 0-2 prints
+the lambdas, solves and residuals lines above, with solve_gsvd and
+solve_tgsvd on the exact factors and the data b itself.
 
 "problems" digests the test problems themselves, at 1 BLAS thread. For
 each of the seven kernels at n in {512, 2048, 2052} it prints three
@@ -216,20 +219,25 @@ def tomo() -> None:
     _report("tomo/n50/s0/bs64", prob, prob.b, cfg)
 
 
+def _exact(name: str, n: int) -> None:
+    prob = generate(TestProblemSpec(name=name, n=n, delta=0.0))
+    factors = gsvd_full_rank(GmpPair(prob.a, prob.l), check_rank=False)
+    fields = (factors.u, factors.x, factors.alpha, factors.beta)
+    print(f"{name}/n{n}", "factors", *(_digest(f) for f in fields))
+    for seed in range(3):
+        key = f"{name}/n{n}/s{seed}"
+        b = add_noise(prob.b, DELTA, seed)
+        lam, k = _lambdas(key, factors, b)
+        sols = [] if lam is None else [solve_gsvd(factors, b, lam)]
+        if k is not None:
+            sols.append(solve_tgsvd(factors, b, k))
+        _solves(key, sols)
+
+
 def dense() -> None:
     for name in QUADRATURE_PROBLEMS:
-        prob = generate(TestProblemSpec(name=name, n=512, delta=0.0))
-        factors = gsvd_full_rank(GmpPair(prob.a, prob.l), check_rank=False)
-        fields = (factors.u, factors.x, factors.alpha, factors.beta)
-        print(f"{name}/n512", "factors", *(_digest(f) for f in fields))
-        for seed in range(3):
-            key = f"{name}/n512/s{seed}"
-            b = add_noise(prob.b, DELTA, seed)
-            lam, k = _lambdas(key, factors, b)
-            sols = [] if lam is None else [solve_gsvd(factors, b, lam)]
-            if k is not None:
-                sols.append(solve_tgsvd(factors, b, k))
-            _solves(key, sols)
+        _exact(name, 512)
+    _exact("shaw", 2048)  # the pair perfbench's dense cell factors
 
 
 def problems() -> None:

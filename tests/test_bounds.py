@@ -51,8 +51,10 @@ def test_bound_input_validation(make_gmp, rng):
     a, l = make_gmp(20, 14, 15, seed=23)
     prob = TikhonovProblem(a=a, l=l, b=rng.standard_normal(20))
     approx = _sketch(prob, 1e-4, seed=2)
-    with pytest.raises(ValueError):
-        error_bound_diagnostics(prob, approx, 0.0)
+    # inf is refused before the exact solve's SVD, which would not converge
+    for lam in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            error_bound_diagnostics(prob, approx, lam)
     big = generate(TestProblemSpec(name="shaw", n=600, delta=1e-3, seed=0))
     sk = _sketch(big, 1e-2, seed=0, blocksize=8)
     with pytest.raises(ValueError):

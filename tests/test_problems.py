@@ -195,6 +195,25 @@ def test_spec_refuses_sizes_its_generator_cannot_build(name, n, msg):
         TestProblemSpec(name=name, n=n)
 
 
+def test_numpy_integers_give_the_bits_of_python_ints():
+    # numpy integers are stored and masked as ints, not overflowed
+    spec = TestProblemSpec(name="shaw", n=np.int64(64), m=np.int32(32), delta=1e-3, seed=np.int64(3))
+    assert all(type(v) is int for v in (spec.n, spec.m, spec.seed))
+    ref = generate(TestProblemSpec(name="shaw", n=64, m=32, delta=1e-3, seed=3))
+    got = generate(spec)
+    assert_array_equal(got.a, ref.a)
+    assert_array_equal(got.b, ref.b)
+    assert_array_equal(add_noise(ref.b, 1e-2, np.int64(5)), add_noise(ref.b, 1e-2, 5))
+    assert_array_equal(add_noise(ref.b, 1e-2, np.uint64(2**64 - 1)), add_noise(ref.b, 1e-2, -1))
+    assert_array_equal(phantom(8, np.int64(2)), phantom(8, 2))
+
+
+@pytest.mark.parametrize("field, value", [("n", 64.0), ("m", 32.5), ("seed", 1.5), ("seed", "3")])
+def test_spec_refuses_a_size_or_seed_that_is_not_an_integer(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        TestProblemSpec(name="shaw", **{"n": 64, field: value})
+
+
 def test_generate_underdetermined_truncates_clean_rows():
     full = generate(TestProblemSpec(name="gravity", n=40, delta=0.0))
     trunc = generate(TestProblemSpec(name="gravity", n=40, m=25, delta=0.0))

@@ -25,6 +25,11 @@ def test_uniform_test_matrix_range_and_moments():
     assert not np.array_equal(omega, uniform_test_matrix(400, 50, seed=8))
 
 
+def test_uniform_test_matrix_takes_a_numpy_integer_seed():
+    # masked as an int, not overflowed, it gives the int seed's bits
+    assert_array_equal(uniform_test_matrix(40, 5, seed=np.int64(7)), uniform_test_matrix(40, 5, seed=7))
+
+
 def test_sampler_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(epsilon=0.0)

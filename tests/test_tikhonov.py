@@ -72,6 +72,18 @@ def test_solve_exact_matches_normal_equations(small_problem):
         solve_exact(prob, 0.0)
 
 
+@pytest.mark.parametrize("lam", [np.inf, np.nan, 0.0, -1.0])
+def test_solves_refuse_a_lambda_that_is_not_positive_and_finite(small_problem, lam):
+    # inf is refused before the filters, which would warn, and before
+    # solve_exact's SVD, which would not converge
+    prob = small_problem
+    factors = gsvd_full_rank(GmpPair(prob.a, prob.l))
+    with pytest.raises(ValueError, match="lam must be positive and finite"):
+        solve_exact(prob, lam)
+    with pytest.raises(ValueError, match="lam must be positive and finite"):
+        solve_gsvd(factors, prob.b, lam)
+
+
 def test_solve_gsvd_matches_solve_exact(small_problem):
     prob = small_problem
     factors = gsvd_full_rank(GmpPair(prob.a, prob.l))
