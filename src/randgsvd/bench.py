@@ -20,8 +20,8 @@ import os
 import time
 from dataclasses import dataclass, replace
 
-from .gsvd import GsvdFactors, _gsvd_core
-from .linalg import dense
+from .gsvd import GmpPair, GsvdFactors, gsvd_full_rank
+from .linalg import as_finite, as_int
 from .problems import QUADRATURE_PROBLEMS, TestProblemSpec, add_noise, generate
 from .rgsvd import rgsvd
 from .sampling import SamplerConfig
@@ -93,7 +93,7 @@ class BenchConfig:
     def __post_init__(self):
         object.__setattr__(self, "problems", tuple(self.problems))
         object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        object.__setattr__(self, "seeds", tuple(as_int(s, "seeds", 0) for s in self.seeds))
         if not (self.problems and self.methods and self.seeds):
             raise ValueError("problems, methods and seeds lists must be nonempty")
         for name in self.problems:
@@ -103,15 +103,11 @@ class BenchConfig:
                 raise ValueError(f"unknown method {method!r}")
         if "rgsvd" in self.methods:
             SamplerConfig(epsilon=self.epsilon, blocksize=self.blocksize)
-        if min(self.seeds) < 0:
-            raise ValueError(f"seeds must be nonnegative, got {min(self.seeds)}")
         if self.selector not in SELECTORS:
             raise ValueError(f"unknown selector {self.selector!r}")
         if self.selector == "fixed":
-            value = self.fixed_value
-            if value is None or not (0.0 < value < float("inf")):  # NaN fails both
-                raise ValueError(f"selector 'fixed' needs a positive, finite fixed_value, got {value}")
-            if "tgsvd" in self.methods and not float(value).is_integer():
+            value = as_finite(self.fixed_value, "fixed_value")
+            if "tgsvd" in self.methods and not value.is_integer():
                 raise ValueError(f"tgsvd's fixed_value is a depth and must be an integer, got {value}")
         if self.gcv_rows not in ("projected", "ambient"):
             raise ValueError(f"unknown gcv_rows {self.gcv_rows!r}")
@@ -163,7 +159,7 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRecord]:
     Returns records sorted by (problem, method, seed). When cfg.output_path
     is set the CSV report is written; cfg.dump_dir additionally stores
     each seed's x_true and every computed solution vector for
-    plotting/recomputation.
+    plotting/recomputation; prepare_outputs runs before the first row.
     """
 
     @functools.cache
@@ -181,13 +177,15 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRecord]:
     @functools.cache
     def factored(name: str) -> tuple[GsvdFactors, float]:
         # A and L do not depend on the seed, tomography's included; the
-        # core refuses a rank-deficient stack and frees the dense L once
-        # stacked
+        # core refuses a rank-deficient stack and frees the dense copy of
+        # the sparse L once stacked
         prob = instance(name, cfg.seeds[0])
-        pair = [prob.a, dense(prob.l)]
+        pair = GmpPair(prob.a, prob.l)
         t0 = time.perf_counter()
-        factors = _gsvd_core(pair)
+        factors = gsvd_full_rank(pair, check_rank=False)
         return factors, time.perf_counter() - t0
+
+    prepare_outputs(cfg)
 
     records: list[BenchRecord] = []
     for name in cfg.problems:
@@ -198,15 +196,16 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRecord]:
                 try:
                     prob = instance(name, seed)
                     sol, elapsed, l1, l2 = _run_cell(prob, method, seed, cfg, lambda: factored(name))
-                    lam = float(sol.lam)
-                    rel_error = float("nan") if sol.rel_error is None else sol.rel_error
-                    if cfg.dump_dir is not None:
-                        _dump_solution(cfg.dump_dir, prob, name, method, seed, sol)
                 except Exception as exc:
                     error = f"{type(exc).__name__}: {exc}"
                     lam = rel_error = float("nan")
                     l1 = l2 = 0
                     elapsed = time.perf_counter() - t_all
+                else:  # a write error is not the cell's: it stops the run
+                    lam = float(sol.lam)
+                    rel_error = float("nan") if sol.rel_error is None else sol.rel_error
+                    if cfg.dump_dir is not None:
+                        _dump_solution(cfg.dump_dir, prob, name, method, seed, sol)
                 records.append(
                     BenchRecord(
                         problem=name,
@@ -225,6 +224,14 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRecord]:
     if cfg.output_path is not None:
         emit_report(records, cfg.output_path)
     return records
+
+
+def prepare_outputs(cfg: BenchConfig) -> None:
+    """Create the report's and the dump directory, or raise OSError, before any row runs."""
+    if cfg.output_path is not None:
+        os.makedirs(os.path.dirname(os.path.abspath(cfg.output_path)), exist_ok=True)
+    if cfg.dump_dir is not None:
+        os.makedirs(cfg.dump_dir, exist_ok=True)
 
 
 def _write_vector(path, v) -> None:

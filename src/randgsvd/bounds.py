@@ -37,10 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gsvd import _gsvd_core
-from .linalg import dense
+from .gsvd import GmpPair, gsvd_full_rank
+from .linalg import as_finite, dense
 from .rgsvd import ApproxGsvd
-from .tikhonov import TikhonovProblem, check_lambda, solve_exact, solve_gsvd
+from .tikhonov import TikhonovProblem, solve_exact, solve_gsvd
 
 SCALE_GUARD_MAX_N = 512
 _C0 = (1.0 + np.sqrt(5.0)) / 2.0
@@ -83,7 +83,7 @@ def error_bound_diagnostics(
         raise ValueError(
             f"error bounds form dense pseudo-inverses; refusing n={n} > {SCALE_GUARD_MAX_N}"
         )
-    check_lambda(lam)
+    lam = as_finite(lam, "lam")
     if approx.is_degenerate:
         raise ValueError("degenerate factorization: no bound to certify")
 
@@ -118,7 +118,7 @@ def error_bound_diagnostics(
         eps1 = _sv(a - aq @ q.T)[0]
         eps2 = _sv(aq - pb @ (pb.T @ aq))[0]
         # solve_exact above, and the core itself, refuse a rank-deficient stack
-        x_all = _gsvd_core([a, l]).x
+        x_all = gsvd_full_rank(GmpPair(a, l), check_rank=False).x
         x1 = x_all[:, : max(n - approx.l1, 0)]
         gamma2 = _sv(x1)[0] / _sv(x_all)[-1]
         rhs = _C0 * eps2 * xi * pinv_norm * nu

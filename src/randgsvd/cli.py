@@ -10,8 +10,8 @@ names without the leading dashes, e.g.::
     selector = gcv
     out = report.csv
 
-Command-line flags override config-file values. Exit status is 0 iff every
-(problem, method, seed) combination produced a valid record.
+Command-line flags override config-file values. Exit status: 0 iff every
+cell produced a valid record, 1 otherwise, 2 for a configuration error.
 """
 
 from __future__ import annotations
@@ -19,13 +19,17 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import BenchConfig, run_benchmark
+from .bench import BenchConfig, prepare_outputs, run_benchmark
 
 _DEFAULTS = BenchConfig()
 
 
 def _split_list(raw: str) -> list[str]:
-    return [tok.strip() for tok in raw.replace(",", " ").split() if tok.strip()]
+    return raw.replace(",", " ").split()
+
+
+def _int_list(raw: str) -> list[int]:
+    return [int(tok) for tok in _split_list(raw)]
 
 
 def parse_selector(raw: str) -> tuple[str, float | None]:
@@ -83,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("--delta", type=float, default=_DEFAULTS.delta, help="relative noise level")
     add("--epsilon", type=float, default=_DEFAULTS.epsilon, help="sketching tolerance")
     add("--blocksize", type=int, default=_DEFAULTS.blocksize, help="range-finder block width")
-    add("--seeds", type=_split_list, default=_DEFAULTS.seeds, help="comma-separated integer seeds")
+    add("--seeds", type=_int_list, default=_DEFAULTS.seeds, help="comma-separated integer seeds")
     add("--selector", type=parse_selector, default=_DEFAULTS.selector,
         help="gcv | lcurve | fixed:<value>")
     add("--gcv-rows", default=_DEFAULTS.gcv_rows, choices=("projected", "ambient"),
@@ -127,6 +131,7 @@ def config_from_args(argv=None) -> BenchConfig:
 def main(argv=None) -> int:
     try:
         cfg = config_from_args(argv)
+        prepare_outputs(cfg)
     except (ValueError, OSError, argparse.ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -58,13 +58,21 @@ class GmpViolationError(RankDeficiencyError):
     """The stacked pair [A; L] is (numerically) column rank deficient."""
 
 
-def check_stack_rows(rows: int, n: int) -> None:
-    """Refuse a stack [A; L] with no columns, or with fewer rows than
-    columns: the latter cannot have full column rank."""
+def check_pair(a, l) -> tuple[np.ndarray, np.ndarray | CsrMatrix]:
+    """The checked (a, l) of a pair, for GmpPair and TikhonovProblem: as_matrix
+    a, as_operator l, matching columns, and a stack [a; l] with at least one
+    column and as many rows (fewer cannot have full column rank)."""
+    a = as_matrix(a, "pair member a")
+    l = as_operator(l, "pair member l")
+    n = a.shape[1]
+    if l.shape[1] != n:
+        raise DimensionError(f"pair members need matching column counts, got {a.shape} and {l.shape}")
     if n < 1:
         raise DimensionError(f"stack needs at least one column, got {n}")
+    rows = a.shape[0] + l.shape[0]
     if rows < n:
         raise GmpViolationError(f"stack has fewer rows ({rows}) than columns ({n})")
+    return a, l
 
 
 @dataclass(frozen=True)
@@ -74,23 +82,16 @@ class GmpPair:
     dense; a scipy.sparse l stays sparse, as a CsrMatrix, and is densified
     only for the core, which frees that copy once stacked.
 
-    Construction checks entries and shapes only; the stack's column rank
-    is refused by the GSVD core that factors it, at any size."""
+    Construction runs check_pair on entries and shapes only; the stack's
+    column rank is refused by the GSVD core that factors it, at any size."""
 
     a: np.ndarray
     l: np.ndarray | CsrMatrix
 
     def __post_init__(self):
-        a = as_matrix(self.a, "pair member a")
-        l = as_operator(self.l, "pair member l")
+        a, l = check_pair(self.a, self.l)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "l", l)
-        n = a.shape[1]
-        if l.shape[1] != n:
-            raise DimensionError(
-                f"pair members need matching column counts, got {a.shape} and {l.shape}"
-            )
-        check_stack_rows(a.shape[0] + l.shape[0], n)
 
 
 @dataclass(frozen=True)
@@ -159,15 +160,15 @@ def _column_norms(u: np.ndarray) -> np.ndarray:
 
 
 def _gsvd_core(pair: list[np.ndarray]) -> GsvdFactors:
-    """Shared GSVD workhorse of gsvd_full_rank, the benchmark's dense
-    factors, rgsvd's compressed pair and the error bounds' ambient pair.
-    It has one, tolerant mode: a first member numerically rank deficient on
-    the branch gets near-zero alphas, not a refusal. Takes the pair as a
-    list [a, l] and empties it, so that a pair the caller formed for the
-    core alone is freed once it is stacked. Trusts its input: a and l are
-    dense, finite float64 arrays with matching column counts whose stack
-    has at least one column and at least as many rows as columns. It is
-    the one stack-rank refusal, on every route and at every size."""
+    """Shared GSVD workhorse of gsvd_full_rank (which the benchmark's
+    dense factors and the error bounds' ambient pair go through) and of
+    rgsvd's compressed pair. It has one, tolerant mode: a first member
+    numerically rank deficient on the branch gets near-zero alphas, not a
+    refusal. Takes the pair as a list [a, l] and empties it, so that a
+    pair the caller formed for the core alone is freed once it is stacked.
+    Trusts its input: a and l are dense, finite float64 arrays that pass
+    check_pair. It is the one stack-rank refusal, on every route and at
+    every size."""
     a, l = pair
     pair.clear()
     m, n = a.shape

@@ -5,16 +5,18 @@ vectors 1-D, all entries finite. The one exception is an operator that
 only ever multiplies (the regularizer L): it may stay a scipy.sparse
 matrix, validated by as_operator and densified by dense only where dense
 factorizations need it. The validators (as_matrix, as_operator,
-as_vector) run at the package's entry points only. The factorizations
-below serve the core GSVD, which hands them arrays it has just formed,
-so they check nothing: they are thin wrappers around LAPACK that pin down
-a nonnegative R diagonal in QR and ascending eigenvalues. Both work in the
-buffer they are handed: QR turns an F-ordered input into Q and forms R as
-its one n x n copy, and the eigendecomposition consumes its exactly
-symmetric input.
+as_vector, and as_int and as_finite for scalars) run at the package's
+entry points only. The factorizations below serve the core GSVD, which
+hands them arrays it has just formed, so they check nothing: they are
+thin wrappers around LAPACK that pin down a nonnegative R diagonal in QR
+and ascending eigenvalues. Both work in the buffer they are handed: QR
+turns an F-ordered input into Q and forms R as its one n x n copy, and
+the eigendecomposition consumes its exactly symmetric input.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 import scipy.linalg
@@ -75,6 +77,25 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     if arr.size and not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def as_int(value, name: str, least: int) -> int:
+    """value as an int, refused unless an integer (a whole float is not) at
+    or above least; a numpy integer would overflow in the seed arithmetic."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return int(value)
+
+
+def as_finite(value, name: str, nonnegative: bool = False) -> float:
+    """value as a float, refused unless a finite real > 0 (>= 0 if nonnegative)."""
+    above = isinstance(value, numbers.Real) and (value >= 0.0 if nonnegative else value > 0.0)
+    if not (above and value < np.inf):  # NaN fails every comparison
+        kind = "nonnegative" if nonnegative else "positive"
+        raise ValueError(f"{name} must be {kind} and finite, got {value}")
+    return float(value)
 
 
 def qr_reduced(a) -> tuple[np.ndarray, np.ndarray]:

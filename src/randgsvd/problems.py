@@ -17,13 +17,12 @@ discrete ground truth.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .linalg import CsrMatrix, as_vector
+from .linalg import CsrMatrix, as_finite, as_int, as_vector
 from .sampling import _philox
 from .tikhonov import TikhonovProblem
 
@@ -40,10 +39,10 @@ class TestProblemSpec:
     built from the noiseless square problem, then noised at level delta).
     The 'tomo' name interprets n as the grid side N and builds the
     parallel-beam operator with angles 0:12:179 and 4N rays per angle
-    (no m). n, m and seed must be integers, and a numpy integer is stored
-    as an int. Sizes the generators need are checked here: n >= 8 for the
-    quadrature kernels, even for deriv2 and heat, a multiple of 4 for
-    phillips, and N >= 2 for tomo.
+    (no m). n, m and seed must be integers, seed >= 0, and a numpy integer
+    is stored as an int. Sizes the generators need are checked here: n >= 8
+    for the quadrature kernels, even for deriv2 and heat, a multiple of 4
+    for phillips, and N >= 2 for tomo.
     """
 
     __test__ = False  # keep pytest from collecting this as a test class
@@ -57,27 +56,18 @@ class TestProblemSpec:
     def __post_init__(self):
         if self.name not in PROBLEMS:
             raise ValueError(f"unknown problem {self.name!r}")
-        for name in ("n", "m", "seed"):
-            value = getattr(self, name)
-            if value is None and name == "m":
-                continue
-            if not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            # as in SamplerConfig: a numpy integer would overflow in the seed arithmetic
-            object.__setattr__(self, name, int(value))
-        least = 2 if self.name == "tomo" else 8
-        if self.n < least:
-            raise ValueError(f"n must be at least {least}, got {self.n}")
+        object.__setattr__(self, "n", as_int(self.n, "n", 2 if self.name == "tomo" else 8))
         step = {"deriv2": 2, "heat": 2, "phillips": 4}.get(self.name, 1)
         if self.n % step:
             raise ValueError(f"{self.name} requires n divisible by {step}, got {self.n}")
-        if not (0.0 <= self.delta < np.inf):  # NaN fails every comparison
-            raise ValueError(f"delta must be finite and nonnegative, got {self.delta}")
         if self.m is not None:
             if self.name == "tomo":
                 raise ValueError("'tomo' has a fixed row count and takes no m")
-            if not (1 <= self.m <= self.n):
+            object.__setattr__(self, "m", as_int(self.m, "m", 1))
+            if self.m > self.n:
                 raise ValueError(f"m must lie in [1, n] = [1, {self.n}], got {self.m}")
+        as_finite(self.delta, "delta", nonnegative=True)
+        object.__setattr__(self, "seed", as_int(self.seed, "seed", 0))
 
 
 def _midpoints(lo: float, hi: float, n: int) -> np.ndarray:
@@ -291,8 +281,7 @@ def first_difference(n: int) -> CsrMatrix:
     """(n-1) x n forward-difference operator (row i is e_i - e_(i+1));
     null space = constants. Returned sparse, as a CsrMatrix holding its
     2(n-1) nonzeros; .toarray() gives the dense matrix."""
-    if n < 2:
-        raise ValueError(f"first_difference needs n >= 2, got {n}")
+    n = as_int(n, "n", 2)
     idx = np.arange(n - 1)
     values = np.tile([1.0, -1.0], n - 1)
     cols = np.column_stack([idx, idx + 1]).ravel()
@@ -303,8 +292,7 @@ def add_noise(b, delta: float, seed: int) -> np.ndarray:
     """Perturb b by a seeded Gaussian direction scaled so that
     |out - b| = delta * |b| exactly."""
     b = as_vector(b, "data")
-    if not (0.0 <= delta < np.inf):
-        raise ValueError(f"delta must be finite and nonnegative, got {delta}")
+    as_finite(delta, "delta", nonnegative=True)
     if delta == 0.0:
         return b.copy()
     gen = _philox(seed)
@@ -385,13 +373,11 @@ def parallel_tomo(
     counts in the lower (left) cells. Also returns a seeded piecewise
     phantom (values in [0,1]) flattened in the same pixel order.
     """
-    if n_grid < 2:
-        raise ValueError(f"n_grid must be at least 2, got {n_grid}")
-    if rays < 1:
-        raise ValueError(f"rays must be at least 1, got {rays}")
+    n_grid = as_int(n_grid, "n_grid", 2)
+    rays = as_int(rays, "rays", 1)
     angles = np.atleast_1d(np.asarray(angles_deg, dtype=float))
     if angles.size == 0:
-        raise ValueError("need at least one angle")
+        raise ValueError("angles_deg needs at least one angle")
     span = np.sqrt(2.0)
     offsets = ((np.arange(rays) + 0.5) / rays - 0.5) * span
     center = np.array([0.5, 0.5])

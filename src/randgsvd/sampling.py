@@ -28,13 +28,12 @@ refused by the same check instead of yielding NaN basis columns.
 
 from __future__ import annotations
 
-import numbers
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionError, matmul
+from .linalg import DimensionError, as_finite, as_int, matmul
 
 _SQRT3 = float(np.sqrt(3.0))
 _MASK64 = (1 << 64) - 1
@@ -85,9 +84,7 @@ def uniform_test_matrix(n: int, l: int, seed: int) -> np.ndarray:
     Frobenius norms in expectation. Identical (n, l, seed) triples return
     bit-identical matrices.
     """
-    if n < 1 or l < 1:
-        raise DimensionError(f"test matrix dimensions must be positive, got {n}x{l}")
-    u = _philox(seed).random((n, l))
+    u = _philox(seed).random((as_int(n, "n", 1), as_int(l, "l", 1)))
     return _SQRT3 * (2.0 * u - 1.0)
 
 
@@ -112,16 +109,11 @@ class SamplerConfig:
     stage2_epsilon: float | None = None
 
     def __post_init__(self):
-        for name in ("epsilon", "stage2_epsilon"):
-            value = getattr(self, name)
-            if value is not None and not (0.0 < value < np.inf):  # NaN fails both
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        for name, least in (("blocksize", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= least):
-                raise ValueError(f"{name} must be >= {least} and an integer, got {value!r}")
-            # a numpy integer would overflow in the seed arithmetic
-            object.__setattr__(self, name, int(value))
+        as_finite(self.epsilon, "epsilon")
+        if self.stage2_epsilon is not None:
+            as_finite(self.stage2_epsilon, "stage2_epsilon")
+        object.__setattr__(self, "blocksize", as_int(self.blocksize, "blocksize", 1))
+        object.__setattr__(self, "seed", as_int(self.seed, "seed", 0))
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gsvd import GmpViolationError, GsvdFactors, check_stack_rows
-from .linalg import CsrMatrix, DimensionError, as_matrix, as_operator, as_vector, dense
+from .gsvd import GmpViolationError, GsvdFactors, check_pair
+from .linalg import CsrMatrix, DimensionError, as_finite, as_vector, dense
 from .rgsvd import ApproxGsvd
 
 
@@ -32,14 +32,14 @@ class TikhonovProblem:
     """A discrete ill-posed instance: operator, regularizer, data, and the
     solution b was synthesized from (None for real data).
 
-    Construction checks shapes, finiteness and that the stack [a; l] has
-    at least one column and at least as many rows as columns, all O(size
-    of the inputs). The stack's column rank is refused where a route
-    needs it: by the GSVD core's condition estimate, which every GSVD
-    route runs, and by solve_exact's cutoff. l may be a scipy.sparse
-    matrix; it is kept sparse (as a CsrMatrix, with its stored values
-    checked) and only the dense routes densify it: gsvd_full_rank, the
-    benchmark's dense factors, solve_exact and the error bounds.
+    Construction runs GmpPair's check on {a, l} (gsvd.check_pair), then
+    checks b and x_true against a, all O(size of the inputs). The stack's
+    column rank is refused where a route needs it: by the GSVD core's
+    condition estimate, which every GSVD route runs, and by solve_exact's
+    cutoff. l may be a scipy.sparse matrix; it is kept sparse (as a
+    CsrMatrix, with its stored values checked) and only the dense routes
+    densify it: gsvd_full_rank, the benchmark's dense factors, solve_exact
+    and the error bounds.
     """
 
     a: np.ndarray
@@ -48,16 +48,11 @@ class TikhonovProblem:
     x_true: np.ndarray | None = None
 
     def __post_init__(self):
-        a = as_matrix(self.a, "operator")
-        l = as_operator(self.l, "regularizer")
+        a, l = check_pair(self.a, self.l)
         b = as_vector(self.b, "data")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "b", b)
-        if l.shape[1] != a.shape[1]:
-            raise DimensionError(
-                f"regularizer columns {l.shape[1]} != operator columns {a.shape[1]}"
-            )
         if b.shape[0] != a.shape[0]:
             raise DimensionError(f"data length {b.shape[0]} != operator rows {a.shape[0]}")
         if self.x_true is not None:
@@ -65,7 +60,6 @@ class TikhonovProblem:
             object.__setattr__(self, "x_true", xt)
             if xt.shape[0] != a.shape[1]:
                 raise DimensionError("x_true length does not match operator columns")
-        check_stack_rows(a.shape[0] + l.shape[0], a.shape[1])
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -102,18 +96,11 @@ def _with_rel_error(sol: RegularizedSolution, x_true) -> RegularizedSolution:
     return replace(sol, rel_error=float(np.linalg.norm(sol.x - x_true) / denom))
 
 
-def check_lambda(lam: float) -> None:
-    """Refuse a Tikhonov lambda that is not positive and finite (NaN fails
-    both comparisons)."""
-    if not (0.0 < lam < np.inf):
-        raise ValueError(f"lam must be positive and finite, got {lam}")
-
-
 def solve_exact(prob: TikhonovProblem, lam: float) -> RegularizedSolution:
     """Reference solver: least squares on the stacked system
     [a; lam * l] @ x = [b; 0] by its thin SVD, refused when the smallest
     singular value is at or below the cutoff 1e-12 * max(m + p, n) * sigma_0."""
-    check_lambda(lam)
+    lam = as_finite(lam, "lam")
     a, l, b = prob.a, dense(prob.l), prob.b
     m, p, n = prob.shape
     stacked = np.vstack([a, lam * l])
@@ -264,7 +251,7 @@ def solve_gsvd(source, b, lam: float, x_true=None) -> RegularizedSolution:
     it includes the energy of b outside range(P), and a degenerate sketch
     gives x = 0 with residual |b|.
     """
-    check_lambda(lam)
+    lam = as_finite(lam, "lam")
     proj = _project(source, b)
     method = "gsvd" if proj.lift is None else "rgsvd"
     if proj.factors is None:

@@ -13,6 +13,15 @@ bit for bit with diff:
 An optional second argument sets the BLAS thread count in place of the
 mode's default given below, e.g. ``factor_digest.py kernels 2``.
 
+"all OUTDIR" runs every mode at its default thread count, and kernels,
+under and dense again at 2 threads, each in its own subprocess (the
+thread count is pinned before numpy is imported), and writes each to
+OUTDIR/<mode>-<threads>.txt. Run it in both trees and compare with one
+diff, which prints nothing when every digest matches:
+
+    PYTHONPATH=src python tests/factor_digest.py all digests-new
+    diff -r digests-old digests-new
+
 "kernels" runs the seven quadrature kernels at n in {512, 2048}, square and
 row-truncated to m = n/2, sketch and noise seeds 0-2, stage2_epsilon in
 {1e-8, None} and blocksize in {1, 3, 4}, at 1 BLAS thread (504 cases).
@@ -100,12 +109,23 @@ THREADS = {
     "bounds": "1",
 }
 
+# modes that "all" digests at 2 threads as well as at their default
+AT_TWO_THREADS = ("kernels", "under", "dense")
+
 if __name__ == "__main__":
     args = sys.argv[1:]
+    if len(args) == 2 and args[0] == "all":
+        import subprocess
+
+        os.makedirs(args[1], exist_ok=True)
+        for mode, threads in [*THREADS.items(), *((mode, "2") for mode in AT_TWO_THREADS)]:
+            with open(os.path.join(args[1], f"{mode}-{threads}.txt"), "w") as out:
+                subprocess.run([sys.executable, __file__, mode, threads], stdout=out, check=True)
+        sys.exit()
     if len(args) == 1 and args[0] in THREADS:
         args.append(THREADS[args[0]])
     if len(args) != 2 or args[0] not in THREADS or not args[1].isdigit() or int(args[1]) < 1:
-        sys.exit(f"usage: {sys.argv[0]} {{{','.join(THREADS)}}} [threads]")
+        sys.exit(f"usage: {sys.argv[0]} {{{','.join(THREADS)}}} [threads] | all OUTDIR")
     os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = args[1]
 
 import numpy as np  # noqa: E402  (after the thread pinning above)

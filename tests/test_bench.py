@@ -97,10 +97,10 @@ def test_problem_without_x_true_is_not_a_failure(monkeypatch):
 
 def test_instances_and_factors_built_once(monkeypatch):
     generated, factored, svds = [], [], []
-    real_generate, real_core, real_svd = bench.generate, bench._gsvd_core, np.linalg.svd
+    real_generate, real_factor, real_svd = bench.generate, bench.gsvd_full_rank, np.linalg.svd
     monkeypatch.setattr(bench, "generate", lambda spec: generated.append(spec) or real_generate(spec))
     monkeypatch.setattr(
-        bench, "_gsvd_core", lambda pair: factored.append(pair[0].shape) or real_core(pair)
+        bench, "gsvd_full_rank", lambda pair, **kw: factored.append(pair.a.shape) or real_factor(pair, **kw)
     )
     # the core's condition estimate refuses a rank-deficient stack, so the
     # gsvd, tgsvd and rgsvd rows run no SVD at all
@@ -243,6 +243,18 @@ def test_dumped_solutions_recompute_rel_error(tmp_path, name, n):
         assert rel == pytest.approx(rec.rel_error, rel=1e-10)
 
 
+def test_dump_write_error_is_not_a_failed_cell(monkeypatch, tmp_path):
+    # factor, select and solve succeeded; a write that fails afterwards
+    # stops the run instead of booking the cell as a NaN row
+    def refuse(*args):
+        raise PermissionError("read-only dump directory")
+
+    monkeypatch.setattr(bench, "_dump_solution", refuse)
+    cfg = BenchConfig(problems=("shaw",), methods=("gsvd",), seeds=(0,), dump_dir=str(tmp_path), **FAST)
+    with pytest.raises(PermissionError, match="read-only dump directory"):
+        run_benchmark(cfg)
+
+
 def test_emit_report_rejects_empty(tmp_path):
     with pytest.raises(ValueError):
         emit_report([], tmp_path / "nothing.csv")
@@ -263,7 +275,7 @@ def test_config_validation():
         BenchConfig(problems=("shaw", "shawx"))
     with pytest.raises(ValueError):
         BenchConfig(seeds=())
-    with pytest.raises(ValueError, match="seeds must be nonnegative"):
+    with pytest.raises(ValueError, match="seeds must be at least 0"):
         BenchConfig(seeds=(0, -1))
     with pytest.raises(ValueError):
         BenchConfig(methods=())
@@ -360,20 +372,20 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["--selector", "huh", "--n", "32"]) == 2
     capsys.readouterr()
     assert main(["--seeds=-1", "--n", "32"]) == 2
-    assert "seeds must be nonnegative" in capsys.readouterr().err
+    assert "seeds must be at least 0" in capsys.readouterr().err
     assert main(["--bogus"]) == 2
     assert "error: unrecognized arguments: --bogus" in capsys.readouterr().err
     # settings no row could run are configuration errors too: each problem's
     # and the sampler's own checks run before any row
     bad_settings = {
         "--n=4": "n must be at least 8",
-        "--delta=-1": "delta must be finite and nonnegative",
-        "--delta=nan": "delta must be finite and nonnegative",
+        "--delta=-1": "delta must be nonnegative and finite",
+        "--delta=nan": "delta must be nonnegative and finite",
         "--epsilon=0": "epsilon must be positive",
-        "--blocksize=0": "blocksize must be >= 1",
+        "--blocksize=0": "blocksize must be at least 1",
         "--epsilon=inf": "epsilon must be positive and finite",
-        "--selector=fixed:nan": "needs a positive, finite fixed_value, got nan",
-        "--selector=fixed:0": "needs a positive, finite fixed_value, got 0.0",
+        "--selector=fixed:nan": "fixed_value must be positive and finite, got nan",
+        "--selector=fixed:0": "fixed_value must be positive and finite, got 0.0",
     }
     for flag, msg in bad_settings.items():
         assert main(["--problems", "shaw", "--method", "rgsvd", "--seeds", "0", "--n", "32", flag]) == 2
@@ -393,3 +405,25 @@ def test_main_exit_codes(tmp_path, capsys):
     # the sampler is checked only where a row sketches
     assert main(["--problems", "shaw", "--method", "gsvd", "--seeds", "0", "--n", "32", "--epsilon=0"]) == 0
     capsys.readouterr()
+
+
+def test_output_locations_are_prepared_before_any_row(tmp_path, capsys):
+    args = ["--problems", "shaw", "--method", "gsvd", "--n", "32", "--seeds", "0"]
+    # a report into a directory that does not exist yet: created, where the
+    # grid used to run and then end in a FileNotFoundError
+    out = tmp_path / "nodir" / "r.csv"
+    assert main([*args, "--out", str(out)]) == 0
+    assert len(report_rows(out)) == 1 + 1
+    capsys.readouterr()
+    # a location that cannot be created is a configuration error; a dump
+    # directory that is a file used to fail every row with NotADirectoryError
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for flag in ("--out", "--dump-solutions"):
+        assert main([*args, flag, str(blocker / "r.csv" if flag == "--out" else blocker)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+    # the flag parses seeds to integers, so a fractional one is refused
+    assert main([*args, "--seeds", "1.5"]) == 2
+    assert "--seeds" in capsys.readouterr().err
+    assert config_from_args(["--seeds", "2, 0"]).seeds == (2, 0)

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
@@ -6,6 +8,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from oracle_quadrature import baart_whole, deriv2_whole, foxgood_whole, gravity_whole, shaw_whole
 from randgsvd import problems
+from randgsvd.bench import BenchConfig
+from randgsvd.bounds import error_bound_diagnostics
 from randgsvd.gsvd import GmpPair, gsvd_full_rank
 from randgsvd.problems import (
     QUADRATURE_PROBLEMS,
@@ -23,6 +27,9 @@ from randgsvd.problems import (
     phillips_matrix,
     shaw_matrix,
 )
+from randgsvd.rgsvd import rgsvd
+from randgsvd.sampling import SamplerConfig
+from randgsvd.tikhonov import solve_exact, solve_gsvd
 
 # frozen from oracle_quadrature.py at n = 16 (independent scalar/adaptive
 # quadrature of the underlying kernels; see that script for the recipes)
@@ -155,9 +162,9 @@ def test_noise_norm_identity(rng):
 
 @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf, -1e-3])
 def test_noise_level_must_be_finite_and_nonnegative(rng, delta):
-    with pytest.raises(ValueError, match="delta must be finite and nonnegative"):
+    with pytest.raises(ValueError, match="delta must be nonnegative and finite"):
         add_noise(rng.standard_normal(20), delta, 0)
-    with pytest.raises(ValueError, match="delta must be finite and nonnegative"):
+    with pytest.raises(ValueError, match="delta must be nonnegative and finite"):
         TestProblemSpec(name="shaw", n=32, delta=delta)
 
 
@@ -169,7 +176,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         TestProblemSpec(name="shaw", n=32, m=40)  # m > n unsupported
     for m in (0, -5):  # a[:m] would slice rows off the end
-        with pytest.raises(ValueError, match="m must lie in"):
+        with pytest.raises(ValueError, match="m must be at least 1"):
             TestProblemSpec(name="shaw", n=64, m=m)
     for m in (3, 36, 360):  # tomo's row count is fixed by its geometry
         with pytest.raises(ValueError, match="takes no m"):
@@ -208,10 +215,91 @@ def test_numpy_integers_give_the_bits_of_python_ints():
     assert_array_equal(phantom(8, np.int64(2)), phantom(8, 2))
 
 
-@pytest.mark.parametrize("field, value", [("n", 64.0), ("m", 32.5), ("seed", 1.5), ("seed", "3")])
+@functools.cache
+def _small_instance():
+    """shaw at n = 16 with its exact factors and a sketch, for the lam rows."""
+    prob = generate(TestProblemSpec(name="shaw", n=16, delta=1e-3))
+    factors = gsvd_full_rank(GmpPair(prob.a, prob.l), check_rank=False)
+    return prob, factors, rgsvd(prob.a, prob.l, 1e-2, SamplerConfig(epsilon=1e-2))
+
+
+def _bench(**kw):
+    return BenchConfig(problems=("shaw",), methods=("gsvd",), n=16, **kw)
+
+
+# Every field that linalg.as_int or linalg.as_finite guards: a call that
+# returns the checked value (or what is built from it), the name its
+# refusals give, and the least integer allowed, or whether the real number
+# must be "positive" or "nonnegative". Bare keys are TestProblemSpec's.
+INT_FIELDS = {
+    "n": (lambda v: TestProblemSpec(name="shaw", n=v).n, "n", 8),
+    "m": (lambda v: TestProblemSpec(name="shaw", n=64, m=v).m, "m", 1),
+    "seed": (lambda v: TestProblemSpec(name="shaw", n=64, seed=v).seed, "seed", 0),
+    "SamplerConfig.blocksize": (
+        lambda v: SamplerConfig(epsilon=1e-2, blocksize=v).blocksize, "blocksize", 1
+    ),
+    "SamplerConfig.seed": (lambda v: SamplerConfig(epsilon=1e-2, seed=v).seed, "seed", 0),
+    "BenchConfig.seeds": (lambda v: _bench(seeds=(0, v)).seeds[1], "seeds", 0),
+    "first_difference.n": (lambda v: first_difference(v).toarray(), "n", 2),
+    "parallel_tomo.n_grid": (lambda v: parallel_tomo(v, [0.0], 2)[0].toarray(), "n_grid", 2),
+    "parallel_tomo.rays": (lambda v: parallel_tomo(2, [0.0], v)[0].toarray(), "rays", 1),
+}
+FINITE_FIELDS = {
+    "delta": (lambda v: TestProblemSpec(name="shaw", n=64, delta=v).delta, "delta", "nonnegative"),
+    "SamplerConfig.epsilon": (lambda v: SamplerConfig(epsilon=v).epsilon, "epsilon", "positive"),
+    "SamplerConfig.stage2_epsilon": (
+        lambda v: SamplerConfig(epsilon=1e-2, stage2_epsilon=v).stage2_epsilon, "stage2_epsilon", "positive"
+    ),
+    "BenchConfig.fixed_value": (
+        lambda v: _bench(selector="fixed", fixed_value=v).fixed_value, "fixed_value", "positive"
+    ),
+    "solve_gsvd.lam": (
+        lambda v: solve_gsvd(_small_instance()[1], _small_instance()[0].b, v).x, "lam", "positive"
+    ),
+    "solve_exact.lam": (lambda v: solve_exact(_small_instance()[0], v).x, "lam", "positive"),
+    "error_bound_diagnostics.lam": (
+        lambda v: dataclasses.astuple(error_bound_diagnostics(_small_instance()[0], _small_instance()[2], v)),
+        "lam",
+        "positive",
+    ),
+}
+
+
+def _field_cases():
+    """A float, a value below the least allowed and a numpy integer per field."""
+    for key, (_, _, least) in INT_FIELDS.items():
+        yield key, float(least)
+        yield key, least - 1
+        yield pytest.param(key, np.int64(least), id=f"{key}-int64")
+    for key, (_, _, kind) in FINITE_FIELDS.items():
+        yield key, np.inf
+        yield key, 0.0 if kind == "positive" else -1e-3
+        yield pytest.param(key, np.int64(1), id=f"{key}-int64")
+
+
+@pytest.mark.parametrize(
+    "field, value", [("n", 64.0), ("m", 32.5), ("seed", 1.5), ("seed", "3"), *_field_cases()]
+)
 def test_spec_refuses_a_size_or_seed_that_is_not_an_integer(field, value):
-    with pytest.raises(ValueError, match=f"{field} must be an integer"):
-        TestProblemSpec(name="shaw", **{"n": 64, field: value})
+    # the first rows gave the test its name; the table now holds every
+    # scalar field, of the spec and beyond, that the two validators guard
+    if field in INT_FIELDS:
+        call, name, least = INT_FIELDS[field]
+        if isinstance(value, np.integer):  # taken, and stored as an int
+            got, want = call(value), call(int(value))
+            assert type(got) is type(want)
+            assert_array_equal(got, want)
+            return
+        below = isinstance(value, int)
+        msg = f"{name} must be at least {least}, got {value}" if below else f"{name} must be an integer"
+    else:
+        call, name, kind = FINITE_FIELDS[field]
+        if isinstance(value, np.integer):  # taken, with the value of the float
+            assert_array_equal(call(value), call(float(value)))
+            return
+        msg = f"{name} must be {kind} and finite, got"
+    with pytest.raises(ValueError, match=f"^{msg}"):
+        call(value)
 
 
 def test_generate_underdetermined_truncates_clean_rows():
