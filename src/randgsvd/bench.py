@@ -227,8 +227,11 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRecord]:
 
 
 def prepare_outputs(cfg: BenchConfig) -> None:
-    """Create the report's and the dump directory, or raise OSError, before any row runs."""
+    """Create the report's and the dump directory before any row runs; raise
+    OSError where one cannot be made or the report path is a directory."""
     if cfg.output_path is not None:
+        if os.path.isdir(cfg.output_path):
+            raise IsADirectoryError(f"report path {cfg.output_path} is a directory")
         os.makedirs(os.path.dirname(os.path.abspath(cfg.output_path)), exist_ok=True)
     if cfg.dump_dir is not None:
         os.makedirs(cfg.dump_dir, exist_ok=True)

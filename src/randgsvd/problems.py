@@ -8,9 +8,14 @@ discretizations: midpoint quadrature for the kernels evaluated pointwise
 (shaw, foxgood, gravity, heat) and Galerkin with orthonormal box functions
 for the rest (deriv2, phillips, baart; baart's cell integrals are done with
 a fixed-order Gauss rule since its kernel has no convenient closed form).
-The kernels other than heat and phillips (Toeplitz, built by scipy) fill
-A a block of rows at a time, with no whole-matrix temporaries. Entry-level
-fidelity is pinned in the tests against an independent quadrature oracle. In every case the clean data is synthesized as
+Every generator takes the row count m (default n) and forms only those m
+rows, so a row-truncated instance computes no entry it drops. The kernels
+other than heat and phillips (Toeplitz, built by scipy from the first m
+entries of the column) fill A a block of rows at a time, with no
+whole-matrix temporaries; shaw, symmetric bit for bit, forms each block on
+and right of the diagonal only and copies the rest from the blocks above.
+Entry-level fidelity is pinned in the tests against an independent
+quadrature oracle. In every case the clean data is synthesized as
 b = A @ x_true exactly, so solvers can be scored against a consistent
 discrete ground truth.
 """
@@ -92,15 +97,23 @@ def _row_blocks(a: np.ndarray, scratch: int):
         yield slice(start, stop), a[start:stop], *buffers[:, : stop - start]
 
 
-def shaw_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
+def shaw_matrix(n: int, m: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Midpoint quadrature of the kernel (cos s + cos t)^2 (sin u / u)^2,
-    u = pi (sin s + sin t), on [-pi/2, pi/2]^2; two-Gaussian-bump solution."""
+    u = pi (sin s + sin t), on [-pi/2, pi/2]^2; two-Gaussian-bump solution.
+
+    Every entry is formed from the shared sin and cos of the nodes by sums
+    and products, which commute, so A is symmetric bit for bit. A block of
+    rows [r0, r1) is formed on columns [r0, n) only; its columns [r1, m),
+    transposed, fill the rows below it in columns [r0, r1), which the later
+    blocks do not form."""
     h = np.pi / n
     g = _midpoints(-np.pi / 2, np.pi / 2, n)
     sin_g, cos_g = np.sin(g), np.cos(g)
-    a = np.empty((n, n))
-    for rows, out, u, sinc in _row_blocks(a, 2):
-        np.add(sin_g[rows, None], sin_g, out=u)
+    a = np.empty((n if m is None else m, n))
+    for rows, block, u, sinc in _row_blocks(a, 2):
+        r0, r1 = rows.start, rows.stop
+        out, u, sinc = block[:, r0:], u[:, r0:], sinc[:, r0:]
+        np.add(sin_g[rows, None], sin_g[r0:], out=u)
         u *= np.pi
         zero = u == 0.0  # where sin u / u is taken as 1
         u[zero] = 1.0
@@ -109,15 +122,16 @@ def shaw_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
         sinc[zero] = 1.0
         np.square(sinc, out=sinc)
         # h (cos s + cos t)^2, then times sinc^2
-        np.add(cos_g[rows, None], cos_g, out=out)
+        np.add(cos_g[rows, None], cos_g[r0:], out=out)
         np.square(out, out=out)
         out *= h
         out *= sinc
+        a[r1:, rows] = a[rows, r1 : a.shape[0]].T
     x = 2.0 * np.exp(-6.0 * (g - 0.8) ** 2) + np.exp(-2.0 * (g + 0.5) ** 2)
     return a, x
 
 
-def deriv2_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
+def deriv2_matrix(n: int, m: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Galerkin discretization of the second-derivative Green's function
     K(s,t) = s(t-1) for s < t and t(s-1) otherwise, on [0,1]^2.
 
@@ -130,22 +144,23 @@ def deriv2_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
     # entry (i, j) below the diagonal is left[j] * right[i], and A is symmetric
     left = h**2 * (idx - 0.5)
     right = (idx - 0.5) * h - 1.0
-    a = np.empty((n, n))
+    a = np.empty((n if m is None else m, n))
     for rows, out, upper in _row_blocks(a, 1):
         np.multiply(left, right[rows, None], out=out)
         np.multiply(left[rows, None], right, out=upper)
         np.copyto(out, upper, where=idx > idx[rows, None])
-    np.fill_diagonal(a, h**2 * ((idx**2 - idx + 0.25) * h - (idx - 2.0 / 3.0)))
+    diag = idx[: a.shape[0]]
+    np.fill_diagonal(a, h**2 * ((diag**2 - diag + 0.25) * h - (diag - 2.0 / 3.0)))
     x = h**1.5 * np.minimum(idx - 0.5, n - idx + 0.5)
     return a, x
 
 
-def foxgood_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
+def foxgood_matrix(n: int, m: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Midpoint quadrature of sqrt(s^2 + t^2) on [0,1]^2; solution t."""
     h = 1.0 / n
     g = _midpoints(0.0, 1.0, n)
     g_sq = g**2
-    a = np.empty((n, n))
+    a = np.empty((n if m is None else m, n))
     for rows, out in _row_blocks(a, 0):
         np.add(g_sq[rows, None], g_sq, out=out)
         np.sqrt(out, out=out)
@@ -153,13 +168,13 @@ def foxgood_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
     return a, g.copy()
 
 
-def gravity_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
+def gravity_matrix(n: int, m: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Midpoint quadrature of the gravity surveying kernel
     d (d^2 + (s-t)^2)^(-3/2) at depth d = 0.25 on [0,1]^2."""
     h = 1.0 / n
     d = 0.25
     g = _midpoints(0.0, 1.0, n)
-    a = np.empty((n, n))
+    a = np.empty((n if m is None else m, n))
     for rows, out in _row_blocks(a, 0):
         np.subtract(g[rows, None], g, out=out)
         np.square(out, out=out)
@@ -170,7 +185,7 @@ def gravity_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
     return a, x
 
 
-def heat_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
+def heat_matrix(n: int, m: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Volterra heat-conduction kernel (unit conductivity): lower-triangular
     Toeplitz with first column c t^(-3/2) exp(-1/(4t)) at midpoints.
     Requires even n; the solution ramp lives on the first half."""
@@ -181,7 +196,7 @@ def heat_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
         col = c * t**-1.5 * np.exp(-0.25 / t)
     row = np.zeros(n)
     row[0] = col[0]
-    a = scipy.linalg.toeplitz(col, row)
+    a = scipy.linalg.toeplitz(col[:m], row)
     x = np.zeros(n)
     ti = np.arange(1, n // 2 + 1) * 20.0 / n
     x[: n // 2] = np.select(
@@ -192,7 +207,7 @@ def heat_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
     return a, x
 
 
-def phillips_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
+def phillips_matrix(n: int, m: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Galerkin discretization of the convolution kernel
     1 + cos(pi (s-t)/3) (support |s-t| < 3) on [-6,6]^2; requires n
     divisible by 4. The solution is the cell-integrated hat
@@ -206,7 +221,7 @@ def phillips_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
         2.0 * np.cos(ang * (j - 1.0)) - np.cos(ang * (j - 2.0)) - np.cos(ang * j)
     )
     r[n4] = h / 2.0 + (9.0 / (h * np.pi**2)) * (np.cos(ang) - 1.0)
-    a = scipy.linalg.toeplitz(r)
+    a = scipy.linalg.toeplitz(r[:m], r)
     x = np.zeros(n)
     left = -6.0 + np.arange(2 * n4, 3 * n4) * h
     x[2 * n4 : 3 * n4] = h + (3.0 / np.pi) * (
@@ -227,7 +242,7 @@ def _cell_rule(lo: float, width: float, cells: int):
     return nodes, 0.5 * width * _GAUSS_WEIGHTS
 
 
-def baart_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
+def baart_matrix(n: int, m: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Galerkin (orthonormal boxes) discretization of the kernel
     exp(s cos t) for s in [0, pi/2], t in [0, pi]; solution sin t.
 
@@ -243,7 +258,7 @@ def baart_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
     t_nodes, t_weights = _cell_rule(0.0, ht, n)
     cos_t = np.cos(t_nodes).T.copy()  # one row per t node
     scale = 1.0 / np.sqrt(hs * ht)
-    a = np.empty((n, n))
+    a = np.empty((n if m is None else m, n))
     for rows, out, inner, term in _row_blocks(a, 2):
         # value is the weighted exp(s cos t) at node pair (p, q); the sum
         # over q is formed in inner (in out itself for p = 0), and the first
@@ -307,18 +322,16 @@ def generate(spec: TestProblemSpec) -> TikhonovProblem:
     """Build the instance a TestProblemSpec describes.
 
     Quadrature problems: A and x_true from the discretization, then
-    b = A x_true + noise at level spec.delta (seeded). Underdetermined
-    variants truncate the noiseless rows first so the noise level is exact
-    for the rows that remain, and keep only those rows. 'tomo' builds the parallel-beam operator on
-    an n x n pixel grid with the phantom as ground truth.
+    b = A x_true + noise at level spec.delta (seeded). An underdetermined
+    variant is built from its m rows alone, the first m rows of the square
+    A bit for bit, so the noise level is exact for the rows it has. 'tomo'
+    builds the parallel-beam operator on an n x n pixel grid with the
+    phantom as ground truth.
     """
     if spec.name == "tomo":
         return _generate_tomo(spec)
-    a, x_true = _GENERATORS[spec.name](spec.n)
-    m = spec.n if spec.m is None else spec.m
-    b = add_noise(a[:m] @ x_true, spec.delta, spec.seed)
-    if m < spec.n:
-        a = a[:m].copy()  # a view of the kept rows would hold all n alive
+    a, x_true = _GENERATORS[spec.name](spec.n, spec.m)
+    b = add_noise(a @ x_true, spec.delta, spec.seed)
     return TikhonovProblem(a=a, l=first_difference(spec.n), b=b, x_true=x_true)
 
 

@@ -52,9 +52,12 @@ the lambdas, solves and residuals lines above, with solve_gsvd and
 solve_tgsvd on the exact factors and the data b itself.
 
 "problems" digests the test problems themselves, at 1 BLAS thread. For
-each of the seven kernels at n in {512, 2048, 2052} it prints three
-lines: A and x_true at delta = 0; b at delta = 1e-3, seed 0; and A and b
-of the same instance row-truncated to m = n/2 by generate. Then indptr,
+each of the seven kernels at n in {512, 2048, 2052} it prints A and
+x_true at delta = 0; b at delta = 1e-3, seed 0; and A and b of the same
+instance row-truncated by generate to m = n/2, and at n = 512 and 2052
+also to m = n//3 and m = 1: n//3 ends inside a block of rows, so the last
+block is ragged and shaw's strips copied from its upper triangle stop
+mid-block. Then indptr,
 indices and data of parallel_tomo(50, 0:12:179, 200), the operator the
 "tomo" mode densifies; and b of that mode's n = 50 instance.
 
@@ -75,7 +78,8 @@ handed that value.
 
 The row-truncated cases keep the first m rows of the clean square problem
 and cut b from the full product A x_true, rather than building them with
-generate(TestProblemSpec(..., m=m)), which forms A[:m] x_true. The two
+generate(TestProblemSpec(..., m=m)), whose b is the product of the m rows
+it builds, A[:m] x_true. The two
 agree bit for bit at n = 512 and 2048, but at n = 2052 they differ in the
 last bits of one or two entries on 6 of the 7 kernels (at most 4.4e-15,
 on shaw; 1 BLAS thread), and the digests of earlier trees were taken on
@@ -267,8 +271,9 @@ def problems() -> None:
             print(f"{name}/n{n}", "problem", _digest(prob.a), _digest(prob.x_true))
             prob = generate(TestProblemSpec(name=name, n=n, delta=DELTA, seed=0))
             print(f"{name}/n{n}/s0", "data", _digest(prob.b))
-            prob = generate(TestProblemSpec(name=name, n=n, m=n // 2, delta=DELTA, seed=0))
-            print(f"{name}/n{n}/m{n // 2}/s0", "problem", _digest(prob.a), _digest(prob.b))
+            for m in (n // 2, n // 3, 1) if n in (512, 2052) else (n // 2,):
+                prob = generate(TestProblemSpec(name=name, n=n, m=m, delta=DELTA, seed=0))
+                print(f"{name}/n{n}/m{m}/s0", "problem", _digest(prob.a), _digest(prob.b))
     op, x_true = parallel_tomo(50, np.arange(0.0, 180.0, 12.0), 200)
     print("tomo/n50", "operator", *(_digest(f) for f in (op.indptr, op.indices, op.data, x_true)))
     prob = generate(TestProblemSpec(name="tomo", n=50, delta=DELTA, seed=0))

@@ -427,3 +427,17 @@ def test_output_locations_are_prepared_before_any_row(tmp_path, capsys):
     assert main([*args, "--seeds", "1.5"]) == 2
     assert "--seeds" in capsys.readouterr().err
     assert config_from_args(["--seeds", "2, 0"]).seeds == (2, 0)
+
+
+def test_report_path_that_is_a_directory_is_refused_before_any_row(tmp_path, capsys, monkeypatch):
+    # refused before any instance is built: a grid that ran in full could
+    # not write its report there
+    built = []
+    monkeypatch.setattr(bench, "generate", built.append)
+    args = ["--problems", "shaw", "--method", "gsvd", "--n", "16", "--seeds", "0", "--out", str(tmp_path)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: report path {tmp_path} is a directory\n" and captured.out == ""
+    with pytest.raises(IsADirectoryError, match="is a directory"):
+        run_benchmark(config_from_args(args))
+    assert built == []
