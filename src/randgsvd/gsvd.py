@@ -125,15 +125,6 @@ class GsvdFactors:
         than columns (0 on the tall branch, n - m on the wide branch)."""
         return self.n - self.alpha.shape[0]
 
-    def gamma(self) -> np.ndarray:
-        """Generalized values alpha_i / beta_i aligned with alpha
-        (np.inf where beta = 0)."""
-        beta = self.beta_aligned()
-        out = np.full(self.alpha.shape[0], np.inf)
-        finite = beta > 0.0
-        out[finite] = self.alpha[finite] / beta[finite]
-        return out
-
     def beta_aligned(self) -> np.ndarray:
         """beta values aligned with alpha entries (0.0 where beta absent)."""
         k0 = self.offset

@@ -32,11 +32,12 @@ class RankDeficiencyError(ValueError):
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D float64 array and reject non-finite entries."""
+    """Coerce to a 2-D float64 array and reject non-finite entries: NaN
+    propagates to the min and the max, so the check needs no temporary."""
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got ndim={arr.ndim}")
-    if arr.size and not np.isfinite(arr).all():
+    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -74,7 +75,7 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1:
         raise DimensionError(f"{name} must be 1-D, got ndim={arr.ndim}")
-    if arr.size and not np.isfinite(arr).all():
+    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 

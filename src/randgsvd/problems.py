@@ -388,7 +388,7 @@ def parallel_tomo(
     """
     n_grid = as_int(n_grid, "n_grid", 2)
     rays = as_int(rays, "rays", 1)
-    angles = np.atleast_1d(np.asarray(angles_deg, dtype=float))
+    angles = as_vector(np.atleast_1d(angles_deg), "angles_deg")
     if angles.size == 0:
         raise ValueError("angles_deg needs at least one angle")
     span = np.sqrt(2.0)
@@ -410,6 +410,7 @@ def phantom(n_grid: int, seed: int = 0) -> np.ndarray:
     """Seeded synthetic test image: a mixture of eight axis-aligned
     rectangles and disks with intensities in [0,1], max-blended, flattened
     like the tomography pixel order."""
+    n_grid = as_int(n_grid, "n_grid", 1)
     gen = _philox(seed)
     xs = (np.arange(n_grid) + 0.5) / n_grid
     gx, gy = np.meshgrid(xs, xs)  # gy rows follow iy (bottom-up)

@@ -4,6 +4,9 @@ the L-curve corner, both driven entirely by factor-space quantities.
 The data enter factor space through ``tikhonov._project``, which also
 forms the residual floor; the residual, the seminorm and the truncation
 rule are tikhonov's as well, so a selector and the solve it feeds agree.
+GCV has one evaluator, ``_gcv``, which scores each row of a filter
+matrix: a grid of Tikhonov filters, the golden-section refine's single
+lambda as a grid of one, or a block of truncation depths.
 For exact GSVD factors the data coefficients are eta = U.T b and the
 residual floor is the energy of b outside range(U). For a randomized
 factorization the same formulas run on the projected data P.T b, i.e. the
@@ -26,7 +29,7 @@ from .tikhonov import (
     _Projection,
     _residual_sq,
     _seminorm,
-    _truncation_depths,
+    _truncation_filters,
     filtered_coordinates,
     tikhonov_filters,
 )
@@ -56,24 +59,18 @@ def _rows(ctx: _Projection, rows: str) -> tuple[int, float]:
     raise ValueError(f"rows must be 'projected' or 'ambient', got {rows!r}")
 
 
-def _gcv_value(ctx: _Projection, lam: float, m_hat: int, floor: float) -> float:
-    # the golden-section refine's one-lambda form; its scalar dof**2 can
-    # differ from the grid's in the last bit, and the refined lambda
-    # follows those bits, so it stays scalar
-    f = tikhonov_filters(ctx.factors, lam)
-    res_sq = float(_residual_sq(ctx.eta, f, floor))
-    dof = m_hat - float(np.sum(f))
-    if dof <= 0.0:
-        return np.inf
-    return res_sq / dof**2
-
-
-def _gcv_grid(ctx: _Projection, grid: np.ndarray, m_hat: int, floor: float) -> np.ndarray:
-    """_gcv_value at every grid point, from one (grid, k) filter matrix."""
-    f = tikhonov_filters(ctx.factors, grid)
+def _gcv(ctx: _Projection, f: np.ndarray, m_hat: int, floor: float) -> np.ndarray:
+    """The GCV functional of each row of a filter matrix, Tikhonov or
+    truncation alike: residual^2 / (m_hat - sum f)^2, inf where that
+    degrees-of-freedom count is <= 0."""
     dof = m_hat - np.sum(f, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(dof > 0.0, _residual_sq(ctx.eta, f, floor) / dof**2, np.inf)
+
+
+def _gcv_grid(ctx: _Projection, grid: np.ndarray, m_hat: int, floor: float) -> np.ndarray:
+    """_gcv at every lambda of a grid, from one (grid, k) filter matrix."""
+    return _gcv(ctx, tikhonov_filters(ctx.factors, grid), m_hat, floor)
 
 
 def _log_grid() -> np.ndarray:
@@ -126,8 +123,12 @@ def gcv_lambda(source, b, *, rows: str = "projected") -> tuple[float, float]:
     i = int(np.nanargmin(vals))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid.size - 1)]
-    lam = _golden_refine(lambda t: _gcv_value(ctx, t, m_hat, floor), lo, hi)
-    return lam, _gcv_value(ctx, lam, m_hat, floor)
+
+    def score(t: float) -> float:  # the refine's lambda as a grid of one
+        return float(_gcv_grid(ctx, np.array([t]), m_hat, floor)[0])
+
+    lam = _golden_refine(score, lo, hi)
+    return lam, score(lam)
 
 
 def gcv_truncation(source, b, *, rows: str = "projected") -> tuple[int, float]:
@@ -138,29 +139,24 @@ def gcv_truncation(source, b, *, rows: str = "projected") -> tuple[int, float]:
     Depth k keeps what solve_tgsvd keeps at k. k ranges over the finite
     generalized values with alpha > 0, a subset of the depths solve_tgsvd
     accepts: those may run up to the number of alpha > 0 directions, and
-    every depth past the finite values keeps the same directions."""
+    every depth past the finite values keeps the same directions. Depths
+    are scored GRID_SIZE at a time; a tie goes to the smaller depth."""
     ctx = _make_context(source, b)
-    depths = _truncation_depths(ctx.factors)
-    n_fit = int(np.max(depths, initial=0.0, where=np.isfinite(depths)))
+    factors = ctx.factors
+    n_fit = int(np.count_nonzero((factors.alpha > 0.0) & (factors.beta_aligned() > 0.0)))
     if n_fit == 0:
         raise SelectionError("no finite generalized values with alpha > 0 to truncate over")
     m_hat, floor = _rows(ctx, rows)
-    best_k, best_g = None, np.inf
-    for k in range(1, n_fit + 1):
-        f = (depths <= k).astype(float)
-        dof = m_hat - int(np.count_nonzero(f))
-        if dof <= 0:
-            continue
-        g = float(_residual_sq(ctx.eta, f, floor)) / dof**2
-        if g < best_g:
-            best_k, best_g = k, g
-    if best_k is None:
+    blocks = np.split(np.arange(1, n_fit + 1), range(GRID_SIZE, n_fit, GRID_SIZE))
+    vals = np.concatenate([_gcv(ctx, _truncation_filters(factors, k), m_hat, floor) for k in blocks])
+    if not np.isfinite(vals).any():
         hint = "; rows='ambient' counts the operator's rows instead" if rows == "projected" else ""
         raise SelectionError(
             f"GCV denominator vanished for every truncation depth: with rows={rows!r}, "
             f"m_hat = {m_hat} and no depth k >= 1 leaves m_hat - kept > 0{hint}"
         )
-    return best_k, best_g
+    k = int(np.argmin(vals))
+    return k + 1, float(vals[k])
 
 
 def _lcurve_points(ctx: _Projection, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -207,21 +207,18 @@ def _seminorm(factors: GsvdFactors, y: np.ndarray):
     return np.sqrt((z[..., None, :] @ z[..., :, None])[..., 0, 0])
 
 
-def _truncation_depths(factors: GsvdFactors) -> np.ndarray:
-    """The truncation rule, as the depth at which each direction enters:
-    TGSVD of depth k keeps exactly the directions whose entry depth is <= k.
+def _truncation_filters(factors: GsvdFactors, k) -> np.ndarray:
+    """The truncation rule: TGSVD of depth k keeps the beta = 0 directions
+    and the k largest finite generalized values with alpha > 0. A depth
+    gives a filter vector, an array of depths one row per depth.
 
-    beta = 0 directions enter at 0 (always kept). The finite generalized
-    values with alpha > 0 enter from the largest down at 1, 2, .... Directions
-    with alpha = 0 never enter (inf): their solution coordinate is 0 at any
-    depth, so their data energy is residual whatever k is."""
-    gamma = factors.gamma()
-    fit = np.flatnonzero(np.isfinite(gamma) & (factors.alpha > 0.0))
-    depths = np.where(np.isinf(gamma), 0.0, np.inf)
-    # gamma ascends along the spectrum, so the largest finite generalized
-    # values sit at the tail of fit
-    depths[fit] = np.arange(fit.size, 0, -1)
-    return depths
+    alpha ascends and beta descends, so the finite generalized values
+    ascend up to the beta = 0 tail: depth k keeps the tail and the k
+    indices before it, less any alpha = 0 direction, whose coordinate is
+    0 at every depth, so its data energy is residual whatever k is."""
+    idx = np.arange(factors.alpha.shape[0])
+    tail = factors.beta.shape[0] - factors.offset
+    return ((idx >= tail - np.asarray(k)[..., None]) & (factors.alpha > 0.0)).astype(float)
 
 
 def _filtered_solution(
@@ -261,9 +258,7 @@ def solve_gsvd(source, b, lam: float, x_true=None) -> RegularizedSolution:
     return _filtered_solution(proj, tikhonov_filters(proj.factors, lam), lam, method, x_true)
 
 
-def solve_tgsvd(
-    factors: GsvdFactors, b, k: int, x_true=None
-) -> RegularizedSolution:
+def solve_tgsvd(factors: GsvdFactors, b, k: int, x_true=None) -> RegularizedSolution:
     """Truncated GSVD solve: keep the k largest finite generalized values
     with alpha > 0 plus every direction the regularizer ignores (beta = 0);
     drop the rest, alpha = 0 directions included. k may run up to the
@@ -279,8 +274,7 @@ def solve_tgsvd(
     n_active = int(np.count_nonzero(proj.factors.alpha > 0.0))
     if not (1 <= k <= n_active):
         raise ValueError(f"truncation depth must lie in [1, {n_active}], got {k}")
-    filters = (_truncation_depths(proj.factors) <= k).astype(float)
-    return _filtered_solution(proj, filters, float(k), "tgsvd", x_true)
+    return _filtered_solution(proj, _truncation_filters(proj.factors, k), float(k), "tgsvd", x_true)
 
 
 # the sketched solve's earlier name, kept for callers that bind it

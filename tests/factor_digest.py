@@ -34,8 +34,9 @@ Each case of these two prints five lines, keyed by its name and a kind:
 
     factors    digests of p, q, inner.u, inner.x, alpha, beta
     sketch     l1, l2, branch
-    lambdas    GCV lambda, L-curve lambda and GCV truncation depth (None
-               where the selector raises SelectionError)
+    lambdas    GCV lambda, L-curve lambda and GCV truncation depth, then
+               the GCV scores G returned with the lambda and the depth
+               (None where the selector raises SelectionError)
     solves     digest of x, lam and seminorm from solve_rgsvd and
                solve_gsvd at the GCV lambda and solve_tgsvd at the GCV
                depth, the last two on the inner factors with the
@@ -170,17 +171,20 @@ def _digest(*arrays) -> str:
 
 
 def _select(selector, source, b):
-    """The selector's parameter, or None where it finds none."""
+    """The selector's (parameter, score), or (None, None) where it finds none."""
     try:
-        return selector(source, b)[0]
+        return selector(source, b)
     except SelectionError:
-        return None
+        return None, None
 
 
 def _lambdas(key: str, source, b):
     """Print the lambdas line; return the GCV lambda and truncation depth."""
-    lam, lam_lc, k = (_select(f, source, b) for f in (gcv_lambda, lcurve_lambda, gcv_truncation))
-    print(key, "lambdas", *(v.hex() if isinstance(v, float) else v for v in (lam, lam_lc, k)))
+    (lam, g_lam), (lam_lc, _), (k, g_k) = (
+        _select(f, source, b) for f in (gcv_lambda, lcurve_lambda, gcv_truncation)
+    )
+    values = (lam, lam_lc, k, g_lam, g_k)
+    print(key, "lambdas", *(v.hex() if isinstance(v, float) else v for v in values))
     return lam, k
 
 

@@ -1,9 +1,15 @@
-"""Per-lambda reference loops for the selection criteria.
+"""Per-lambda and per-depth reference loops for the selection criteria.
 
 These are the loops randgsvd.selection ran before it evaluated the whole
 lambda grid at once: one tikhonov_filters call and one reduction per grid
-point. test_selection_oracle.py checks the vectorized grid against them
-and swaps them into the selectors to get the reference lambdas.
+point, each G squared by Python's float power. test_selection_oracle.py
+checks the vectorized grid against them and swaps them into the selectors
+to get the reference lambdas, so the golden refine, which scores each
+lambda as a grid of one, is checked against the scalar formula.
+gcv_truncation_loop is gcv_truncation as it was before it
+scored the depths a block at a time: one filter vector per depth, from
+the rule truncation_depths, which ranks directions by their generalized
+values alpha / beta.
 """
 
 import numpy as np
@@ -34,3 +40,36 @@ def lcurve_points_loop(ctx, grid):
         y = filtered_coordinates(ctx.factors, f, ctx.eta)
         eta_norm[j] = np.linalg.norm(ctx.factors.beta * y[:nb]) if nb else 0.0
     return rho, eta_norm
+
+
+def truncation_depths(factors):
+    """The depth at which each direction enters TGSVD: beta = 0 directions
+    at 0 (always kept), the finite generalized values with alpha > 0 from
+    the largest down at 1, 2, ..., alpha = 0 directions never (inf)."""
+    beta = factors.beta_aligned()
+    gamma = np.full(factors.alpha.shape[0], np.inf)
+    finite = beta > 0.0
+    gamma[finite] = factors.alpha[finite] / beta[finite]
+    fit = np.flatnonzero(np.isfinite(gamma) & (factors.alpha > 0.0))
+    depths = np.where(np.isinf(gamma), 0.0, np.inf)
+    # gamma ascends along the spectrum: the largest sit at the tail of fit
+    depths[fit] = np.arange(fit.size, 0, -1)
+    return depths
+
+
+def gcv_truncation_loop(ctx, m_hat, floor):
+    """(best depth, G) of discrete GCV, one depth at a time, keeping the
+    first strict minimum; (None, inf) when no depth leaves a degree of
+    freedom."""
+    depths = truncation_depths(ctx.factors)
+    n_fit = int(np.max(depths, initial=0.0, where=np.isfinite(depths)))
+    best_k, best_g = None, np.inf
+    for k in range(1, n_fit + 1):
+        f = (depths <= k).astype(float)
+        dof = m_hat - int(np.count_nonzero(f))
+        if dof <= 0:
+            continue
+        g = (float(np.sum(((1.0 - f) * ctx.eta) ** 2)) + floor) / dof**2
+        if g < best_g:
+            best_k, best_g = k, g
+    return best_k, best_g

@@ -76,8 +76,8 @@ def test_beta_zero_block_from_regularizer_null_space(rng):
     factors = gsvd_full_rank(pair)
     assert factors.beta.size == n - 1  # r = 1
     assert np.all(factors.beta > 0)
-    gamma = factors.gamma()
-    assert np.isinf(gamma[-1]) and np.all(np.isfinite(gamma[:-1]))
+    beta = factors.beta_aligned()  # the one beta = 0 direction is the last
+    assert beta[-1] == 0.0 and np.all(beta[:-1] > 0)
     _check_identities(pair, factors)
 
 

@@ -25,6 +25,22 @@ def test_as_matrix_coerces_and_validates():
         as_matrix([[np.nan, 0.0], [0.0, 1.0]], "a")
 
 
+def test_as_matrix_checks_finiteness_without_a_temporary(rng):
+    # np.isfinite(a).all() would hold an m x n bool array, 1/8 of a's bytes
+    a = rng.standard_normal((1024, 1024))
+    tracemalloc.start()
+    try:
+        assert as_matrix(a, "a") is a
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.01 * a.nbytes
+    for bad in (np.nan, np.inf, -np.inf):
+        a[512, 7] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            as_matrix(a, "a")
+
+
 def test_as_vector_coerces_and_validates():
     v = as_vector([1, 2, 3], "b")
     assert v.dtype == np.float64

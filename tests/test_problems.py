@@ -11,6 +11,7 @@ from randgsvd import problems
 from randgsvd.bench import BenchConfig
 from randgsvd.bounds import error_bound_diagnostics
 from randgsvd.gsvd import GmpPair, gsvd_full_rank
+from randgsvd.linalg import DimensionError
 from randgsvd.problems import (
     QUADRATURE_PROBLEMS,
     TestProblemSpec,
@@ -248,6 +249,7 @@ INT_FIELDS = {
     "first_difference.n": (lambda v: first_difference(v).toarray(), "n", 2),
     "parallel_tomo.n_grid": (lambda v: parallel_tomo(v, [0.0], 2)[0].toarray(), "n_grid", 2),
     "parallel_tomo.rays": (lambda v: parallel_tomo(2, [0.0], v)[0].toarray(), "rays", 1),
+    "phantom.n_grid": (lambda v: phantom(v), "n_grid", 1),
 }
 FINITE_FIELDS = {
     "delta": (lambda v: TestProblemSpec(name="shaw", n=64, delta=v).delta, "delta", "nonnegative"),
@@ -389,6 +391,23 @@ def test_gridline_ray_assigns_lower_pixel():
     op, _ = parallel_tomo(2, [0.0], rays=1)  # single ray: offset 0 -> y = 0.5
     dense = op.toarray()
     assert_allclose(dense[0], [0.5, 0.5, 0.0, 0.0], atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "angles, error, match",
+    [
+        ([np.nan], ValueError, "angles_deg contains non-finite entries"),
+        ([0.0, np.inf], ValueError, "angles_deg contains non-finite entries"),
+        ([[0.0, 90.0]], DimensionError, "angles_deg must be 1-D"),
+        ([], ValueError, "angles_deg needs at least one angle"),
+    ],
+    ids=["nan", "inf", "2-D", "empty"],
+)
+def test_tomo_refuses_bad_angles(angles, error, match):
+    # unchecked, a NaN angle gives an operator with no nonzeros and an
+    # inf one garbage
+    with pytest.raises(error, match=f"^{match}"):
+        parallel_tomo(4, angles, 4)
 
 
 def test_diagonal_ray_length():

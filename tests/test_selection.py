@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -37,11 +39,11 @@ def test_gcv_interior_minimum(shaw_instance):
 def test_gcv_beats_nearby_lambdas(shaw_instance):
     prob, factors = shaw_instance
     lam, g = gcv_lambda(factors, prob.b)
-    from randgsvd.selection import _make_context, _gcv_value, _rows
+    from randgsvd.selection import _gcv_grid, _make_context, _rows
 
     ctx = _make_context(factors, prob.b)
-    for factor in (0.5, 0.9, 1.1, 2.0):
-        assert g <= _gcv_value(ctx, lam * factor, *_rows(ctx, "projected")) * (1 + 1e-9)
+    near = _gcv_grid(ctx, lam * np.array([0.5, 0.9, 1.1, 2.0]), *_rows(ctx, "projected"))
+    assert np.all(g <= near * (1 + 1e-9))
 
 
 def test_gcv_grid_refinement_stability(shaw_instance, monkeypatch):
@@ -115,6 +117,23 @@ def test_truncation_gcv_reasonable(shaw_instance):
     assert 1 <= k <= factors.alpha.size
     assert k <= 25  # shaw at delta 1e-3 supports only a handful of components
     assert g > 0
+
+
+def test_truncation_gcv_peak_within_lambda_gcv():
+    # depths are scored GRID_SIZE at a time, as gcv_lambda scores its
+    # grid, so the discrete GCV holds no more than the continuous one
+    prob = generate(TestProblemSpec(name="shaw", n=2048, delta=1e-3, seed=0))
+    factors = gsvd_full_rank(GmpPair(prob.a, prob.l), check_rank=False)
+    assert np.count_nonzero(factors.alpha > 0.0) > 4 * GRID_SIZE  # five blocks
+    peaks = []
+    for select in (gcv_lambda, gcv_truncation):
+        tracemalloc.start()
+        try:
+            select(factors, prob.b)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0]
 
 
 def _tall_factors(rng, alpha, beta, m=40):

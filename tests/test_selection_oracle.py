@@ -2,14 +2,15 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
-from oracle_selection import gcv_grid_loop, lcurve_points_loop
+from oracle_selection import gcv_grid_loop, gcv_truncation_loop, lcurve_points_loop, truncation_depths
 from randgsvd import selection
 from randgsvd.gsvd import GmpPair, GsvdFactors, gsvd_full_rank
 from randgsvd.problems import TestProblemSpec, add_noise, generate
 from randgsvd.rgsvd import rgsvd
 from randgsvd.sampling import SamplerConfig
+from randgsvd.tikhonov import _truncation_filters
 
 N = 256
 EPSILON = 1e-2
@@ -56,6 +57,30 @@ def test_grid_values_and_lambdas_match_per_lambda_loops(name, m, monkeypatch):
     monkeypatch.setattr(selection, "_gcv_grid", gcv_grid_loop)
     monkeypatch.setattr(selection, "_lcurve_points", lcurve_points_loop)
     assert picked == _select_all(sources, datas)
+
+
+@pytest.mark.parametrize("m", [N, N // 2])
+@pytest.mark.parametrize("name", ["shaw", "heat", "phillips"])
+def test_truncation_gcv_matches_per_depth_loop(name, m, monkeypatch):
+    # heat's and phillips' exact factors at N have more finite values than
+    # GRID_SIZE, so their depths are scored in two blocks; a block of 3
+    # splits every source's depths
+    sources, datas = _sources(name, m)
+    for source in sources:
+        for b in datas:
+            ctx = selection._make_context(source, b)
+            ks = np.arange(ctx.factors.alpha.size + 1)
+            assert_array_equal(
+                _truncation_filters(ctx.factors, ks), truncation_depths(ctx.factors) <= ks[:, None]
+            )
+            for rows in ("projected", "ambient"):
+                want = gcv_truncation_loop(ctx, *selection._rows(ctx, rows))
+                assert want[0] is not None
+                for size in (selection.GRID_SIZE, 3):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(selection, "GRID_SIZE", size)
+                        k, g = selection.gcv_truncation(source, b, rows=rows)
+                    assert (k, g.hex()) == (want[0], want[1].hex())
 
 
 def test_gcv_denominator_vanishing_on_whole_grid_raises(monkeypatch):
