@@ -38,6 +38,8 @@ because L X[:, :n-r] = Q2 S[:, :n-r] with Q2 the bottom block of Q.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -94,6 +96,24 @@ class GmpPair:
         object.__setattr__(self, "l", l)
 
 
+class FilterTerms(NamedTuple):
+    """Per-direction terms of GsvdFactors that every Tikhonov filter,
+    filtered coordinate and truncation rule reads, aligned with alpha.
+
+    alpha_sq  -- alpha**2
+    beta      -- beta aligned with alpha, 0.0 where beta is absent
+    beta_pos  -- beta > 0
+    alpha_pos -- alpha > 0
+    divisor   -- alpha where alpha > 0, else 1.0
+    """
+
+    alpha_sq: np.ndarray
+    beta: np.ndarray
+    beta_pos: np.ndarray
+    alpha_pos: np.ndarray
+    divisor: np.ndarray
+
+
 @dataclass(frozen=True)
 class GsvdFactors:
     """Generalized SVD factors of a pair (see module docstring for the
@@ -107,6 +127,12 @@ class GsvdFactors:
 
     The lengths give the branch and r: offset = n - len(alpha) is 0 on
     the tall branch and n - m on the wide one, and r = n - len(beta).
+
+    The per-direction terms that every filter evaluation reads (alpha^2,
+    beta aligned with alpha, the beta > 0 and alpha > 0 masks and the
+    guarded divisor) are formed once per factorization, on first use, and
+    held read-only in filter_terms, so every solve and selector on the
+    same factors reads them without forming them again.
     """
 
     u: np.ndarray
@@ -125,15 +151,30 @@ class GsvdFactors:
         than columns (0 on the tall branch, n - m on the wide branch)."""
         return self.n - self.alpha.shape[0]
 
+    @cached_property
+    def filter_terms(self) -> FilterTerms:
+        """The per-direction filter terms, formed on first use, read-only."""
+        alpha = self.alpha
+        beta = np.zeros_like(alpha)
+        # alpha[i] sits at index offset + i of beta, which ends at len(beta)
+        inside = self.beta[self.offset :]
+        beta[: inside.shape[0]] = inside
+        alpha_pos = alpha > 0.0
+        terms = FilterTerms(
+            alpha_sq=np.square(alpha),
+            beta=beta,
+            beta_pos=beta > 0.0,
+            alpha_pos=alpha_pos,
+            divisor=np.where(alpha_pos, alpha, 1.0),
+        )
+        for arr in terms:
+            arr.flags.writeable = False
+        return terms
+
     def beta_aligned(self) -> np.ndarray:
-        """beta values aligned with alpha entries (0.0 where beta absent)."""
-        k0 = self.offset
-        nb = self.beta.shape[0]
-        idx = np.arange(self.alpha.shape[0]) + k0
-        out = np.zeros_like(self.alpha)
-        inside = idx < nb
-        out[inside] = self.beta[idx[inside]]
-        return out
+        """beta values aligned with alpha entries (0.0 where beta absent),
+        as a copy the caller may modify."""
+        return self.filter_terms.beta.copy()
 
 
 # columns of U squared at a time by _column_norms

@@ -85,7 +85,11 @@ def uniform_test_matrix(n: int, l: int, seed: int) -> np.ndarray:
     bit-identical matrices.
     """
     u = _philox(seed).random((as_int(n, "n", 1), as_int(l, "l", 1)))
-    return _SQRT3 * (2.0 * u - 1.0)
+    # sqrt(3) * (2u - 1), the same operations in the same order, in place
+    u *= 2.0
+    u -= 1.0
+    u *= _SQRT3
+    return u
 
 
 @dataclass(frozen=True)

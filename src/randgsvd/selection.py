@@ -6,7 +6,7 @@ forms the residual floor; the residual, the seminorm and the truncation
 rule are tikhonov's as well, so a selector and the solve it feeds agree.
 GCV has one evaluator, ``_gcv``, which scores each row of a filter
 matrix: a grid of Tikhonov filters, the golden-section refine's single
-lambda as a grid of one, or a block of truncation depths.
+0-d lambda, or a block of truncation depths.
 For exact GSVD factors the data coefficients are eta = U.T b and the
 residual floor is the energy of b outside range(U). For a randomized
 factorization the same formulas run on the projected data P.T b, i.e. the
@@ -63,9 +63,9 @@ def _gcv(ctx: _Projection, f: np.ndarray, m_hat: int, floor: float) -> np.ndarra
     """The GCV functional of each row of a filter matrix, Tikhonov or
     truncation alike: residual^2 / (m_hat - sum f)^2, inf where that
     degrees-of-freedom count is <= 0."""
-    dof = m_hat - np.sum(f, axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(dof > 0.0, _residual_sq(ctx.eta, f, floor) / dof**2, np.inf)
+    dof = m_hat - np.add.reduce(f, axis=-1)  # np.sum without its Python wrapper
+    g = np.full(dof.shape, np.inf)
+    return np.divide(_residual_sq(ctx.eta, f, floor), np.square(dof), out=g, where=dof > 0.0)
 
 
 def _gcv_grid(ctx: _Projection, grid: np.ndarray, m_hat: int, floor: float) -> np.ndarray:
@@ -124,8 +124,8 @@ def gcv_lambda(source, b, *, rows: str = "projected") -> tuple[float, float]:
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid.size - 1)]
 
-    def score(t: float) -> float:  # the refine's lambda as a grid of one
-        return float(_gcv_grid(ctx, np.array([t]), m_hat, floor)[0])
+    def score(t: float) -> float:  # the refine's lambda, scored 0-d
+        return float(_gcv_grid(ctx, t, m_hat, floor))
 
     lam = _golden_refine(score, lo, hi)
     return lam, score(lam)
@@ -143,7 +143,8 @@ def gcv_truncation(source, b, *, rows: str = "projected") -> tuple[int, float]:
     are scored GRID_SIZE at a time; a tie goes to the smaller depth."""
     ctx = _make_context(source, b)
     factors = ctx.factors
-    n_fit = int(np.count_nonzero((factors.alpha > 0.0) & (factors.beta_aligned() > 0.0)))
+    terms = factors.filter_terms
+    n_fit = int(np.count_nonzero(terms.alpha_pos & terms.beta_pos))
     if n_fit == 0:
         raise SelectionError("no finite generalized values with alpha > 0 to truncate over")
     m_hat, floor = _rows(ctx, rows)

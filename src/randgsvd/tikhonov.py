@@ -126,12 +126,13 @@ def tikhonov_filters(factors: GsvdFactors, lam) -> np.ndarray:
 
     A scalar lam gives a vector; an array of lambdas gives one row of
     filters per lambda, shape lam.shape + alpha.shape."""
-    alpha = factors.alpha
-    beta = factors.beta_aligned()
-    denom = alpha**2 + (np.asarray(lam)[..., None] * beta) ** 2
-    with np.errstate(invalid="ignore", divide="ignore"):
-        f = np.where(denom > 0.0, alpha**2 / np.where(denom > 0.0, denom, 1.0), 1.0)
-    return np.where(beta > 0.0, f, 1.0)
+    terms = factors.filter_terms
+    denom = np.multiply(np.asarray(lam)[..., None], terms.beta)
+    np.square(denom, out=denom)
+    denom += terms.alpha_sq
+    # f stays 1 where beta = 0, and where the denominator underflows to 0
+    f = np.ones(denom.shape)
+    return np.divide(terms.alpha_sq, denom, out=f, where=(denom > 0.0) & terms.beta_pos)
 
 
 def filtered_coordinates(factors: GsvdFactors, filters: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -139,11 +140,12 @@ def filtered_coordinates(factors: GsvdFactors, filters: np.ndarray, eta: np.ndar
     vector: y_i = f_i * eta_i / alpha_i on the branch window, zero on the
     leading wide-branch directions. Rows of a filter matrix (one per
     lambda, as from tikhonov_filters) give rows of y."""
-    alpha = factors.alpha
-    with np.errstate(invalid="ignore", divide="ignore"):
-        active = np.where(alpha > 0.0, filters * eta / np.where(alpha > 0.0, alpha, 1.0), 0.0)
-    y = np.zeros(active.shape[:-1] + (factors.n,))
-    y[..., factors.offset :] = active
+    terms = factors.filter_terms
+    y = np.zeros(np.shape(filters)[:-1] + (factors.n,))
+    active = y[..., factors.offset :]
+    # alpha = 0 directions keep their +0.0: 0 / 1 leaves it as it is
+    np.multiply(filters, eta, out=active, where=terms.alpha_pos)
+    active /= terms.divisor
     return y
 
 
@@ -194,7 +196,10 @@ def _project(source, b) -> _Projection:
 def _residual_sq(eta: np.ndarray, filters: np.ndarray, floor: float):
     """Squared residual norm sum(((1 - f) eta)^2) + floor for a filter
     vector, or one per row of a (grid, k) filter matrix."""
-    return np.sum(((1.0 - filters) * eta) ** 2, axis=-1) + floor
+    r = np.subtract(1.0, filters)
+    r *= eta
+    np.square(r, out=r)
+    return np.add.reduce(r, axis=-1) + floor  # np.sum without its Python wrapper
 
 
 def _seminorm(factors: GsvdFactors, y: np.ndarray):
@@ -218,7 +223,7 @@ def _truncation_filters(factors: GsvdFactors, k) -> np.ndarray:
     0 at every depth, so its data energy is residual whatever k is."""
     idx = np.arange(factors.alpha.shape[0])
     tail = factors.beta.shape[0] - factors.offset
-    return ((idx >= tail - np.asarray(k)[..., None]) & (factors.alpha > 0.0)).astype(float)
+    return ((idx >= tail - np.asarray(k)[..., None]) & factors.filter_terms.alpha_pos).astype(float)
 
 
 def _filtered_solution(
@@ -271,7 +276,7 @@ def solve_tgsvd(factors: GsvdFactors, b, k: int, x_true=None) -> RegularizedSolu
     if not float(k).is_integer():
         raise ValueError(f"truncation depth must be an integer, got {k}")
     proj = _project(factors, b)
-    n_active = int(np.count_nonzero(proj.factors.alpha > 0.0))
+    n_active = int(np.count_nonzero(proj.factors.filter_terms.alpha_pos))
     if not (1 <= k <= n_active):
         raise ValueError(f"truncation depth must lie in [1, {n_active}], got {k}")
     return _filtered_solution(proj, _truncation_filters(proj.factors, k), float(k), "tgsvd", x_true)

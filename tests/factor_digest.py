@@ -22,6 +22,17 @@ diff, which prints nothing when every digest matches:
     PYTHONPATH=src python tests/factor_digest.py all digests-new
     diff -r digests-old digests-new
 
+"compare OUTDIR" reads one tree's "all" output and compares, for each of
+kernels, under and dense, its 1-thread and 2-thread files. It prints one
+line per case whose GCV lambda, L-curve lambda or GCV truncation depth
+moves by more than 1e-3 relative (the golden refine's width), marked
+">10x" where it moves by more than a factor of 10, or "gone"/"new" where
+the selector finds a value at one thread count only. A summary line per
+mode then counts the selections, the factors lines that differ and the
+moves of each selector. It imports neither numpy nor the package:
+
+    PYTHONPATH=src python tests/factor_digest.py compare digests-new
+
 "kernels" runs the seven quadrature kernels at n in {512, 2048}, square and
 row-truncated to m = n/2, sketch and noise seeds 0-2, stage2_epsilon in
 {1e-8, None} and blocksize in {1, 3, 4}, at 1 BLAS thread (504 cases).
@@ -117,8 +128,69 @@ THREADS = {
 # modes that "all" digests at 2 threads as well as at their default
 AT_TWO_THREADS = ("kernels", "under", "dense")
 
+# a pick that moves by more than the golden refine's relative width
+# (selection.REFINE_REL_WIDTH) between thread counts is another pick
+MOVE_RTOL = 1e-3
+SELECTORS = ("gcv", "lcurve", "depth")
+
+
+def _picks(path: str) -> tuple[dict, dict]:
+    """(GCV lambda, L-curve lambda, depth) of each case's lambdas line, None
+    where the selector found none, and each case's factors digests."""
+    picks, factors = {}, {}
+    with open(path) as lines:
+        for line in lines:
+            key, kind, *values = line.split()
+            if kind == "factors":
+                factors[key] = values
+            elif kind == "lambdas":
+                lam, lam_lc, depth = (None if v == "None" else v for v in values[:3])
+                picks[key] = (
+                    None if lam is None else float.fromhex(lam),
+                    None if lam_lc is None else float.fromhex(lam_lc),
+                    None if depth is None else int(depth),
+                )
+    return picks, factors
+
+
+def _move(old, new) -> str | None:
+    """How a pick moved from old to new: None within MOVE_RTOL, else a label."""
+    if old == new:
+        return None
+    if old is None or new is None:
+        return "new" if old is None else "gone"
+    if abs(new - old) <= MOVE_RTOL * abs(old):
+        return None
+    ratio = max(old, new) / min(old, new) if min(old, new) > 0 else float("inf")
+    return ">10x" if ratio > 10.0 else "moved"
+
+
+def compare(outdir: str) -> None:
+    for mode in AT_TWO_THREADS:
+        (one, f_one), (two, f_two) = (_picks(os.path.join(outdir, f"{mode}-{t}.txt")) for t in "12")
+        if one.keys() != two.keys():
+            sys.exit(f"{mode}: the two thread counts digested different cases")
+        counts = {sel: [0, 0] for sel in SELECTORS}
+        for key, old in one.items():
+            for sel, a, b in zip(SELECTORS, old, two[key]):
+                label = _move(a, b)
+                if label:
+                    counts[sel][0] += 1
+                    counts[sel][1] += label != "moved"
+                    print(mode, key, sel, a, "->", b, label)
+        differ = sum(f_one[key] != f_two.get(key) for key in f_one)
+        moves = ", ".join(f"{sel} {n} ({big})" for sel, (n, big) in counts.items())
+        print(
+            f"{mode}: {len(one)} selections, {differ} of {len(f_one)} factors lines differ; "
+            f"moves (>10x, gone or new): {moves}"
+        )
+
+
 if __name__ == "__main__":
     args = sys.argv[1:]
+    if len(args) == 2 and args[0] == "compare":
+        compare(args[1])
+        sys.exit()
     if len(args) == 2 and args[0] == "all":
         import subprocess
 
@@ -130,7 +202,7 @@ if __name__ == "__main__":
     if len(args) == 1 and args[0] in THREADS:
         args.append(THREADS[args[0]])
     if len(args) != 2 or args[0] not in THREADS or not args[1].isdigit() or int(args[1]) < 1:
-        sys.exit(f"usage: {sys.argv[0]} {{{','.join(THREADS)}}} [threads] | all OUTDIR")
+        sys.exit(f"usage: {sys.argv[0]} {{{','.join(THREADS)}}} [threads] | all OUTDIR | compare OUTDIR")
     os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = args[1]
 
 import numpy as np  # noqa: E402  (after the thread pinning above)

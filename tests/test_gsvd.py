@@ -3,13 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from oracle_gsvd import reconstruct, reference_gsvd, v1_factor
 from randgsvd import gsvd
 from randgsvd.gsvd import GmpPair, GmpViolationError, _column_norms, _gsvd_core, gsvd_full_rank
 from randgsvd.linalg import DimensionError, RankDeficiencyError, dense
 from randgsvd.problems import first_difference
+from randgsvd.tikhonov import tikhonov_filters
 
 
 def _check_identities(pair, factors, tol=1e-10):
@@ -79,6 +80,32 @@ def test_beta_zero_block_from_regularizer_null_space(rng):
     beta = factors.beta_aligned()  # the one beta = 0 direction is the last
     assert beta[-1] == 0.0 and np.all(beta[:-1] > 0)
     _check_identities(pair, factors)
+
+
+def test_filter_terms_are_read_only_and_beta_aligned_is_a_copy(rng):
+    # wide branch with a beta = 0 tail: offset 3, beta has n - 1 entries
+    n = 12
+    a = rng.standard_normal((9, n))
+    l = np.eye(n - 1, n) - np.eye(n - 1, n, k=1)
+    factors = gsvd_full_rank(GmpPair(a, l), check_rank=False)
+    assert factors.offset == 3 and factors.beta.size == n - 1
+    terms = factors.filter_terms
+    assert terms is factors.filter_terms  # formed once
+    for arr in terms:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
+    # the gather beta_aligned formed before the terms were held
+    idx = np.arange(factors.alpha.size) + factors.offset
+    want = np.zeros_like(factors.alpha)
+    want[idx < n - 1] = factors.beta[idx[idx < n - 1]]
+    beta = factors.beta_aligned()
+    assert_array_equal(beta, want)
+    assert_array_equal(terms.beta, want)
+    filters = tikhonov_filters(factors, 0.1)
+    beta[:] = 0.0
+    assert_array_equal(factors.beta_aligned(), want)
+    assert_array_equal(tikhonov_filters(factors, 0.1), filters)
 
 
 def test_gmp_violation_detected():
