@@ -73,12 +73,21 @@ def assemble(outdir: Path) -> tuple[str, dict]:
     return commits.pop(), {"machine": json.loads(machines.pop()), "workloads": workloads}
 
 
+def _dump(obj, level: int = 0) -> str:
+    """JSON with one line per leaf: a dict holding dicts opens a block."""
+    if not (isinstance(obj, dict) and any(isinstance(v, dict) for v in obj.values())):
+        return json.dumps(obj)
+    pad = " " * (level + 1)
+    items = ",\n".join(f"{pad}{json.dumps(k)}: {_dump(v, level + 1)}" for k, v in obj.items())
+    return "{\n" + items + "\n" + " " * level + "}"
+
+
 def main(argv: list) -> None:
     if len(argv) not in (1, 2):
         sys.exit(f"usage: {sys.argv[0]} OUTDIR [DEST_DIR]")
     commit, record = assemble(Path(argv[0]))
     dest = Path(argv[1] if len(argv) == 2 else ".") / f"BENCH_{commit[:7]}.json"
-    dest.write_text(json.dumps({"commit": commit, **record}, indent=1) + "\n")
+    dest.write_text(_dump({"commit": commit, **record}) + "\n")
     print(dest)
 
 

@@ -144,12 +144,8 @@ def _picks(path: str) -> tuple[dict, dict]:
             if kind == "factors":
                 factors[key] = values
             elif kind == "lambdas":
-                lam, lam_lc, depth = (None if v == "None" else v for v in values[:3])
-                picks[key] = (
-                    None if lam is None else float.fromhex(lam),
-                    None if lam_lc is None else float.fromhex(lam_lc),
-                    None if depth is None else int(depth),
-                )
+                parsers = (float.fromhex, float.fromhex, int)
+                picks[key] = tuple(None if v == "None" else p(v) for p, v in zip(parsers, values))
     return picks, factors
 
 

@@ -6,6 +6,7 @@ import scipy.sparse
 from numpy.testing import assert_allclose, assert_array_equal
 
 from oracle_gsvd import reconstruct, reference_gsvd, v1_factor
+from oracle_selection import beta_aligned_where
 from randgsvd import gsvd
 from randgsvd.gsvd import GmpPair, GmpViolationError, _column_norms, _gsvd_core, gsvd_full_rank
 from randgsvd.linalg import DimensionError, RankDeficiencyError, dense
@@ -95,10 +96,7 @@ def test_filter_terms_are_read_only_and_beta_aligned_is_a_copy(rng):
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = arr[0]
-    # the gather beta_aligned formed before the terms were held
-    idx = np.arange(factors.alpha.size) + factors.offset
-    want = np.zeros_like(factors.alpha)
-    want[idx < n - 1] = factors.beta[idx[idx < n - 1]]
+    want = beta_aligned_where(factors)  # the gather that formed it before
     beta = factors.beta_aligned()
     assert_array_equal(beta, want)
     assert_array_equal(terms.beta, want)
