@@ -23,11 +23,20 @@ buffer, of which only Q1 is copied out, and R is one n x n copy. R is not
 read during the eigensolve, so it is held packed, its upper triangle in
 n(n+1)/2 entries, from the rank check until the triangular solve, which
 runs on the same values unpacked. dsyevd runs in the buffer of the Gram
-matrix Q1.T @ Q1, which numpy's syrk forms exactly symmetric. Q1 goes
-once U is formed, and U's column norms are taken a block of columns at a
-time. What remains at the peak is dsyevd's 2N^2 workspace beside Q1, the
-packed R and the Gram matrix: 2.01 copies of a 1500 x 600 stack under
-tracemalloc, against 2.21 with R held full.
+matrix Q1.T @ Q1, whose lower triangle scipy's dsyrk forms F-ordered, with
+the bits of numpy's syrk; nothing holds that buffer once the eigensolve
+returns. Q1 goes once U is formed, and U's column norms are taken a block
+of columns at a time. What remains at the peak is dsyevd's 2N^2 workspace
+beside Q1, the packed R and the Gram matrix: 2.01 copies of a 1500 x 600
+stack under tracemalloc, against 2.21 with R held full.
+
+numpy and scipy each load their own OpenBLAS, each with its own thread
+pool, whose workers keep spinning for a while after every call; a switch
+from one library to the other leaves the old pool spinning against the
+new one. So QR, the rank check, the Gram matrix, the eigensolve and the
+triangular solve all run in scipy, and the core hands over to numpy once,
+for its last product U = Q1 S, which stays numpy's because scipy's dgemm
+gives U other bits.
 
 GsvdFactors keeps U, X, alpha and beta, which every solve and selector
 reads. V1 is not formed: no routine needs it, and a caller that does gets
@@ -226,28 +235,31 @@ def _gsvd_core(pair: list[np.ndarray]) -> GsvdFactors:
     packed = scipy.linalg.lapack.dtrttp(tri.T, uplo="L")[0]
     del tri
 
-    # the Gram matrix comes out of numpy's syrk exactly symmetric, and
-    # symmetric_eig consumes it
-    psi, svecs = symmetric_eig(q1.T @ q1)
-    psi = np.clip(psi, 0.0, 1.0)
-
-    r = int(np.count_nonzero(psi > 1.0 - 1e-12 * n))
-    k0 = max(n - m, 0)  # the wide branch's leading directions have no alpha
-    alpha = np.sqrt(psi[k0:])
-    # Columns of q1 @ svecs carry norm sqrt(psi) in exact arithmetic, but
-    # psi can round to zero while the computed column still holds rounding
-    # noise; normalizing by the computed norm keeps every column at unit
-    # length instead of amplifying that noise.
-    u = q1 @ svecs[:, k0:]
-    del q1
-    u /= np.maximum(_column_norms(u), np.finfo(float).tiny)
-
-    beta = np.sqrt(1.0 - psi[: n - r])
+    # scipy's dsyrk forms the lower triangle of the Gram matrix Q1.T Q1,
+    # F-ordered, with the bits of numpy's syrk; symmetric_eig consumes it,
+    # and it is bound to no name, so it goes when the eigensolve returns
+    psi, svecs = symmetric_eig(scipy.linalg.blas.dsyrk(1.0, q1.T, trans=0, lower=1))
     # dtpttr unpacks R.T, F-ordered with zeros above the diagonal, so its
-    # transpose is R as qr_reduced gave it: the same values, C-ordered
+    # transpose is R as qr_reduced gave it: the same values, C-ordered.
+    # The solve runs before U, so every BLAS call up to here is scipy's
     tri = scipy.linalg.lapack.dtpttr(n, packed, uplo="L")[0].T
     del packed
     x = solve_upper_triangular(tri, svecs)
+    del tri
+
+    psi = np.clip(psi, 0.0, 1.0)
+    r = int(np.count_nonzero(psi > 1.0 - 1e-12 * n))
+    k0 = max(n - m, 0)  # the wide branch's leading directions have no alpha
+    alpha = np.sqrt(psi[k0:])
+    beta = np.sqrt(1.0 - psi[: n - r])
+    # U is numpy's product, the core's one call into numpy's BLAS: scipy's
+    # dgemm gives it other bits. Columns of q1 @ svecs carry norm sqrt(psi)
+    # in exact arithmetic, but psi can round to zero while the computed
+    # column still holds rounding noise; normalizing by the computed norm
+    # keeps every column at unit length instead of amplifying that noise.
+    u = q1 @ svecs[:, k0:]
+    del q1
+    u /= np.maximum(_column_norms(u), np.finfo(float).tiny)
 
     return GsvdFactors(u=u, alpha=alpha, beta=beta, x=x)
 

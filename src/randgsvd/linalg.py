@@ -11,7 +11,7 @@ hands them arrays it has just formed, so they check nothing: they are
 thin wrappers around LAPACK that pin down a nonnegative R diagonal in QR
 and ascending eigenvalues. Both work in the buffer they are handed: QR
 turns an F-ordered input into Q and forms R as its one n x n copy, and
-the eigendecomposition consumes its exactly symmetric input.
+the eigendecomposition consumes the F-ordered lower triangle it reads.
 """
 
 from __future__ import annotations
@@ -122,17 +122,16 @@ def qr_reduced(a) -> tuple[np.ndarray, np.ndarray]:
 
 
 def symmetric_eig(s) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition (values, vectors) of an exactly symmetric
-    C-ordered matrix, values ascending and vectors C-ordered, one per
-    column.
+    """Full eigendecomposition (values, vectors) of the symmetric matrix
+    whose lower triangle an F-ordered s holds, as scipy's dsyrk forms a
+    Gram matrix; its upper triangle is never read. Values come ascending
+    and vectors C-ordered, one per column: the layout in which numpy's
+    product Q1 @ S gives the core's U its bits.
 
-    The input is consumed: dsyevd runs in its buffer and overwrites it. It
-    must be symmetric bit for bit, as numpy forms a Gram matrix q.T @ q (by
-    syrk, mirroring one triangle): dsyevd reads only one triangle, so an
-    asymmetry would pass unseen.
+    The input is consumed: dsyevd runs in its buffer and overwrites it
+    with the vectors, which are then copied out C-ordered.
     """
-    # s is exactly symmetric, so its transpose is the same matrix, F-ordered
-    w, v = scipy.linalg.eigh(s.T, driver="evd", overwrite_a=True, check_finite=False)
+    w, v = scipy.linalg.eigh(s, driver="evd", overwrite_a=True, check_finite=False)
     return w, np.ascontiguousarray(v)
 
 

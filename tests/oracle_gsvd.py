@@ -5,13 +5,17 @@ V1 is formed here from the pair's second member, and reconstruct measures
 both diagonalization identities; criterion 01, test_gsvd.py and
 oracle_rgsvd.py hold the factors to them. reference_gsvd is the core GSVD
 by numpy's own QR and eigh on a freshly stacked copy of the pair, against
-which test_gsvd.py checks the in-place library core.
+which test_gsvd.py checks the in-place library core. parent_core is the
+library core as it was before its BLAS calls were regrouped: the Gram
+matrix by numpy's q1.T @ q1, eigh on its transpose, U formed before X;
+test_gsvd.py holds the library core to it bit for bit.
 """
 
 import numpy as np
 import scipy.linalg
 
-from randgsvd.gsvd import GsvdFactors
+from randgsvd.gsvd import GmpViolationError, GsvdFactors, _column_norms
+from randgsvd.linalg import qr_reduced
 
 
 def v1_factor(factors, l):
@@ -58,3 +62,36 @@ def reference_gsvd(a, l) -> GsvdFactors:
         beta=np.sqrt(1.0 - psi[: n - n_inf]),
         x=scipy.linalg.solve_triangular(r, svecs),
     )
+
+
+def parent_core(a, l) -> GsvdFactors:
+    """The library core's earlier statement order, on copies of a and l:
+    QR, rank check and packed R as now, then the Gram matrix q1.T @ q1 by
+    numpy's syrk (exactly symmetric, C-ordered), dsyevd on its F-ordered
+    transpose, U = q1 @ S by numpy and normalized, and only then R
+    unpacked for X = R^-1 S. Every BLAS call between the eigensolve and the
+    triangular solve runs in numpy, the rest in scipy."""
+    m, n = a.shape
+    rows = m + l.shape[0]
+    stack = np.concatenate((a, l), out=np.empty((rows, n), order="F"))
+    q, tri = qr_reduced(stack)
+    q1 = np.ascontiguousarray(q[:m])
+    del stack, q
+    rcond = scipy.linalg.lapack.dtrcon(tri.T, norm="I", uplo="L")[0]
+    if rcond <= 1e-12 * max(rows, n):
+        raise GmpViolationError(f"reciprocal condition estimate {rcond:.3e}")
+    packed = scipy.linalg.lapack.dtrttp(tri.T, uplo="L")[0]
+    del tri
+    gram = q1.T @ q1
+    psi, svecs = scipy.linalg.eigh(gram.T, driver="evd", overwrite_a=True, check_finite=False)
+    svecs = np.ascontiguousarray(svecs)
+    psi = np.clip(psi, 0.0, 1.0)
+    r = int(np.count_nonzero(psi > 1.0 - 1e-12 * n))
+    k0 = max(n - m, 0)
+    alpha = np.sqrt(psi[k0:])
+    u = q1 @ svecs[:, k0:]
+    u /= np.maximum(_column_norms(u), np.finfo(float).tiny)
+    beta = np.sqrt(1.0 - psi[: n - r])
+    tri = scipy.linalg.lapack.dtpttr(n, packed, uplo="L")[0].T
+    x = scipy.linalg.solve_triangular(tri, svecs, lower=False, check_finite=False)
+    return GsvdFactors(u=u, alpha=alpha, beta=beta, x=x)

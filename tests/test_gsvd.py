@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse
 from numpy.testing import assert_allclose, assert_array_equal
 
-from oracle_gsvd import reconstruct, reference_gsvd, v1_factor
+from oracle_gsvd import parent_core, reconstruct, reference_gsvd, v1_factor
 from oracle_selection import beta_aligned_where
 from randgsvd import gsvd
 from randgsvd.gsvd import GmpPair, GmpViolationError, _column_norms, _gsvd_core, gsvd_full_rank
@@ -251,24 +251,56 @@ def test_stack_rank_test_refuses_a_zero_pair():
         _gsvd_core([np.zeros((4, 3)), np.zeros((2, 3))])
 
 
-@pytest.mark.parametrize(
-    "m, p, n", [(40, 35, 30), (600, 599, 600), (18, 30, 28), (2, 1, 2), (1, 3, 3), (1, 1, 1)],
-    ids=["tall", "tall-large", "wide", "tiny-tall", "tiny-wide", "one"],
-)
-def test_core_gram_matrix_is_exactly_symmetric(make_gmp, monkeypatch, m, p, n):
-    # the core hands q1.T @ q1 to symmetric_eig as it comes, without
-    # symmetrizing it, and dsyevd reads only one triangle
-    eig = gsvd.symmetric_eig
-    seen = []
+# shapes of both branches, from a tiny pair to one where dsyrk and dsyevd
+# run blocked
+CORE_SHAPES = {
+    "tall": (40, 35, 30),
+    "tall-large": (600, 599, 600),
+    "wide": (18, 30, 28),
+    "tiny-tall": (2, 1, 2),
+    "tiny-wide": (1, 3, 3),
+    "one": (1, 1, 1),
+}
 
-    def spy(s):
-        seen.append(np.array_equal(s, s.T))
+
+@pytest.mark.parametrize("m, p, n", list(CORE_SHAPES.values()), ids=list(CORE_SHAPES))
+def test_core_gram_matrix_is_exactly_symmetric(make_gmp, monkeypatch, m, p, n):
+    # the core hands scipy's dsyrk output to symmetric_eig as it comes:
+    # F-ordered, with the lower triangle of numpy's exactly symmetric
+    # q1.T @ q1 bit for bit, the one triangle dsyevd reads
+    qr, eig = gsvd.qr_reduced, gsvd.symmetric_eig
+    q1s, seen = [], []
+
+    def qr_spy(a):
+        q, r = qr(a)
+        q1s.append(np.ascontiguousarray(q[:m]))
+        return q, r
+
+    def eig_spy(s):
+        seen.append((s.flags.f_contiguous, np.tril(s)))
         return eig(s)
 
-    monkeypatch.setattr(gsvd, "symmetric_eig", spy)
+    monkeypatch.setattr(gsvd, "qr_reduced", qr_spy)
+    monkeypatch.setattr(gsvd, "symmetric_eig", eig_spy)
     a, l = make_gmp(m, p, n, seed=m + p + n)
     _gsvd_core([a, l])
-    assert seen == [True]
+    [q1], [(f_ordered, lower)] = q1s, seen
+    assert f_ordered
+    assert np.array_equal(lower, np.tril(q1.T @ q1))
+
+
+@pytest.mark.parametrize("m, p, n", [*CORE_SHAPES.values(), (100, 90, 90)], ids=[*CORE_SHAPES, "100x90"])
+def test_core_matches_parent_statement_order_bit_for_bit(make_gmp, m, p, n):
+    # the Gram matrix by scipy's dsyrk and X before U change no bit and no
+    # layout against numpy's q1.T @ q1 with U first; at 100 x 90 scipy's
+    # dgemm was seen to give U other bits, so U stays numpy's product
+    a, l = make_gmp(m, p, n, seed=m + p + n)
+    want = parent_core(a, l)
+    got = _gsvd_core([a, l])
+    for field in ("u", "x", "alpha", "beta"):
+        g, w = getattr(got, field), getattr(want, field)
+        assert np.array_equal(g, w), field
+        assert (g.flags.c_contiguous, g.flags.f_contiguous) == (w.flags.c_contiguous, w.flags.f_contiguous), field
 
 
 B = gsvd.NORM_BLOCK

@@ -92,17 +92,20 @@ def test_qr_reduced_forms_r_in_one_copy(rng):
 
 
 def test_symmetric_eig_orders_ascending(rng):
-    s = rng.standard_normal((9, 9))
-    s = s + s.T
-    s0 = s.copy()
+    s0 = rng.standard_normal((9, 9))
+    s0 = s0 + s0.T
+    # the contract is an F-ordered lower triangle: NaN above the diagonal
+    # is never read
+    s = np.asfortranarray(s0)
+    s[np.triu_indices(9, 1)] = np.nan
     values, vectors = symmetric_eig(s)
-    # the input is consumed: dsyevd runs in its buffer, with the bits it
-    # gives on a copy
-    assert not np.array_equal(s, s0)
     w0, v0 = scipy.linalg.eigh(s0, driver="evd")
     assert np.array_equal(values, w0) and np.array_equal(vectors, v0)
+    # the input is consumed: dsyevd leaves the vectors in its buffer, and
+    # they come back as a C-ordered copy
+    assert np.array_equal(s, v0)
+    assert vectors.flags.c_contiguous and not np.shares_memory(vectors, s)
     assert np.all(np.diff(values) >= 0)
-    assert vectors.flags.c_contiguous
     assert_allclose(vectors @ np.diag(values) @ vectors.T, s0, atol=1e-11)
     assert_allclose(vectors.T @ vectors, np.eye(9), atol=1e-12)
 
