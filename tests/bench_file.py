@@ -15,8 +15,16 @@ attempted and failed counts; the BLAS threads; and the per-layer metrics
 of one traced run (the lowest seed). The machine, less the commit, is
 stored once and must agree across files. Runs of the parent and of a
 change are measured alternately, each in its own checkout, and each
-checkout's directory gives one file. Not collected by pytest; it reads
-JSON only.
+checkout's directory gives one file.
+
+"compare PARENT.json CHANGE.json" reads two such records and prints, for
+each workload with untraced runs in both and each end-to-end metric, the
+two medians, the relative change of the median, the parent's IQR, and in
+how many runs paired by seed the change was lower, higher or equal:
+
+    python3 tests/bench_file.py compare BENCH_<parent>.json BENCH_<change>.json
+
+Not collected by pytest; it reads JSON only.
 """
 
 import json
@@ -82,9 +90,35 @@ def _dump(obj, level: int = 0) -> str:
     return "{\n" + items + "\n" + " " * level + "}"
 
 
+def compare(parent: dict, change: dict) -> list:
+    """Lines comparing the untraced end-to-end metrics of two records."""
+    lines = [f"parent {parent['commit'][:7]} -> change {change['commit'][:7]}"]
+    for name, old in parent["workloads"].items():
+        old, new = old.get("untraced"), change["workloads"].get(name, {}).get("untraced")
+        if not (old and new):
+            continue
+        seeds = sorted(set(old["seeds"]) & set(new["seeds"]))
+        lines.append(f"{name}: {len(seeds)} seed-paired runs")
+        for metric, was in old["metrics"].items():
+            now = new["metrics"][metric]
+            before, after = (dict(zip(rec["seeds"], m["values"])) for rec, m in ((old, was), (new, now)))
+            lower = sum(after[s] < before[s] for s in seeds)
+            higher = sum(after[s] > before[s] for s in seeds)
+            lines.append(
+                f"  {metric} {was['median']:.4g} -> {now['median']:.4g} "
+                f"({now['median'] / was['median'] - 1:+.1%}, parent IQR {was['iqr']:.3g}); "
+                f"lower {lower}, higher {higher}, equal {len(seeds) - lower - higher}"
+            )
+    return lines
+
+
 def main(argv: list) -> None:
+    if argv[:1] == ["compare"] and len(argv) == 3:
+        parent, change = (json.loads(Path(path).read_text()) for path in argv[1:])
+        print("\n".join(compare(parent, change)))
+        return
     if len(argv) not in (1, 2):
-        sys.exit(f"usage: {sys.argv[0]} OUTDIR [DEST_DIR]")
+        sys.exit(f"usage: {sys.argv[0]} OUTDIR [DEST_DIR] | compare PARENT.json CHANGE.json")
     commit, record = assemble(Path(argv[0]))
     dest = Path(argv[1] if len(argv) == 2 else ".") / f"BENCH_{commit[:7]}.json"
     dest.write_text(_dump({"commit": commit, **record}) + "\n")

@@ -65,12 +65,12 @@ def reference_gsvd(a, l) -> GsvdFactors:
 
 
 def parent_core(a, l) -> GsvdFactors:
-    """The library core's earlier statement order, on copies of a and l:
-    QR, rank check and packed R as now, then the Gram matrix q1.T @ q1 by
-    numpy's syrk (exactly symmetric, C-ordered), dsyevd on its F-ordered
-    transpose, U = q1 @ S by numpy and normalized, and only then R
-    unpacked for X = R^-1 S. Every BLAS call between the eigensolve and the
-    triangular solve runs in numpy, the rest in scipy."""
+    """The library core's earlier statement order, leaving a and l as they
+    are: QR, rank check and packed R as now, then the Gram matrix q1.T @ q1
+    by numpy's syrk (exactly symmetric, C-ordered), dsyevd on its F-ordered
+    transpose, U = q1 @ S by numpy and normalized, and only then R unpacked
+    for X = R^-1 S. numpy's BLAS forms the Gram matrix and U, scipy's the
+    rest."""
     m, n = a.shape
     rows = m + l.shape[0]
     stack = np.concatenate((a, l), out=np.empty((rows, n), order="F"))
