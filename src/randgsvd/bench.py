@@ -130,14 +130,7 @@ def _run_cell(
     if method == "exact":
         return solve_exact(prob, float(cfg.fixed_value)), time.perf_counter() - t0, 0, 0
     if method == "rgsvd":
-        # Stage two resamples a matrix whose rank stage one already pinned
-        # at l1, so its Frobenius-tail trigger fires a few columns early at
-        # the stage-one tolerance. The benchmark drives stage two to
-        # saturation instead, which reproduces the l2 == l1 behavior of the
-        # one-sided baselines this harness is compared against.
-        sampler = SamplerConfig(
-            epsilon=cfg.epsilon, blocksize=cfg.blocksize, seed=seed, stage2_epsilon=cfg.epsilon * 1e-6
-        )
+        sampler = SamplerConfig(epsilon=cfg.epsilon, blocksize=cfg.blocksize, seed=seed)
         source = rgsvd(prob.a, prob.l, cfg.epsilon, sampler)
     if cfg.selector == "fixed":
         param = float(cfg.fixed_value)

@@ -180,11 +180,6 @@ class GsvdFactors:
             arr.flags.writeable = False
         return terms
 
-    def beta_aligned(self) -> np.ndarray:
-        """beta values aligned with alpha entries (0.0 where beta absent),
-        as a copy the caller may modify."""
-        return self.filter_terms.beta.copy()
-
 
 # columns of U squared at a time by _column_norms
 NORM_BLOCK = 256

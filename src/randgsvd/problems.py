@@ -308,9 +308,9 @@ def add_noise(b, delta: float, seed: int) -> np.ndarray:
     |out - b| = delta * |b| exactly."""
     b = as_vector(b, "data")
     as_finite(delta, "delta", nonnegative=True)
+    gen = _philox(seed)  # refuses a seed that is not an integer >= 0, at any delta
     if delta == 0.0:
         return b.copy()
-    gen = _philox(seed)
     zeta = gen.standard_normal(b.shape[0])
     norm = np.linalg.norm(zeta)
     if norm == 0.0:

@@ -74,8 +74,10 @@ def rgsvd(a, l, epsilon: float, cfg: SamplerConfig) -> ApproxGsvd:
     Stage one sketches t = a (rows >= cols) or t = a.T (rows < cols) to
     tolerance epsilon, which must equal cfg.epsilon (basis B1, l1
     columns); stage two sketches t.T @ B1 (basis B2, l2 <= l1 columns,
-    fresh seed derived from cfg.seed, tolerance cfg.stage2_epsilon or
-    epsilon). The compressed pair
+    fresh seed derived from cfg.seed) to tolerance cfg.stage2_epsilon,
+    or epsilon * 1e-6 when that is None, which drives it to the rank stage
+    one found (l2 == l1) where epsilon itself can stop it a few columns
+    short. The compressed pair
     {P.T A Q, L Q} -- l1 x l2 and full column rank w.p. 1 on branch
     "over", l2 x l1 and full row rank w.p. 1 on branch "under", where it
     lands on the wide GSVD branch whenever l2 < l1 -- goes through the
@@ -108,9 +110,12 @@ def rgsvd(a, l, epsilon: float, cfg: SamplerConfig) -> ApproxGsvd:
     if l1:
         # stage two needs its target C-ordered to keep its own bits
         s = np.ascontiguousarray(matmul(t.T, basis1))
-        # a set stage2_epsilon is > 0, so "or" falls back only when it is None
-        st2 = replace(cfg, epsilon=cfg.stage2_epsilon or cfg.epsilon, seed=derive_stage_seed(cfg.seed))
-        stage2 = adaptive_range_finder(s, st2)
+        # t.T @ B1 has the rank l1 stage one pinned: at stage one's
+        # tolerance its trigger fires a few columns early, six decades
+        # tighter it runs to l2 == l1. A set stage2_epsilon is > 0, so "or"
+        # falls back only when it is None
+        epsilon2 = cfg.stage2_epsilon or cfg.epsilon * 1e-6
+        stage2 = adaptive_range_finder(s, replace(cfg, epsilon=epsilon2, seed=derive_stage_seed(cfg.seed)))
         basis2 = stage2.q
     l2 = basis2.shape[1]
     p, q = (basis1, basis2) if over else (basis2, basis1)

@@ -28,7 +28,6 @@ refused by the same check instead of yielding NaN basis columns.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,8 +67,10 @@ _WINDOW_ROW_MULTIPLE = 8
 
 
 def _philox(seed: int) -> np.random.Generator:
-    # a numpy integer seed would overflow in the mask
-    return np.random.Generator(np.random.Philox(key=operator.index(seed) & _MASK64))
+    # every seeded draw comes here: a seed that is not an integer >= 0 is
+    # refused, not wrapped modulo 2**64, and a numpy integer is taken as an
+    # int, which does not overflow in the mask
+    return np.random.Generator(np.random.Philox(key=as_int(seed, "seed", 0) & _MASK64))
 
 
 def derive_stage_seed(seed: int) -> int:
@@ -102,9 +103,10 @@ class SamplerConfig:
                       calls for epsilon * c to stop at the same column
     blocksize      -- columns sketched per adaptive step, an integer
     seed           -- 64-bit base seed, an integer; block i uses seed XOR i
-    stage2_epsilon -- optional override for the second stage of the
-                      two-sided factorization (defaults to the stage-one
-                      tolerance)
+    stage2_epsilon -- tolerance of the second stage of the two-sided
+                      factorization, finite and > 0; None (the default)
+                      gives epsilon * 1e-6, which drives stage two to the
+                      rank stage one found (see rgsvd)
     """
 
     epsilon: float
@@ -157,10 +159,11 @@ def _block_widths(n: int, blocksize: int) -> list[int]:
 def _sample_blocks(a, blocksize: int, seed: int):
     """Yield (pass number, a @ Omega_i) for every test block in order.
 
-    On a target of at least _WINDOW_MIN_BYTES that is C-ordered, or a
-    transposed view whose row count is a multiple of _WINDOW_ROW_MULTIPLE,
-    consecutive blocks spanning up to _WINDOW_COLUMNS columns are
-    multiplied in one pass. The window goes
+    This is the window rule. On a target of at least _WINDOW_MIN_BYTES
+    (8 MiB) that is C-ordered, or a transposed view whose row count is a
+    multiple of _WINDOW_ROW_MULTIPLE (8), consecutive blocks spanning up to
+    _WINDOW_COLUMNS (16) columns are multiplied in one pass; elsewhere each
+    pass forms one block. The window goes
     through linalg.matmul as each block's own product does, and each
     block's slice is copied out in that product's layout (C order on a
     C-ordered target, F order on a transposed view), so the caller sees the
@@ -221,14 +224,12 @@ def adaptive_range_finder(a, cfg: SamplerConfig) -> RangeBasis:
     of n columns, so a block never spans the whole target unless it has
     one column; the last block takes what is left.
 
-    The products are formed in passes over a: on a target of at least
-    8 MiB that is C-ordered, or a transposed view whose row count is a
-    multiple of 8, one pass multiplies up to 16 columns' worth of
-    consecutive blocks (a width-1 block alone), at about the cost of one
-    block's product, since reading a dominates it; elsewhere each pass
-    forms one block. Either way each Y_i has the bits of its own product,
-    so q, blocks_consumed and triggered_diag do not depend on the
-    grouping, and RangeBasis.passes reports the number of products.
+    The products are formed in passes over a. Where the window rule
+    (stated at _sample_blocks) allows, one pass forms several consecutive
+    blocks at about the cost of one block's product, since reading a
+    dominates it. Either way each Y_i has the bits of its own product, so
+    q, blocks_consumed and triggered_diag do not depend on the grouping,
+    and RangeBasis.passes reports the number of products.
 
     a is not scanned for finiteness. Each Y_i is checked as it is examined
     (rows x blocksize entries), and the first non-finite one raises

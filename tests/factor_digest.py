@@ -36,6 +36,10 @@ moves of each selector. It imports neither numpy nor the package:
 "kernels" runs the seven quadrature kernels at n in {512, 2048}, square and
 row-truncated to m = n/2, sketch and noise seeds 0-2, stage2_epsilon in
 {1e-8, None} and blocksize in {1, 3, 4}, at 1 BLAS thread (504 cases).
+At EPSILON = 1e-2 an unset stage2_epsilon gives stage two EPSILON * 1e-6,
+exactly 1e-8, so the two settings are one configuration, digested under
+two keys; the e2=None keys stay so that a tree whose unset stage2_epsilon
+reused epsilon still lines up with this one in a diff.
 "under" runs the same grid on the seven kernels at n = 2052 row-truncated
 to m = 1026, also at 1 thread (126 cases): stage one then sketches a
 16.8 MB transposed view whose 2052 rows are not a multiple of 8, the other

@@ -54,7 +54,7 @@ def truncation_depths(factors):
     """The depth at which each direction enters TGSVD: beta = 0 directions
     at 0 (always kept), the finite generalized values with alpha > 0 from
     the largest down at 1, 2, ..., alpha = 0 directions never (inf)."""
-    beta = factors.beta_aligned()
+    beta = factors.filter_terms.beta
     gamma = np.full(factors.alpha.shape[0], np.inf)
     finite = beta > 0.0
     gamma[finite] = factors.alpha[finite] / beta[finite]

@@ -51,14 +51,6 @@ def _report(num, name, detail):
     print(f"criterion {num:02d} ({name}): PASS — {detail}")
 
 
-def _sketch_cfg(seed, epsilon=1e-2, blocksize=4):
-    # stage two saturates the rank stage one pinned down (the benchmark's
-    # configuration; see bench._run_cell)
-    return SamplerConfig(
-        epsilon=epsilon, blocksize=blocksize, seed=seed, stage2_epsilon=epsilon * 1e-6
-    )
-
-
 def test_criterion_01_exact_gsvd_identities():
     t0 = time.perf_counter()
     rng = np.random.default_rng(101)
@@ -77,7 +69,7 @@ def test_criterion_01_exact_gsvd_identities():
         scale = max(np.linalg.norm(pair.a), np.linalg.norm(pair.l), 1.0)
         err_a, err_l = reconstruct(factors, pair)
         worst_rel = max(worst_rel, err_a / scale, err_l / scale)
-        unit = np.max(np.abs(factors.alpha**2 + factors.beta_aligned() ** 2 - 1.0))
+        unit = np.max(np.abs(factors.alpha**2 + factors.filter_terms.beta**2 - 1.0))
         worst_unit = max(worst_unit, unit)
     elapsed = time.perf_counter() - t0
     assert worst_rel <= 1e-8
@@ -113,7 +105,7 @@ def test_criterion_02_oracle_equivalence():
     worst = 0.0
     for prob in instances:
         factors = gsvd_full_rank(GmpPair(prob.a, prob.l), check_rank=False)
-        approx = rgsvd(prob.a, prob.l, 1e-12, _sketch_cfg(0, epsilon=1e-12))
+        approx = rgsvd(prob.a, prob.l, 1e-12, SamplerConfig(epsilon=1e-12, seed=0))
         for lam in lams:
             x_ref = solve_exact(prob, lam).x
             ref = np.linalg.norm(x_ref)
@@ -127,7 +119,7 @@ def test_criterion_02_oracle_equivalence():
     a = rng.standard_normal((60, 90))
     l = first_difference(90)
     b = rng.standard_normal(60)
-    approx = rgsvd(a, l, 1e-12, _sketch_cfg(0, epsilon=1e-12))
+    approx = rgsvd(a, l, 1e-12, SamplerConfig(epsilon=1e-12, seed=0))
     worst_under = 0.0
     for lam in lams:
         stacked = np.vstack([a @ approx.q, lam * (l @ approx.q)])
@@ -191,7 +183,7 @@ def test_criterion_05_reference_table_band():
         rels, l1s, l2s = [], [], []
         for seed in SEEDS:
             b = add_noise(clean.b, 1e-3, seed)
-            approx = rgsvd(clean.a, clean.l, 1e-2, _sketch_cfg(seed))
+            approx = rgsvd(clean.a, clean.l, 1e-2, SamplerConfig(epsilon=1e-2, seed=seed))
             lam, _ = gcv_lambda(approx, b)
             sol = solve_rgsvd(approx, b, lam, x_true=clean.x_true)
             rels.append(sol.rel_error)
@@ -218,7 +210,7 @@ def test_criterion_06_speedup_over_dense():
     solve_gsvd(factors, b, lam)
     t_dense = time.perf_counter() - t_d
     t_s = time.perf_counter()
-    approx = rgsvd(clean.a, clean.l, 1e-2, _sketch_cfg(0))
+    approx = rgsvd(clean.a, clean.l, 1e-2, SamplerConfig(epsilon=1e-2, seed=0))
     lam_s, _ = gcv_lambda(approx, b)
     solve_rgsvd(approx, b, lam_s)
     t_sketch = time.perf_counter() - t_s
@@ -234,7 +226,7 @@ def test_criterion_07_underdetermined_path():
     rels, l1s, l2s = [], [], []
     for seed in SEEDS:
         prob = generate(TestProblemSpec(name="shaw", n=2048, m=1024, delta=1e-3, seed=seed))
-        approx = rgsvd(prob.a, prob.l, 1e-2, _sketch_cfg(seed))
+        approx = rgsvd(prob.a, prob.l, 1e-2, SamplerConfig(epsilon=1e-2, seed=seed))
         assert approx.branch == "under"
         lam, _ = gcv_lambda(approx, prob.b)
         sol = solve_rgsvd(approx, prob.b, lam, x_true=prob.x_true)
@@ -287,7 +279,7 @@ def test_criterion_09_tomography():
     prob = generate(TestProblemSpec(name="tomo", n=50, delta=0.0, seed=0))
     assert prob.a.shape == (3000, 2500)
     t0 = time.perf_counter()
-    approx = rgsvd(prob.a, prob.l, 1e-2, _sketch_cfg(0, blocksize=64))
+    approx = rgsvd(prob.a, prob.l, 1e-2, SamplerConfig(epsilon=1e-2, blocksize=64, seed=0))
     lam, _ = gcv_lambda(approx, prob.b)
     sol = solve_rgsvd(approx, prob.b, lam, x_true=prob.x_true)
     t_solve = time.perf_counter() - t0

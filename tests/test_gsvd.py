@@ -11,7 +11,6 @@ from randgsvd import gsvd
 from randgsvd.gsvd import GmpPair, GmpViolationError, _column_norms, _gsvd_core, gsvd_full_rank
 from randgsvd.linalg import DimensionError, RankDeficiencyError, dense
 from randgsvd.problems import first_difference
-from randgsvd.tikhonov import tikhonov_filters
 
 
 def _check_identities(pair, factors, tol=1e-10):
@@ -28,7 +27,7 @@ def _check_identities(pair, factors, tol=1e-10):
     if nb:
         assert_allclose(v1.T @ v1, np.eye(nb), atol=1e-10)
     # normalization: alpha_i^2 + beta_i^2 = 1 on the overlap
-    ab = factors.beta_aligned()
+    ab = factors.filter_terms.beta
     assert np.max(np.abs(factors.alpha**2 + ab**2 - 1.0)) <= 1e-12
     assert np.all(np.diff(factors.alpha) >= -1e-14)
 
@@ -78,12 +77,12 @@ def test_beta_zero_block_from_regularizer_null_space(rng):
     factors = gsvd_full_rank(pair)
     assert factors.beta.size == n - 1  # r = 1
     assert np.all(factors.beta > 0)
-    beta = factors.beta_aligned()  # the one beta = 0 direction is the last
+    beta = factors.filter_terms.beta  # the one beta = 0 direction is the last
     assert beta[-1] == 0.0 and np.all(beta[:-1] > 0)
     _check_identities(pair, factors)
 
 
-def test_filter_terms_are_read_only_and_beta_aligned_is_a_copy(rng):
+def test_filter_terms_are_read_only_and_formed_once(rng):
     # wide branch with a beta = 0 tail: offset 3, beta has n - 1 entries
     n = 12
     a = rng.standard_normal((9, n))
@@ -96,14 +95,8 @@ def test_filter_terms_are_read_only_and_beta_aligned_is_a_copy(rng):
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = arr[0]
-    want = beta_aligned_where(factors)  # the gather that formed it before
-    beta = factors.beta_aligned()
-    assert_array_equal(beta, want)
-    assert_array_equal(terms.beta, want)
-    filters = tikhonov_filters(factors, 0.1)
-    beta[:] = 0.0
-    assert_array_equal(factors.beta_aligned(), want)
-    assert_array_equal(tikhonov_filters(factors, 0.1), filters)
+    # the gather that formed aligned beta before
+    assert_array_equal(terms.beta, beta_aligned_where(factors))
 
 
 def test_gmp_violation_detected():

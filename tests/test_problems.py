@@ -29,7 +29,7 @@ from randgsvd.problems import (
     shaw_matrix,
 )
 from randgsvd.rgsvd import rgsvd
-from randgsvd.sampling import SamplerConfig
+from randgsvd.sampling import SamplerConfig, uniform_test_matrix
 from randgsvd.tikhonov import solve_exact, solve_gsvd
 
 # frozen from oracle_quadrature.py at n = 16 (independent scalar/adaptive
@@ -217,7 +217,7 @@ def test_numpy_integers_give_the_bits_of_python_ints():
     assert_array_equal(got.a, ref.a)
     assert_array_equal(got.b, ref.b)
     assert_array_equal(add_noise(ref.b, 1e-2, np.int64(5)), add_noise(ref.b, 1e-2, 5))
-    assert_array_equal(add_noise(ref.b, 1e-2, np.uint64(2**64 - 1)), add_noise(ref.b, 1e-2, -1))
+    assert_array_equal(add_noise(ref.b, 1e-2, np.uint64(2**64 - 1)), add_noise(ref.b, 1e-2, 2**64 - 1))
     assert_array_equal(phantom(8, np.int64(2)), phantom(8, 2))
 
 
@@ -250,6 +250,10 @@ INT_FIELDS = {
     "parallel_tomo.n_grid": (lambda v: parallel_tomo(v, [0.0], 2)[0].toarray(), "n_grid", 2),
     "parallel_tomo.rays": (lambda v: parallel_tomo(2, [0.0], v)[0].toarray(), "rays", 1),
     "phantom.n_grid": (lambda v: phantom(v), "n_grid", 1),
+    # the seeded draws, refused in sampling._philox, which all three go through
+    "add_noise.seed": (lambda v: add_noise(np.ones(4), 1e-3, v), "seed", 0),
+    "uniform_test_matrix.seed": (lambda v: uniform_test_matrix(4, 2, v), "seed", 0),
+    "phantom.seed": (lambda v: phantom(4, v), "seed", 0),
 }
 FINITE_FIELDS = {
     "delta": (lambda v: TestProblemSpec(name="shaw", n=64, delta=v).delta, "delta", "nonnegative"),

@@ -99,7 +99,7 @@ def test_sparse_regularizer_matches_dense_bitwise(rows):
     # the dense product makes, so every factor is identical
     a = shaw_matrix(64)[0][:rows]
     l = first_difference(64)
-    cfg = SamplerConfig(epsilon=1e-6, blocksize=4, seed=3, stage2_epsilon=1e-12)
+    cfg = SamplerConfig(epsilon=1e-6, blocksize=4, seed=3)
     sparse, dense = (rgsvd(a, reg, 1e-6, cfg) for reg in (l, l.toarray()))
     assert sparse.branch == ("over" if rows == 64 else "under")
     assert sparse.l2 > 0
@@ -171,6 +171,26 @@ def test_filter_and_pinv_paths_agree(rng, stage2_epsilon):
         assert np.linalg.norm(s1.x - s2.x) <= 1e-8 * max(1.0, np.linalg.norm(s1.x))
         assert s1.residual_norm == pytest.approx(s2.residual_norm, rel=1e-6, abs=1e-10)
         assert s1.seminorm == pytest.approx(s2.seminorm, rel=1e-6, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "m, blocksize, want", [(512, 4, (8, 7)), (256, 3, (6, 4))], ids=["over", "under"]
+)
+def test_default_stage_two_runs_to_the_rank_stage_one_found(m, blocksize, want):
+    # shaw at n = 512, sketch seed 0: at the stage-one tolerance stage two
+    # stops short, (l1, l2) == want. Left unset, stage two runs at
+    # epsilon * 1e-6, with the bits of setting that, and keeps every column
+    # stage one found
+    prob = generate(TestProblemSpec(name="shaw", n=512, m=m))
+    cfgs = (SamplerConfig(epsilon=1e-2, blocksize=blocksize, stage2_epsilon=e2) for e2 in (1e-2, None, 1e-8))
+    short, default, tight = (rgsvd(prob.a, prob.l, 1e-2, cfg) for cfg in cfgs)
+    assert (short.l1, short.l2) == want
+    assert default.l2 == default.l1 == want[0]
+    assert default.stage2.epsilon == 1e-8  # 1e-2 * 1e-6, exactly
+    for field in ("p", "q"):
+        assert_array_equal(getattr(default, field), getattr(tight, field))
+    for field in ("u", "x", "alpha", "beta"):
+        assert_array_equal(getattr(default.inner, field), getattr(tight.inner, field))
 
 
 def test_low_rank_saturation(rng):

@@ -72,7 +72,7 @@ def test_ambient_gcv_reads_the_residual_solve_rgsvd_reports():
     # the grid's lower edge (1e-10 here)
     prob = generate(TestProblemSpec(name="shaw", n=256, delta=0.0))
     b = add_noise(prob.b, 1e-3, 0)
-    cfg = SamplerConfig(epsilon=1e-2, blocksize=4, seed=0, stage2_epsilon=1e-8)
+    cfg = SamplerConfig(epsilon=1e-2, blocksize=4, seed=0)
     approx = rgsvd(prob.a, prob.l, 1e-2, cfg)
     assert approx.l1 == approx.l2
     lam, g = gcv_lambda(approx, b, rows="ambient")
@@ -167,7 +167,7 @@ def test_truncation_gcv_names_projected_row_count_on_single_column_sketch():
     # at least one direction, so no depth leaves a degree of freedom
     prob = generate(TestProblemSpec(name="deriv2", n=512, m=256))
     b = add_noise(prob.b, 1e-3, 1)
-    cfg = SamplerConfig(epsilon=1e-2, blocksize=4, seed=1, stage2_epsilon=1e-8)
+    cfg = SamplerConfig(epsilon=1e-2, blocksize=4, seed=1)
     approx = rgsvd(prob.a, prob.l, 1e-2, cfg)
     assert (approx.l1, approx.l2, approx.branch) == (1, 1, "under")
     with pytest.raises(SelectionError, match=r"rows='projected', m_hat = 1 .*rows='ambient'"):

@@ -32,7 +32,7 @@ SEEDS = (0, 1, 2)
 def _sources(name, m):
     prob = generate(TestProblemSpec(name=name, n=N, m=None if m == N else m))
     sources = [
-        rgsvd(prob.a, prob.l, EPSILON, SamplerConfig(epsilon=EPSILON, seed=s, stage2_epsilon=1e-8))
+        rgsvd(prob.a, prob.l, EPSILON, SamplerConfig(epsilon=EPSILON, seed=s))
         for s in SEEDS
     ]
     if m == N:
@@ -124,7 +124,7 @@ def _filter_cases():
     directions, a beta = 0 tail and the wide branch's offset."""
     shaw = generate(TestProblemSpec(name="shaw", n=64, delta=0.0))
     under = generate(TestProblemSpec(name="shaw", n=128, m=64, delta=0.0))
-    cfg = SamplerConfig(epsilon=EPSILON, seed=0, stage2_epsilon=1e-8)
+    cfg = SamplerConfig(epsilon=EPSILON, seed=0)
     rng = np.random.default_rng(5)
     low_rank = rng.standard_normal((10, 4)) @ rng.standard_normal((4, 10))
     dead = gsvd_full_rank(GmpPair(low_rank, np.eye(10)), check_rank=False)
