@@ -241,9 +241,12 @@ def adaptive_range_finder(a, cfg: SamplerConfig) -> RangeBasis:
     formed past the stop are not examined, so the outcome does not depend
     on the grouping either.
 
-    Returns a RangeBasis whose column count l satisfies
-    0 <= l <= min(a.shape); l == 0 means the very first sample column was
-    already below tolerance (e.g. a zero matrix).
+    The basis grows in place in one buffer; the comment at the loop states
+    how, and why a width-1 block deflates against a copy. A block adds at
+    most the columns the basis lacks to min(a.shape), so the returned
+    RangeBasis has a column count l with 0 <= l <= min(a.shape); l == 0
+    means the very first sample column was already below tolerance (e.g. a
+    zero matrix).
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
@@ -253,8 +256,16 @@ def adaptive_range_finder(a, cfg: SamplerConfig) -> RangeBasis:
         raise DimensionError("range finder target must have at least one column")
     blocksize = min(cfg.blocksize, max(n - 1, 1))
 
-    q = np.empty((m, 0))
-    blocks_consumed = passes = 0
+    # The basis grows in place: its l columns are the leading columns of
+    # one C-ordered (m, cap) buffer, whose capacity doubles when a block
+    # needs room, up to min(m, n) columns, which also caps what a block may
+    # add. The deflation reads buf[:, :l] as a strided view, on which gemm
+    # gives the bits of a contiguous copy. A width-1 block is the exception:
+    # numpy forms its (m, 1) products with gemv, whose bits on the strided
+    # view differ, so it deflates against a contiguous copy of the basis.
+    l_max = min(m, n)
+    buf = np.empty((m, 0))
+    l = blocks_consumed = passes = 0
     triggered: float | None = None
 
     for passes, y in _sample_blocks(a, blocksize, cfg.seed):
@@ -263,7 +274,8 @@ def adaptive_range_finder(a, cfg: SamplerConfig) -> RangeBasis:
                 f"range finder target gives a non-finite sketch in block {blocks_consumed + 1}: "
                 "it holds a NaN or inf entry, or its sketch overflows"
             )
-        if q.shape[1]:
+        if l:
+            q = buf[:, :l] if y.shape[1] > 1 else np.ascontiguousarray(buf[:, :l])
             # two deflation passes keep the new block orthogonal to q at
             # working precision even when it is nearly contained in range(q)
             y -= q @ (q.T @ y)
@@ -272,15 +284,21 @@ def adaptive_range_finder(a, cfg: SamplerConfig) -> RangeBasis:
         blocks_consumed += 1
         diag = np.abs(np.diag(r))
         below = np.flatnonzero(diag <= cfg.epsilon)
-        if below.size:
-            keep = int(below[0])
+        keep = int(below[0]) if below.size else p.shape[1]
+        if below.size and keep <= l_max - l:
             triggered = float(diag[keep])
-            q = np.hstack([q, p[:, :keep]])
-            break
-        q = np.hstack([q, p])
-        if q.shape[1] >= min(m, n):
+        keep = min(keep, l_max - l)
+        if l + keep > buf.shape[1]:
+            grown = np.empty((m, min(max(2 * buf.shape[1], l + keep), l_max)))
+            grown[:, :l] = buf[:, :l]
+            buf = grown
+        buf[:, l : l + keep] = p[:, :keep]
+        l += keep
+        if below.size or l == l_max:
             break
 
+    # no copy when the basis fills the buffer
+    q = np.ascontiguousarray(buf[:, :l])
     return RangeBasis(
         q=q,
         epsilon=cfg.epsilon,

@@ -8,7 +8,9 @@ the squared Frobenius norm of F @ (C.T @ Omega) @ G has expectation
 mean to that target.
 
 per_block_range_finder is the adaptive range finder with one product per
-test block, which adaptive_range_finder must match bit for bit.
+test block and one np.hstack per kept block, which adaptive_range_finder
+must match bit for bit. Like it, a block adds at most the columns the
+basis lacks to min(a.shape).
 """
 
 import numpy as np
@@ -42,13 +44,15 @@ def per_block_range_finder(a, cfg: SamplerConfig) -> tuple[np.ndarray, int, floa
         blocks += 1
         diag = np.abs(np.diag(r))
         below = np.flatnonzero(diag <= cfg.epsilon)
+        room = min(m, n) - q.shape[1]
         if below.size:
             keep = int(below[0])
-            triggered = float(diag[keep])
-            q = np.hstack([q, p[:, :keep]])
+            if keep <= room:
+                triggered = float(diag[keep])
+            q = np.hstack([q, p[:, : min(keep, room)]])
             break
-        q = np.hstack([q, p])
-        if q.shape[1] >= min(m, n):
+        q = np.hstack([q, p[:, :room]])
+        if q.shape[1] == min(m, n):
             break
     return q, blocks, triggered
 

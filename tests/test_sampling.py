@@ -128,6 +128,20 @@ def test_blocksize_must_fit():
     assert basis.ncols == 1
 
 
+def test_wide_target_basis_stops_at_its_row_count():
+    # on a wide target the deflated blocks past the m-th column are rounding
+    # noise, which the scale lifts above epsilon; the basis is still capped
+    # at min(a.shape) = 10 columns and stays orthonormal
+    a = np.random.default_rng(0).standard_normal((10, 100)) * 1e12
+    cfg = SamplerConfig(epsilon=1e-3, blocksize=4, seed=0)
+    basis = adaptive_range_finder(a, cfg)
+    assert basis.ncols == 10 and basis.triggered_diag is None
+    assert_allclose(basis.q.T @ basis.q, np.eye(10), atol=1e-12)
+    q, blocks, triggered = per_block_range_finder(a, cfg)
+    assert_array_equal(basis.q, q)
+    assert (basis.blocks_consumed, basis.triggered_diag) == (blocks, triggered)
+
+
 def test_passes_count_products_with_the_target():
     cfg = SamplerConfig(epsilon=1e-2, blocksize=4, seed=0)
     a, _ = phillips_matrix(2048)
@@ -182,6 +196,40 @@ def test_windowed_passes_match_per_block_oracle(window_target, layout, blocksize
         assert basis.passes == blocks
     else:
         assert basis.passes < blocks
+
+
+# The basis grows in a buffer that deflation reads as a strided view. Every
+# case runs one product per block, and the basis ends below the buffer's
+# capacity ("rank" runs, which stop early) or fills it ("full" runs):
+# blocksize 1 deflates every block through gemv, on a contiguous copy; the
+# 2048 x 30 target is under _WINDOW_MIN_BYTES, like stage two's A.T P; and
+# blocksize 64 on 600 columns grows the buffer four times.
+@pytest.mark.parametrize(
+    "shape, blocksize, rank",
+    [
+        ((2048, 30), 1, 20),
+        ((2048, 30), 1, 30),
+        ((2048, 30), 4, 21),
+        ((2048, 30), 4, 30),
+        ((2500, 600), 64, 450),
+        ((2500, 600), 64, 600),
+    ],
+    ids=["bs1-stop", "bs1-full", "small-stop", "small-full", "bs64-stop", "bs64-full"],
+)
+def test_basis_buffer_matches_per_block_oracle(shape, blocksize, rank):
+    rng = np.random.default_rng(11)
+    m, n = shape
+    a = rng.standard_normal(shape)
+    if rank < n:
+        a = a[:, :rank] @ rng.standard_normal((rank, n))
+    cfg = SamplerConfig(epsilon=1e-6, blocksize=blocksize, seed=4)
+    q, blocks, triggered = per_block_range_finder(a, cfg)
+    basis = adaptive_range_finder(a, cfg)
+    assert_array_equal(basis.q, q)
+    assert basis.q.flags.c_contiguous
+    assert (basis.blocks_consumed, basis.triggered_diag) == (blocks, triggered)
+    assert basis.ncols == rank and basis.passes == blocks
+    assert (triggered is None) == (rank == n)
 
 
 @pytest.mark.parametrize(
