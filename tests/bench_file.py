@@ -19,10 +19,17 @@ checkout's directory gives one file.
 
 "compare PARENT.json CHANGE.json" reads two such records and prints, for
 each workload with untraced runs in both and each end-to-end metric, the
-two medians, the relative change of the median, the parent's IQR, and in
-how many runs paired by seed the change was lower, higher or equal:
+two medians, the relative change of the median, the parent's IQR, in how
+many runs paired by seed the change was lower, higher or equal, and a
+verdict under the metric's direction and bound in BENCHMARK.json:
 
     python3 tests/bench_file.py compare BENCH_<parent>.json BENCH_<change>.json
+
+The verdict is "gain shown" when at least 10 runs are paired, the change
+is better in at least 9/10 of them (ties count for neither), and the
+medians differ the better way by more than the parent's IQR; "worse" when
+the change's median is worse than the parent's by more than the bound, a
+fraction of the parent's median; and "within bound" otherwise.
 
 Not collected by pytest; it reads JSON only.
 """
@@ -90,8 +97,21 @@ def _dump(obj, level: int = 0) -> str:
     return "{\n" + items + "\n" + " " * level + "}"
 
 
-def compare(parent: dict, change: dict) -> list:
-    """Lines comparing the untraced end-to-end metrics of two records."""
+def _verdict(was: float, now: float, iqr: float, better: int, pairs: int, spec: dict) -> str:
+    """Verdict on medians was -> now, better in `better` of `pairs` runs."""
+    gain = (was - now) if spec["better"] == "lower" else (now - was)
+    if -gain > spec["bound"] * abs(was):
+        return f"worse, past the {spec['bound']:.0%} bound"
+    if pairs >= 10 and 10 * better >= 9 * pairs and gain > iqr:
+        return "gain shown"
+    return f"within the {spec['bound']:.0%} bound"
+
+
+def compare(parent: dict, change: dict, specs: dict) -> list:
+    """Lines comparing the untraced end-to-end metrics of two records.
+
+    specs maps each metric to its BENCHMARK.json entry ("better", "bound").
+    """
     lines = [f"parent {parent['commit'][:7]} -> change {change['commit'][:7]}"]
     for name, old in parent["workloads"].items():
         old, new = old.get("untraced"), change["workloads"].get(name, {}).get("untraced")
@@ -104,10 +124,13 @@ def compare(parent: dict, change: dict) -> list:
             before, after = (dict(zip(rec["seeds"], m["values"])) for rec, m in ((old, was), (new, now)))
             lower = sum(after[s] < before[s] for s in seeds)
             higher = sum(after[s] > before[s] for s in seeds)
+            spec = specs[metric]
+            verdict = _verdict(was["median"], now["median"], was["iqr"],
+                               lower if spec["better"] == "lower" else higher, len(seeds), spec)
             lines.append(
                 f"  {metric} {was['median']:.4g} -> {now['median']:.4g} "
                 f"({now['median'] / was['median'] - 1:+.1%}, parent IQR {was['iqr']:.3g}); "
-                f"lower {lower}, higher {higher}, equal {len(seeds) - lower - higher}"
+                f"lower {lower}, higher {higher}, equal {len(seeds) - lower - higher}: {verdict}"
             )
     return lines
 
@@ -115,7 +138,8 @@ def compare(parent: dict, change: dict) -> list:
 def main(argv: list) -> None:
     if argv[:1] == ["compare"] and len(argv) == 3:
         parent, change = (json.loads(Path(path).read_text()) for path in argv[1:])
-        print("\n".join(compare(parent, change)))
+        benchmark = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+        print("\n".join(compare(parent, change, {m["name"]: m for m in benchmark["end_to_end"]})))
         return
     if len(argv) not in (1, 2):
         sys.exit(f"usage: {sys.argv[0]} OUTDIR [DEST_DIR] | compare PARENT.json CHANGE.json")

@@ -29,5 +29,45 @@ def test_compare_pairs_runs_by_seed(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "parent aaaaaaa -> change bbbbbbb",
         "dense: 3 seed-paired runs",
-        "  cell_per_probe 20 -> 20 (+0.0%, parent IQR 0.5); lower 2, higher 0, equal 1",
+        "  cell_per_probe 20 -> 20 (+0.0%, parent IQR 0.5); lower 2, higher 0, equal 1: within the 25% bound",
     ]
+
+
+def _untraced(seeds, values, iqr):
+    metric = {"unit": "MB", "median": sorted(values)[len(values) // 2], "iqr": iqr, "values": values}
+    return {"untraced": {"seeds": seeds, "metrics": {"peak_rss_mb": metric}}}
+
+
+def test_compare_verdicts_follow_pairs_iqr_and_bound():
+    seeds = list(range(10))
+    before = [100.0 + s for s in seeds]
+    parent = {"commit": "a" * 40, "workloads": {
+        name: _untraced(seeds, before, iqr=4.5) for name in ("shown", "pairs", "iqr", "worse", "few")
+    }}
+    lower = [v - 6 for v in before]
+    change = {"commit": "b" * 40, "workloads": {
+        # lower in 9 of 10 pairs, medians 6 apart against an IQR of 4.5
+        "shown": _untraced(seeds, lower[:9] + [before[9]], iqr=4.5),
+        # lower in 8 of 10
+        "pairs": _untraced(seeds, lower[:8] + before[8:], iqr=4.5),
+        # lower in all 10, but by less than the parent's IQR
+        "iqr": _untraced(seeds, [v - 4 for v in before], iqr=4.5),
+        # 12 % higher, past the 10 % bound
+        "worse": _untraced(seeds, [v * 1.12 for v in before], iqr=4.5),
+        # lower in all of 5 pairs: too few to show a gain
+        "few": _untraced(seeds[:5], lower[:5], iqr=4.5),
+    }}
+    specs = {"peak_rss_mb": {"better": "lower", "bound": 0.1}}
+    verdicts = [line.rsplit(": ", 1)[1] for line in bench_file.compare(parent, change, specs) if "peak" in line]
+    assert verdicts == [
+        "gain shown",
+        "within the 10% bound",
+        "within the 10% bound",
+        "worse, past the 10% bound",
+        "within the 10% bound",
+    ]
+    # where higher is better, the 12 % rise is a gain
+    specs = {"peak_rss_mb": {"better": "higher", "bound": 0.1}}
+    only = {name: {**rec, "workloads": {"worse": rec["workloads"]["worse"]}} for name, rec in
+            (("parent", parent), ("change", change))}
+    assert bench_file.compare(only["parent"], only["change"], specs)[-1].endswith(": gain shown")
