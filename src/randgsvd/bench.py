@@ -20,7 +20,7 @@ import os
 import time
 from dataclasses import dataclass, replace
 
-from .gsvd import GmpPair, GsvdFactors, gsvd_full_rank
+from .gsvd import GsvdFactors, gsvd_full_rank
 from .linalg import as_finite, as_int
 from .problems import QUADRATURE_PROBLEMS, TestProblemSpec, add_noise, generate
 from .rgsvd import rgsvd
@@ -169,13 +169,10 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRecord]:
 
     @functools.cache
     def factored(name: str) -> tuple[GsvdFactors, float]:
-        # A and L do not depend on the seed, tomography's included; the
-        # core refuses a rank-deficient stack and frees the dense copy of
-        # the sparse L once stacked
+        # A and L do not depend on the seed, tomography's included
         prob = instance(name, cfg.seeds[0])
-        pair = GmpPair(prob.a, prob.l)
         t0 = time.perf_counter()
-        factors = gsvd_full_rank(pair, check_rank=False)
+        factors = gsvd_full_rank(prob, check_rank=False)
         return factors, time.perf_counter() - t0
 
     prepare_outputs(cfg)

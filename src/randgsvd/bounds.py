@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gsvd import GmpPair, gsvd_full_rank
+from .gsvd import gsvd_full_rank
 from .linalg import as_finite, dense
 from .rgsvd import ApproxGsvd
 from .tikhonov import TikhonovProblem, solve_exact, solve_gsvd
@@ -117,8 +117,7 @@ def error_bound_diagnostics(
         aq = a @ q
         eps1 = _sv(a - aq @ q.T)[0]
         eps2 = _sv(aq - pb @ (pb.T @ aq))[0]
-        # solve_exact above, and the core itself, refuse a rank-deficient stack
-        x_all = gsvd_full_rank(GmpPair(a, l), check_rank=False).x
+        x_all = gsvd_full_rank(prob, check_rank=False).x
         x1 = x_all[:, : max(n - approx.l1, 0)]
         gamma2 = _sv(x1)[0] / _sv(x_all)[-1]
         rhs = _C0 * eps2 * xi * pinv_norm * nu

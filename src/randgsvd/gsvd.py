@@ -16,28 +16,6 @@ Q1.T @ Q1 = S diag(psi) S.T (psi ascending in [0, 1]), the columns of
 X = R^-1 S simultaneously diagonalize both Gram matrices, alpha = sqrt(psi)
 on the branch's index window, and beta = sqrt(1 - psi) wherever psi < 1.
 
-The core keeps only what it still needs. It takes the pair in a list that
-it empties, so a pair formed for it alone (rgsvd's compressed pair) is
-freed once stacked. The stack is factored in place in one F-ordered
-buffer, of which only Q1 is copied out, and R is one n x n copy. R is not
-read during the eigensolve, so it is held packed, its upper triangle in
-n(n+1)/2 entries, from the rank check until the triangular solve, which
-runs on the same values unpacked. dsyevd runs in the buffer of the Gram
-matrix Q1.T @ Q1, whose lower triangle scipy's dsyrk forms F-ordered, with
-the bits of numpy's syrk; nothing holds that buffer once the eigensolve
-returns. Q1 goes once U is formed, and U's column norms are taken a block
-of columns at a time. What remains at the peak is dsyevd's 2N^2 workspace
-beside Q1, the packed R and the Gram matrix: 2.01 copies of a 1500 x 600
-stack under tracemalloc, against 2.21 with R held full.
-
-numpy and scipy each load their own OpenBLAS, each with its own thread
-pool, whose workers keep spinning for a while after every call; a switch
-from one library to the other leaves the old pool spinning against the
-new one. So QR, the rank check, the Gram matrix, the eigensolve and the
-triangular solve all run in scipy, and the core hands over to numpy once,
-for its last product U = Q1 S, which stays numpy's because scipy's dgemm
-gives U other bits.
-
 GsvdFactors keeps U, X, alpha and beta, which every solve and selector
 reads. V1 is not formed: no routine needs it, and a caller that does gets
 it on demand as V1 = L @ X[:, :n-r] / beta, whose columns are orthonormal
@@ -69,38 +47,31 @@ class GmpViolationError(RankDeficiencyError):
     """The stacked pair [A; L] is (numerically) column rank deficient."""
 
 
-def check_pair(a, l) -> tuple[np.ndarray, np.ndarray | CsrMatrix]:
-    """The checked (a, l) of a pair, for GmpPair and TikhonovProblem: as_matrix
-    a, as_operator l, matching columns, and a stack [a; l] with at least one
-    column and as many rows (fewer cannot have full column rank)."""
-    a = as_matrix(a, "pair member a")
-    l = as_operator(l, "pair member l")
-    n = a.shape[1]
-    if l.shape[1] != n:
-        raise DimensionError(f"pair members need matching column counts, got {a.shape} and {l.shape}")
-    if n < 1:
-        raise DimensionError(f"stack needs at least one column, got {n}")
-    rows = a.shape[0] + l.shape[0]
-    if rows < n:
-        raise GmpViolationError(f"stack has fewer rows ({rows}) than columns ({n})")
-    return a, l
-
-
 @dataclass(frozen=True)
 class GmpPair:
     """A matrix pair {a, l} acting on the same solution space, with the
-    vertical stack [a; l] required to have full column rank. a is stored
-    dense; a scipy.sparse l stays sparse, as a CsrMatrix, and is densified
-    only for the core, which frees that copy once stacked.
+    vertical stack [a; l] required to have full column rank.
 
-    Construction runs check_pair on entries and shapes only; the stack's
-    column rank is refused by the GSVD core that factors it, at any size."""
+    Construction checks entries and shapes: a by as_matrix, l by
+    as_operator, matching column counts, and a stack with at least one
+    column (DimensionError) and at least as many rows (GmpViolationError),
+    since fewer cannot have full column rank. The column rank itself is
+    refused by the core that factors the stack (_gsvd_core)."""
 
     a: np.ndarray
     l: np.ndarray | CsrMatrix
 
     def __post_init__(self):
-        a, l = check_pair(self.a, self.l)
+        a = as_matrix(self.a, "pair member a")
+        l = as_operator(self.l, "pair member l")
+        n = a.shape[1]
+        if l.shape[1] != n:
+            raise DimensionError(f"pair members need matching column counts, got {a.shape} and {l.shape}")
+        if n < 1:
+            raise DimensionError(f"stack needs at least one column, got {n}")
+        rows = a.shape[0] + l.shape[0]
+        if rows < n:
+            raise GmpViolationError(f"stack has fewer rows ({rows}) than columns ({n})")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "l", l)
 
@@ -134,14 +105,7 @@ class GsvdFactors:
              generalized values with beta = 0
     x     -- n x n nonsingular
 
-    The lengths give the branch and r: offset = n - len(alpha) is 0 on
-    the tall branch and n - m on the wide one, and r = n - len(beta).
-
-    The per-direction terms that every filter evaluation reads (alpha^2,
-    beta aligned with alpha, the beta > 0 and alpha > 0 masks and the
-    guarded divisor) are formed once per factorization, on first use, and
-    held read-only in filter_terms, so every solve and selector on the
-    same factors reads them without forming them again.
+    The lengths give the branch (offset) and r = n - len(beta).
     """
 
     u: np.ndarray
@@ -162,7 +126,10 @@ class GsvdFactors:
 
     @cached_property
     def filter_terms(self) -> FilterTerms:
-        """The per-direction filter terms, formed on first use, read-only."""
+        """The per-direction terms every Tikhonov filter, filtered
+        coordinate and truncation rule reads, formed once per factorization
+        on first use and held read-only, so every solve and selector on the
+        same factors reads them without forming them again."""
         alpha = self.alpha
         beta = np.zeros_like(alpha)
         # alpha[i] sits at index offset + i of beta, which ends at len(beta)
@@ -196,27 +163,48 @@ def _column_norms(u: np.ndarray) -> np.ndarray:
 
 
 def _gsvd_core(pair: list[np.ndarray]) -> GsvdFactors:
-    """Shared GSVD workhorse of gsvd_full_rank (which the benchmark's
-    dense factors and the error bounds' ambient pair go through) and of
-    rgsvd's compressed pair. It has one, tolerant mode: a first member
-    numerically rank deficient on the branch gets near-zero alphas, not a
-    refusal. Takes the pair as a list [a, l] and empties it, so that a
-    pair the caller formed for the core alone is freed once it is stacked.
+    """The GSVD of the pair [a, l], for gsvd_full_rank and for rgsvd's
+    compressed pair. It has one, tolerant mode: a first member numerically
+    rank deficient on the branch gets near-zero alphas, not a refusal.
     Trusts its input: a and l are dense, finite float64 arrays that pass
-    check_pair. It is the one stack-rank refusal, on every route and at
-    every size."""
+    GmpPair's checks.
+
+    The stack's column rank is refused here and nowhere else, on every
+    route and at every size. R has the singular values of [a; l], and the
+    core raises GmpViolationError when LAPACK's dtrcon estimates R's
+    reciprocal condition at or below 1e-12 max(rows, n). The estimate costs
+    O(n^2) and copies nothing, and unlike a ratio of R's diagonal entries
+    it sees Kahan-type rank loss.
+
+    Memory order: the core keeps only what it still needs. It takes the
+    pair in a list that it empties, so a pair formed for it alone is freed
+    once stacked. The stack is factored in place in one F-ordered buffer,
+    of which only Q1 is copied out, and R is one n x n copy. R is not read
+    during the eigensolve, so it waits packed in n(n+1)/2 entries from the
+    rank check to the triangular solve. dsyevd runs in the buffer of the
+    Gram matrix Q1.T Q1, whose lower triangle scipy's dsyrk forms F-ordered
+    with the bits of numpy's syrk; nothing holds that buffer once the
+    eigensolve returns. Q1 goes once U is formed, and U's column norms are
+    taken a block of columns at a time. The peak is dsyevd's 2n^2
+    workspace beside Q1, the packed R and the Gram matrix: about two copies
+    of the stack.
+
+    BLAS: numpy and scipy each load their own OpenBLAS, whose thread pool
+    keeps spinning for a while after every call, so a switch from one to
+    the other leaves the old pool spinning against the new one. Every BLAS
+    and LAPACK call up to the triangular solve is scipy's, and the core
+    hands over to numpy once, for its last product U = Q1 S, which stays
+    numpy's because scipy's dgemm gives U other bits."""
     a, l = pair
     pair.clear()
     m, n = a.shape
     rows = m + l.shape[0]
     stack = np.concatenate((a, l), out=np.empty((rows, n), order="F"))
     del a, l
-    # the F-ordered stack becomes Q in place; only its top block is kept
     q, tri = qr_reduced(stack)
     q1 = np.ascontiguousarray(q[:m])
     del stack, q
-    # R has the singular values of [A; L]; dtrcon estimates R's reciprocal
-    # 1-norm condition from its F-ordered transpose, so R is not copied. The
+    # dtrcon reads R as the lower triangle of its F-ordered transpose. The
     # estimate is scale-free, and 0 for an all-zero R
     rcond = scipy.linalg.lapack.dtrcon(tri.T, norm="I", uplo="L")[0]
     if rcond <= 1e-12 * max(rows, n):
@@ -224,19 +212,14 @@ def _gsvd_core(pair: list[np.ndarray]) -> GsvdFactors:
             "stacked pair is numerically column rank deficient (reciprocal "
             f"condition estimate of its triangular factor {rcond:.3e})"
         )
-    # R is not read again until the triangular solve, so it waits through
-    # the eigensolve packed: dtrttp copies its upper triangle, read as the
-    # lower one of the F-ordered transpose, into n(n+1)/2 entries
+    # dtrttp packs R's upper triangle, read as the lower one of the
+    # F-ordered transpose
     packed = scipy.linalg.lapack.dtrttp(tri.T, uplo="L")[0]
     del tri
 
-    # scipy's dsyrk forms the lower triangle of the Gram matrix Q1.T Q1,
-    # F-ordered, with the bits of numpy's syrk; symmetric_eig consumes it,
-    # and it is bound to no name, so it goes when the eigensolve returns
     psi, svecs = symmetric_eig(scipy.linalg.blas.dsyrk(1.0, q1.T, trans=0, lower=1))
     # dtpttr unpacks R.T, F-ordered with zeros above the diagonal, so its
-    # transpose is R as qr_reduced gave it: the same values, C-ordered.
-    # The solve runs before U, so every BLAS call up to here is scipy's
+    # transpose is R as qr_reduced gave it: the same values, C-ordered
     tri = scipy.linalg.lapack.dtpttr(n, packed, uplo="L")[0].T
     del packed
     x = solve_upper_triangular(tri, svecs)
@@ -247,11 +230,10 @@ def _gsvd_core(pair: list[np.ndarray]) -> GsvdFactors:
     k0 = max(n - m, 0)  # the wide branch's leading directions have no alpha
     alpha = np.sqrt(psi[k0:])
     beta = np.sqrt(1.0 - psi[: n - r])
-    # U is numpy's product, the core's one call into numpy's BLAS: scipy's
-    # dgemm gives it other bits. Columns of q1 @ svecs carry norm sqrt(psi)
-    # in exact arithmetic, but psi can round to zero while the computed
-    # column still holds rounding noise; normalizing by the computed norm
-    # keeps every column at unit length instead of amplifying that noise.
+    # Columns of q1 @ svecs carry norm sqrt(psi) in exact arithmetic, but
+    # psi can round to zero while the computed column still holds rounding
+    # noise; normalizing by the computed norm keeps every column at unit
+    # length instead of amplifying that noise.
     u = q1 @ svecs[:, k0:]
     del q1
     u /= np.maximum(_column_norms(u), np.finfo(float).tiny)

@@ -1,17 +1,13 @@
 """Dense linear-algebra kernels shared by the rest of the package.
 
 Everything operates on plain float64 numpy arrays: matrices are 2-D,
-vectors 1-D, all entries finite. The one exception is an operator that
-only ever multiplies (the regularizer L): it may stay a scipy.sparse
-matrix, validated by as_operator and densified by dense only where dense
-factorizations need it. The validators (as_matrix, as_operator,
-as_vector, and as_int and as_finite for scalars) run at the package's
-entry points only. The factorizations below serve the core GSVD, which
-hands them arrays it has just formed, so they check nothing: they are
-thin wrappers around LAPACK that pin down a nonnegative R diagonal in QR
-and ascending eigenvalues. Both work in the buffer they are handed: QR
-turns an F-ordered input into Q and forms R as its one n x n copy, and
-the eigendecomposition consumes the F-ordered lower triangle it reads.
+vectors 1-D, all entries finite. The one exception is the regularizer L,
+which may stay sparse (see as_operator). The validators (as_matrix,
+as_operator, as_vector, and as_int and as_finite for scalars) run at the
+package's entry points only. The factorizations below serve the core
+GSVD, which hands them arrays it has just formed, so they check nothing:
+they are thin wrappers around LAPACK that pin down a nonnegative R
+diagonal in QR and ascending eigenvalues.
 """
 
 from __future__ import annotations
@@ -52,7 +48,14 @@ class CsrMatrix(scipy.sparse.csr_array):
 
 def as_operator(a, name: str = "matrix"):
     """as_matrix for dense input; a scipy.sparse matrix comes back as a
-    float64 CsrMatrix with its stored values checked, never densified."""
+    float64 CsrMatrix with its stored values checked, never densified.
+
+    This is how a sparse regularizer L travels: GmpPair, TikhonovProblem
+    and rgsvd keep it sparse, and rgsvd forms L Q as a sparse product. The
+    routes that need dense linear algebra densify it with dense where they
+    use it: gsvd_full_rank (the core frees that copy once stacked),
+    solve_exact and error_bound_diagnostics. A dense L stays the fast path
+    for dense regularizers."""
     if not scipy.sparse.issparse(a):
         return as_matrix(a, name)
     if a.ndim != 2:
@@ -125,8 +128,8 @@ def symmetric_eig(s) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition (values, vectors) of the symmetric matrix
     whose lower triangle an F-ordered s holds, as scipy's dsyrk forms a
     Gram matrix; its upper triangle is never read. Values come ascending
-    and vectors C-ordered, one per column: the layout in which numpy's
-    product Q1 @ S gives the core's U its bits.
+    and vectors C-ordered, one per column: the layout in which the core's
+    product U = Q1 S keeps its bits.
 
     The input is consumed: dsyevd runs in its buffer and overwrites it
     with the vectors, which are then copied out C-ordered.

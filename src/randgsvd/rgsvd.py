@@ -75,19 +75,18 @@ def rgsvd(a, l, epsilon: float, cfg: SamplerConfig) -> ApproxGsvd:
     tolerance epsilon, which must equal cfg.epsilon (basis B1, l1
     columns); stage two sketches t.T @ B1 (basis B2, l2 <= l1 columns,
     fresh seed derived from cfg.seed) to tolerance cfg.stage2_epsilon,
-    or epsilon * 1e-6 when that is None, which drives it to the rank stage
-    one found (l2 == l1) where epsilon itself can stop it a few columns
-    short. The compressed pair
+    or epsilon * 1e-6 when that is None. t.T @ B1 has the rank l1 that
+    stage one found: at epsilon itself stage two's trigger can fire a few
+    columns short, and six decades tighter it runs to l2 == l1.
+
+    The compressed pair
     {P.T A Q, L Q} -- l1 x l2 and full column rank w.p. 1 on branch
     "over", l2 x l1 and full row rank w.p. 1 on branch "under", where it
     lands on the wide GSVD branch whenever l2 < l1 -- goes through the
     exact GSVD; no factor is lifted back to the ambient dimensions.
 
-    l may be a scipy.sparse matrix: it is validated on its stored values
-    and L Q is formed as a sparse product, never densified; a dense l is
-    the fast path for dense regularizers. Only a's shape is checked here:
-    a is not scanned for finiteness, since stage one's range finder rejects
-    a NaN or inf entry, or a sketch that overflows, on its products with a.
+    l may be sparse (see linalg.as_operator). Only a's shape is checked
+    here; its entries are checked by stage one's range finder.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
@@ -110,10 +109,7 @@ def rgsvd(a, l, epsilon: float, cfg: SamplerConfig) -> ApproxGsvd:
     if l1:
         # stage two needs its target C-ordered to keep its own bits
         s = np.ascontiguousarray(matmul(t.T, basis1))
-        # t.T @ B1 has the rank l1 stage one pinned: at stage one's
-        # tolerance its trigger fires a few columns early, six decades
-        # tighter it runs to l2 == l1. A set stage2_epsilon is > 0, so "or"
-        # falls back only when it is None
+        # a set stage2_epsilon is > 0, so "or" falls back only when it is None
         epsilon2 = cfg.stage2_epsilon or cfg.epsilon * 1e-6
         stage2 = adaptive_range_finder(s, replace(cfg, epsilon=epsilon2, seed=derive_stage_seed(cfg.seed)))
         basis2 = stage2.q
@@ -126,8 +122,7 @@ def rgsvd(a, l, epsilon: float, cfg: SamplerConfig) -> ApproxGsvd:
         # tolerant core: a tight epsilon can legitimately capture directions
         # the regularizer dominates (tiny alpha); the sketched stack stays
         # full rank, so the solve is well-posed and the filters damp those
-        # directions. The core empties pair, which holds the only
-        # references to P.T A Q and L Q, so both go once they are stacked
+        # directions. pair holds the only references to P.T A Q and L Q
         inner = _gsvd_core(pair)
     else:  # degenerate: no core to factor, and both counts read 0
         inner = None

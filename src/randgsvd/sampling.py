@@ -9,21 +9,8 @@ as a diagonal entry of the block's triangular factor falls to the requested
 tolerance -- those diagonals are the norms of the deflated sample columns,
 which is exactly the quantity the tolerance speaks about.
 
-On a large target each skinny product a @ Omega_i is a memory-bound pass
-over a, so the range finder multiplies a window of consecutive test blocks
-in one pass, then examines the blocks one at a time. This holds for a
-C-ordered target and for the transposed view that stage one sketches on
-the row-space branch alike. Every block keeps its own seed, the factors are
-bit-identical to one product per block, and blocks drawn past the stop are
-discarded. The window's limits and their measured reasons are given at
-_WINDOW_COLUMNS, _WINDOW_MIN_BYTES and _WINDOW_ROW_MULTIPLE.
-
-The target is not scanned for finiteness on its own, which on a large
-target would cost one more pass over it: each sketch block is checked as
-it is examined instead. Every entry a_ij enters every entry of row i of
-a @ Omega_1, so a non-finite a already makes the first block non-finite
-(see adaptive_range_finder), and a finite a whose sketch overflows is
-refused by the same check instead of yielding NaN basis columns.
+The window rule, by which one pass over the target may form several test
+blocks, is stated at _sample_blocks.
 """
 
 from __future__ import annotations
@@ -38,31 +25,14 @@ _SQRT3 = float(np.sqrt(3.0))
 _MASK64 = (1 << 64) - 1
 # odd 64-bit constant (golden-ratio fraction) used to derive secondary streams
 _STREAM_SALT = 0x9E3779B97F4A7C15
-# The range finder multiplies the target by up to this many test columns in
-# one product. At n = 2048 and one OpenBLAS thread (2-vCPU Xeon, OpenBLAS
-# 0.3.31) A @ Omega took 4.7, 4.9, 6.0 and 9.9 ms at widths 4, 8, 16 and 32:
-# up to about 16 columns a product costs one memory-bound pass over A, past
-# that it is compute-bound, and a wider window would only draw more columns
-# past the stop.
+# Columns per windowed product: up to about this width a product with a
+# large target costs one memory-bound pass over it (timings in CHANGES.md).
 _WINDOW_COLUMNS = 16
-# Windows are formed only on targets of at least this many bytes, because
-# only there did a column slice of the windowed product equal the per-block
-# product bit for bit (same machine): on 17 C-ordered shapes from 1024 x 1024
-# to 16384 x 64, windows of 2-16 columns, mixed widths included, at 1-4
-# threads. Small targets such as stage two's A.T P (2048 x 37) take another
-# OpenBLAS path and their slices differ; without this limit 96 of the 504
-# cases of tests/factor_digest.py kernels changed.
+# Smallest target that takes windows: on smaller ones OpenBLAS takes
+# another path, whose column slices differ from the per-block products.
 _WINDOW_MIN_BYTES = 8 * 2**20
-# A transposed (F-ordered) target, which stage one sketches on branch
-# "under", qualifies for windows only when its row count is a multiple of
-# this. Both the window and each block are formed by linalg.matmul as
-# (Omega.T @ a.T).T, and at 1 thread a column slice of the windowed product
-# equalled the block's own product exactly when rows % 8 == 0 (same
-# machine): on 64 combinations of 1024-4100 rows, 600-1537 columns and
-# blocksizes 2, 3, 4, 5 and 8. Every other row count tried differed: 1030,
-# 1036, 1100, 2050, 2052, 2060, 3001 and 4100, and earlier 700 and
-# 2049-2055. At 2 threads every shape tried matched, so the rule is
-# conservative there. The row-truncated kernels at n = 2048 give 2048 rows.
+# A transposed target takes windows only when its row count is a multiple
+# of this, the row counts at which the slices matched (shapes in CHANGES.md).
 _WINDOW_ROW_MULTIPLE = 8
 
 
@@ -105,8 +75,7 @@ class SamplerConfig:
     seed           -- 64-bit base seed, an integer; block i uses seed XOR i
     stage2_epsilon -- tolerance of the second stage of the two-sided
                       factorization, finite and > 0; None (the default)
-                      gives epsilon * 1e-6, which drives stage two to the
-                      rank stage one found (see rgsvd)
+                      takes rgsvd's default
     """
 
     epsilon: float
@@ -172,9 +141,9 @@ def _sample_blocks(a, blocksize: int, seed: int):
     differ from gemm's.
 
     Products are formed with numpy's overflow and invalid-value warnings
-    off: the caller checks each block for non-finite entries and raises an
-    error that gives the reason, in place of a RuntimeWarning. The warning
-    state is left before each yield, since numpy keeps it per context.
+    off, since adaptive_range_finder checks each block and raises with the
+    reason. The warning state is left before each yield, since numpy keeps
+    it per context.
     """
     n = a.shape[1]
     widths = _block_widths(n, blocksize)
@@ -224,11 +193,9 @@ def adaptive_range_finder(a, cfg: SamplerConfig) -> RangeBasis:
     of n columns, so a block never spans the whole target unless it has
     one column; the last block takes what is left.
 
-    The products are formed in passes over a. Where the window rule
-    (stated at _sample_blocks) allows, one pass forms several consecutive
-    blocks at about the cost of one block's product, since reading a
-    dominates it. Either way each Y_i has the bits of its own product, so
-    q, blocks_consumed and triggered_diag do not depend on the grouping,
+    One pass over a may form several blocks (the window rule at
+    _sample_blocks). Each Y_i has the bits of its own product either way,
+    so q, blocks_consumed and triggered_diag do not depend on the grouping,
     and RangeBasis.passes reports the number of products.
 
     a is not scanned for finiteness. Each Y_i is checked as it is examined
@@ -241,8 +208,7 @@ def adaptive_range_finder(a, cfg: SamplerConfig) -> RangeBasis:
     formed past the stop are not examined, so the outcome does not depend
     on the grouping either.
 
-    The basis grows in place in one buffer; the comment at the loop states
-    how, and why a width-1 block deflates against a copy. A block adds at
+    The basis grows in place (see the comment at the loop). A block adds at
     most the columns the basis lacks to min(a.shape), so the returned
     RangeBasis has a column count l with 0 <= l <= min(a.shape); l == 0
     means the very first sample column was already below tolerance (e.g. a

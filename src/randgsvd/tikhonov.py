@@ -22,43 +22,32 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gsvd import GmpViolationError, GsvdFactors, check_pair
-from .linalg import CsrMatrix, DimensionError, as_finite, as_vector, dense
+from .gsvd import GmpPair, GmpViolationError, GsvdFactors
+from .linalg import DimensionError, as_finite, as_vector, dense
 from .rgsvd import ApproxGsvd
 
 
 @dataclass(frozen=True)
-class TikhonovProblem:
-    """A discrete ill-posed instance: operator, regularizer, data, and the
+class TikhonovProblem(GmpPair):
+    """A discrete ill-posed instance: the pair {a, l}, data b, and the
     solution b was synthesized from (None for real data).
 
-    Construction runs GmpPair's check on {a, l} (gsvd.check_pair), then
-    checks b and x_true against a, all O(size of the inputs). The stack's
-    column rank is refused where a route needs it: by the GSVD core's
-    condition estimate, which every GSVD route runs, and by solve_exact's
-    cutoff. l may be a scipy.sparse matrix; it is kept sparse (as a
-    CsrMatrix, with its stored values checked) and only the dense routes
-    densify it: gsvd_full_rank, the benchmark's dense factors, solve_exact
-    and the error bounds.
-    """
+    Construction runs GmpPair's checks, then checks b and x_true against
+    a, all O(size of the inputs)."""
 
-    a: np.ndarray
-    l: np.ndarray | CsrMatrix
     b: np.ndarray
     x_true: np.ndarray | None = None
 
     def __post_init__(self):
-        a, l = check_pair(self.a, self.l)
+        super().__post_init__()
         b = as_vector(self.b, "data")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "l", l)
         object.__setattr__(self, "b", b)
-        if b.shape[0] != a.shape[0]:
-            raise DimensionError(f"data length {b.shape[0]} != operator rows {a.shape[0]}")
+        if b.shape[0] != self.a.shape[0]:
+            raise DimensionError(f"data length {b.shape[0]} != operator rows {self.a.shape[0]}")
         if self.x_true is not None:
             xt = as_vector(self.x_true, "x_true")
             object.__setattr__(self, "x_true", xt)
-            if xt.shape[0] != a.shape[1]:
+            if xt.shape[0] != self.a.shape[1]:
                 raise DimensionError("x_true length does not match operator columns")
 
     @property
@@ -282,5 +271,5 @@ def solve_tgsvd(factors: GsvdFactors, b, k: int, x_true=None) -> RegularizedSolu
     return _filtered_solution(proj, _truncation_filters(proj.factors, k), float(k), "tgsvd", x_true)
 
 
-# the sketched solve's earlier name, kept for callers that bind it
+# the sketched solve's name for solve_gsvd, kept for callers that bind it
 solve_rgsvd = solve_gsvd

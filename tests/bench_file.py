@@ -29,7 +29,9 @@ The verdict is "gain shown" when at least 10 runs are paired, the change
 is better in at least 9/10 of them (ties count for neither), and the
 medians differ the better way by more than the parent's IQR; "worse" when
 the change's median is worse than the parent's by more than the bound, a
-fraction of the parent's median; and "within bound" otherwise.
+fraction of the parent's median; "unresolved" when the parent's IQR is
+wider than the bound, unless every run of the change is better than every
+run of the parent; and "within bound" otherwise.
 
 Not collected by pytest; it reads JSON only.
 """
@@ -97,13 +99,19 @@ def _dump(obj, level: int = 0) -> str:
     return "{\n" + items + "\n" + " " * level + "}"
 
 
-def _verdict(was: float, now: float, iqr: float, better: int, pairs: int, spec: dict) -> str:
-    """Verdict on medians was -> now, better in `better` of `pairs` runs."""
-    gain = (was - now) if spec["better"] == "lower" else (now - was)
-    if -gain > spec["bound"] * abs(was):
+def _verdict(was: dict, now: dict, better: int, pairs: int, spec: dict) -> str:
+    """Verdict on the metric's parent and change summaries, the change
+    better in `better` of `pairs` runs."""
+    lower = spec["better"] == "lower"
+    gain = (was["median"] - now["median"]) * (1 if lower else -1)
+    allowed = spec["bound"] * abs(was["median"])
+    if -gain > allowed:
         return f"worse, past the {spec['bound']:.0%} bound"
-    if pairs >= 10 and 10 * better >= 9 * pairs and gain > iqr:
+    if pairs >= 10 and 10 * better >= 9 * pairs and gain > was["iqr"]:
         return "gain shown"
+    all_better = max(now["values"]) < min(was["values"]) if lower else min(now["values"]) > max(was["values"])
+    if was["iqr"] > allowed and not all_better:
+        return f"unresolved, parent IQR past the {spec['bound']:.0%} bound"
     return f"within the {spec['bound']:.0%} bound"
 
 
@@ -125,8 +133,7 @@ def compare(parent: dict, change: dict, specs: dict) -> list:
             lower = sum(after[s] < before[s] for s in seeds)
             higher = sum(after[s] > before[s] for s in seeds)
             spec = specs[metric]
-            verdict = _verdict(was["median"], now["median"], was["iqr"],
-                               lower if spec["better"] == "lower" else higher, len(seeds), spec)
+            verdict = _verdict(was, now, lower if spec["better"] == "lower" else higher, len(seeds), spec)
             lines.append(
                 f"  {metric} {was['median']:.4g} -> {now['median']:.4g} "
                 f"({now['median'] / was['median'] - 1:+.1%}, parent IQR {was['iqr']:.3g}); "

@@ -30,8 +30,9 @@ from randgsvd.sampling import SamplerConfig
 from randgsvd.selection import gcv_lambda, gcv_truncation, lcurve_lambda
 from randgsvd.tikhonov import TikhonovProblem, solve_gsvd, solve_rgsvd, solve_tgsvd
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+README = ROOT / "README.md"
 
 
 def _load(monkeypatch, name):
@@ -60,6 +61,22 @@ def test_readme_examples_run():
     for f in (u2, v1):
         assert np.abs(f.T @ f - np.eye(f.shape[1])).max() <= 1e-6
     assert np.linalg.matrix_rank(z) == z.shape[0] == env["approx"].l2
+
+
+def _readme_section(title):
+    """The README's text under the heading '## title', up to the next one."""
+    return re.search(rf"^## {title}\n(.*?)(?=^## |\Z)", README.read_text(), re.S | re.M).group(1)
+
+
+def test_readme_contracts_cover_every_public_name():
+    contracts = _readme_section("Contracts")
+    assert [name for name in randgsvd.__all__ if not re.search(rf"`{name}[`(]", contracts)] == []
+
+
+def test_readme_module_table_has_one_row_per_module():
+    rows = re.findall(r"^\|\s*`(\w+)`\s*\|", _readme_section("Modules"), re.M)
+    modules = [path.stem for path in (ROOT / "src" / "randgsvd").glob("*.py") if path.stem != "__init__"]
+    assert sorted(rows) == sorted(modules)
 
 
 def test_traced_bindings_resolve(monkeypatch):

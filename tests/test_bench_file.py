@@ -71,3 +71,26 @@ def test_compare_verdicts_follow_pairs_iqr_and_bound():
     only = {name: {**rec, "workloads": {"worse": rec["workloads"]["worse"]}} for name, rec in
             (("parent", parent), ("change", change))}
     assert bench_file.compare(only["parent"], only["change"], specs)[-1].endswith(": gain shown")
+
+
+def test_compare_reads_a_spread_past_the_bound_as_unresolved():
+    # the parent's IQR, 15, is wider than 10 % of its median, 115
+    seeds = list(range(10))
+    before = [100.0 + 3 * s for s in seeds]
+    names = ("spread", "apart", "worse")
+    parent = {"commit": "a" * 40, "workloads": {name: _untraced(seeds, before, iqr=15.0) for name in names}}
+    change = {"commit": "b" * 40, "workloads": {
+        # 2 % lower in every pair, inside the parent's spread
+        "spread": _untraced(seeds, [v * 0.98 for v in before], iqr=15.0),
+        # 5 pairs, each change run below every parent run
+        "apart": _untraced(seeds[:5], [v - 15 for v in before[:5]], iqr=6.0),
+        # 20 % higher: worse whatever the spread
+        "worse": _untraced(seeds, [v * 1.2 for v in before], iqr=18.0),
+    }}
+    specs = {"peak_rss_mb": {"better": "lower", "bound": 0.1}}
+    verdicts = [line.rsplit(": ", 1)[1] for line in bench_file.compare(parent, change, specs) if "peak" in line]
+    assert verdicts == [
+        "unresolved, parent IQR past the 10% bound",
+        "within the 10% bound",
+        "worse, past the 10% bound",
+    ]
